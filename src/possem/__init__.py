@@ -69,7 +69,6 @@ from .semigroup import (
     GeneratorOperator,
     PositivityReport,
     expm_apply,
-    expm_dense,
     factorization_residual,
     positivity_scan,
 )

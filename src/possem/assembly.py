@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import ConstantField, GridSampledField, PolynomialField, _as_box
+from .coefficients import GridSampledField, _as_box
 from .errors import UnsupportedContract
 from .tents import TensorTestFunction, gauss_rule, tensor_product_integral
 
@@ -258,28 +258,14 @@ def assemble(sys, grid):
     for k in range(d):
         for l in range(d):
             fld = sys.coefficient(k, l)
-            if isinstance(fld, ConstantField):
-                if fld.is_zero():
-                    continue
-                A = directional_stiffness(grid, k, l)
-                K = K + sp.kron(A, sp.csr_matrix(fld.matrix), format="csr")
-            elif isinstance(fld, PolynomialField):
-                by_exponent = {}
-                for i in range(m):
-                    for j in range(m):
-                        for exps, coef in fld.entry(i, j).terms():
-                            Cm = by_exponent.setdefault(
-                                exps, np.zeros((m, m), dtype=complex))
-                            Cm[i, j] += coef
-                for exps, Cm in sorted(by_exponent.items()):
-                    A = directional_stiffness(grid, k, l, exps)
-                    K = K + sp.kron(A, sp.csr_matrix(Cm), format="csr")
-            elif isinstance(fld, GridSampledField):
+            if isinstance(fld, GridSampledField):
                 if corner_dofs is None:
                     corner_dofs = _cell_corner_dofs(grid)
                 K = K + _assemble_sampled(grid, fld, k, l, corner_dofs)
-            else:
-                raise TypeError(f"unknown coefficient kind {fld!r}")
+                continue
+            for exps, C in fld.monomials(d, grid.box):
+                A = directional_stiffness(grid, k, l, exps)
+                K = K + sp.kron(A, sp.csr_matrix(C), format="csr")
     K.sum_duplicates()
     return DiscreteForm(K, grid.mass_weights(), grid, m)
 
@@ -317,65 +303,36 @@ def form_value(sys, u, v, nodes=None):
     """Exact value of the continuous form on elementary tensors.
 
     ``u = (phi, f)`` and ``v = (psi, g)`` with piecewise-polynomial tensor
-    factors and channel vectors; no grid is involved.  Grid-sampled
-    coefficients are supported only when the supports of phi and psi meet
-    inside a single coefficient cell.
+    factors and channel vectors; no grid is involved.  On the intersection
+    of the supports of phi and psi every coefficient is a sum of monomial
+    terms ``x**e * C_e``; each (k, l) contributes the tensor-product integral
+    of the differentiated factors against the weight ``sum_e (g, C_e f) x**e``.
+    Grid-sampled coefficients raise UnsupportedContract unless that
+    intersection lies inside a single coefficient cell.
     """
     phi, f = u
     psi, g = v
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     d = sys.d
-    total = 0.0 + 0.0j
-    for k in range(d):
-        for l in range(d):
-            fld = sys.coefficient(k, l)
-            if isinstance(fld, ConstantField):
-                pairing = np.vdot(g, fld.matrix @ f)
-                if pairing != 0:
-                    total += pairing * tensor_product_integral(
-                        [(phi, l), (psi, k)], nodes=nodes, box=sys.box)
-            elif isinstance(fld, PolynomialField):
-                for i in range(sys.m):
-                    for j in range(sys.m):
-                        wt = np.conj(g[i]) * f[j]
-                        if wt == 0 or fld.entry(i, j).is_zero():
-                            continue
-                        total += wt * tensor_product_integral(
-                            [(phi, l), (psi, k)], weight=fld.entry(i, j),
-                            nodes=nodes, box=sys.box)
-            elif isinstance(fld, GridSampledField):
-                C = _localized_value(fld, phi, psi)
-                if C is None:
-                    continue
-                pairing = np.vdot(g, C @ f)
-                if pairing != 0:
-                    total += pairing * tensor_product_integral(
-                        [(phi, l), (psi, k)], nodes=nodes, box=sys.box)
-            else:
-                raise TypeError(f"unknown coefficient kind {fld!r}")
-    return complex(total)
-
-
-def _localized_value(fld, phi, psi):
-    """Cell value when the intersection of the supports lies in one cell."""
-    inter = []
+    region = []
     for (a1, b1), (a2, b2) in zip(phi.support_box(), psi.support_box()):
         lo, hi = max(a1, a2), min(b1, b2)
         if hi <= lo:
-            return None
-        inter.append((lo, hi))
-    mid = np.array([(lo + hi) / 2 for lo, hi in inter])
-    idx = fld.cell_index(mid)
-    widths = fld.cell_widths()
-    for axis, ((lo, hi), i) in enumerate(zip(inter, idx)):
-        a = fld.box[axis][0] + i * widths[axis]
-        b = a + widths[axis]
-        if lo < a - 1e-12 or hi > b + 1e-12:
-            raise UnsupportedContract(
-                "grid-sampled coefficients need the test support inside a single cell"
-            )
-    return fld.values[idx]
+            return 0.0 + 0.0j
+        region.append((lo, hi))
+    total = 0.0 + 0.0j
+    for k in range(d):
+        for l in range(d):
+            weight = []
+            for exps, C in sys.coefficient(k, l).monomials(d, region):
+                pairing = np.vdot(g, C @ f)
+                if pairing != 0:
+                    weight.append((exps, pairing))
+            if weight:
+                total += tensor_product_integral(
+                    [(phi, l), (psi, k)], weight=weight, nodes=nodes, box=sys.box)
+    return complex(total)
 
 
 def commutation_residual(grid, B, u, v, k, l):
@@ -404,17 +361,6 @@ def export_matrix_text(K, fileobj):
     order = np.lexsort((coo.col, coo.row))
     for r, c, val in zip(coo.row[order], coo.col[order], coo.data[order]):
         fileobj.write(f"{r + 1} {c + 1} {val.real:.17g} {val.imag:.17g}\n")
-
-
-def box_tensor(box, values_fn=None):
-    """Tensor test function equal to 1 on the whole box (natural-space tests)."""
-    from .tents import PiecewisePoly1D
-
-    factors = tuple(
-        PiecewisePoly1D([a, b], [np.array([1.0])], check_continuity=False)
-        for a, b in box
-    )
-    return TensorTestFunction(1.0, factors)
 
 
 def affine_tensor(box, axis):

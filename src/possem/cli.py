@@ -164,7 +164,7 @@ def cmd_positivity(args, report):
 
 def cmd_decouple(args, report):
     sys_, name = _load_system(args)
-    verdict = decide_decoupling(sys_, workers=args.threads)
+    verdict = decide_decoupling(sys_)
     out = Path(args.out)
     report.add(f"system: {name}")
     report.add(f"decision tolerance: {verdict.tol:.6g}")
@@ -255,7 +255,7 @@ def cmd_probe(args, report):
 
 def cmd_witness(args, report):
     sys_, name = _load_system(args)
-    verdict = decide_decoupling(sys_, workers=args.threads)
+    verdict = decide_decoupling(sys_)
     report.add(f"system: {name}")
     if verdict.positive:
         report.add("verdict: POSITIVE-DECOUPLED; no witness exists")
@@ -339,8 +339,6 @@ def build_parser():
                        help="output directory (default: POSSEM_OUTDIR or .)")
         p.add_argument("--json", action="store_true",
                        help="also write report.json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on concurrent workers")
         p.add_argument("--seed", type=int, default=None)
         if system:
             p.add_argument("--catalog", help="catalog system name")

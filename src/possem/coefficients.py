@@ -9,11 +9,13 @@ with a box, a boundary-condition tag, and a declared ellipticity constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, UnsupportedContract
 from .polynomials import MultiPoly
 
 #: Default cap on the total degree of polynomial entries.
@@ -39,15 +41,27 @@ def _check_point_in_box(x, box):
 
 
 class MatrixField:
-    """Common surface of the three coefficient kinds."""
+    """Common surface of the three coefficient kinds.
+
+    Every kind is a polynomial on a small enough sub-box: a constant, a
+    polynomial, or the value of one grid cell.  ``monomials`` exposes that
+    polynomial as ``(exponents, m x m matrix)`` terms, which is all the form
+    evaluator and the assembler need to know about a field.
+    """
 
     kind = "abstract"
 
     def eval(self, x):
         raise NotImplementedError
 
-    def bound(self):
-        """A uniform bound M with ||C(x)|| <= M over the domain."""
+    def monomials(self, d, region):
+        """The ``(exponents, m x m matrix)`` terms of C on the sub-box
+        ``region`` (d intervals), zero terms omitted: C(x) is the sum of
+        ``matrix * prod_i x_i**exponents[i]`` there."""
+        raise NotImplementedError
+
+    def bound(self, box):
+        """A uniform bound M with ||C(x)|| <= M over the domain box."""
         raise NotImplementedError
 
     def realified(self):
@@ -87,7 +101,14 @@ class ConstantField(MatrixField):
     def eval(self, x):
         return self.matrix.copy()
 
-    def bound(self):
+    @cached_property
+    def _nonzero(self):
+        return bool(self.matrix.any())
+
+    def monomials(self, d, region):
+        return [((0,) * d, self.matrix)] if self._nonzero else []
+
+    def bound(self, box):
         return float(np.linalg.norm(self.matrix, 2))
 
     def realified(self):
@@ -148,9 +169,20 @@ class PolynomialField(MatrixField):
             raise NumericalError("non-finite coefficient value")
         return out
 
-    def bound(self, box=None):
-        if box is None:
-            raise ValueError("polynomial field bound needs the domain box")
+    @cached_property
+    def _monomials(self):
+        by_exponent = {}
+        for i in range(self.m):
+            for j in range(self.m):
+                for exps, coef in self.entries[i][j].terms():
+                    C = by_exponent.setdefault(exps, np.zeros((self.m, self.m), dtype=complex))
+                    C[i, j] += coef
+        return sorted(by_exponent.items())
+
+    def monomials(self, d, region):
+        return self._monomials
+
+    def bound(self, box):
         b = np.empty((self.m, self.m))
         for i in range(self.m):
             for j in range(self.m):
@@ -234,7 +266,21 @@ class GridSampledField(MatrixField):
     def eval(self, x):
         return self.values[self.cell_index(x)].copy()
 
-    def bound(self):
+    def monomials(self, d, region):
+        """The constant term of the one cell that holds ``region``."""
+        mid = np.array([(lo + hi) / 2 for lo, hi in region])
+        idx = self.cell_index(mid)
+        widths = self.cell_widths()
+        for axis, ((lo, hi), i) in enumerate(zip(region, idx)):
+            a = self.box[axis][0] + i * widths[axis]
+            b = a + widths[axis]
+            if lo < a - 1e-12 or hi > b + 1e-12:
+                raise UnsupportedContract(
+                    "grid-sampled coefficients need the test support inside a single cell"
+                )
+        return [((0,) * d, self.values[idx])]
+
+    def bound(self, box):
         flat = self.values.reshape(-1, self.m, self.m)
         return float(max(np.linalg.norm(M, 2) for M in flat))
 
@@ -270,12 +316,6 @@ def realify_matrix(Q):
 
 def realify_field(fld):
     return fld.realified()
-
-
-def field_bound(fld, box):
-    if isinstance(fld, PolynomialField):
-        return fld.bound(box)
-    return fld.bound()
 
 
 @dataclass(frozen=True)
@@ -319,7 +359,7 @@ class EllipticSystem:
 
     def bound(self):
         """Uniform coefficient bound M over all (k, l) and the whole box."""
-        return max(field_bound(self.coeffs[k][l], self.box)
+        return max(self.coeffs[k][l].bound(self.box)
                    for k in range(self.d) for l in range(self.d))
 
     def block_matrix(self, x):
@@ -376,6 +416,29 @@ class EllipticityReport:
         return self.passed
 
 
+def grid_cell_centers(sys):
+    """Cell centers of the common refinement of the cells of every
+    grid-sampled coefficient, or None when no coefficient is grid-sampled.
+
+    Every grid-sampled field is constant on each refined cell, so these
+    points see every cell value of every field.  With a single cell grid
+    they are exactly that grid's ``cell_centers()``.
+    """
+    counts = {fld.ncells for row in sys.coeffs for fld in row
+              if isinstance(fld, GridSampledField)}
+    if not counts:
+        return None
+    axes = []
+    for axis, (a, b) in enumerate(sys.box):
+        fine = math.lcm(*(n[axis] for n in counts))
+        cuts = np.unique(np.concatenate(
+            [np.arange(n[axis] + 1) * (fine // n[axis]) for n in counts]))
+        mids = (cuts[:-1] + cuts[1:]) / 2
+        axes.append(a + mids * (b - a) / fine)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([mm.ravel() for mm in mesh], axis=-1)
+
+
 def default_ellipticity_points(sys, per_dim=5):
     """Sample points for the coercivity check: a single center point when all
     coefficients are constant, grid cell centers for sampled fields, and an
@@ -387,16 +450,9 @@ def default_ellipticity_points(sys, per_dim=5):
         return center[None, :]
     if "polynomial" in kinds or "constant" in kinds:
         pts.append(sys.interior_tensor_points(per_dim))
-    if "grid" in kinds:
-        for k in range(sys.d):
-            for l in range(sys.d):
-                fld = sys.coeffs[k][l]
-                if isinstance(fld, GridSampledField):
-                    pts.append(fld.cell_centers())
-                    break
-            else:
-                continue
-            break
+    centers = grid_cell_centers(sys)
+    if centers is not None:
+        pts.append(centers)
     return np.unique(np.concatenate(pts, axis=0), axis=0)
 
 

@@ -17,11 +17,9 @@ import numpy as np
 
 from .assembly import affine_tensor, form_value
 from .coefficients import (
-    ConstantField,
     EllipticSystem,
-    GridSampledField,
     check_ellipticity,
-    field_bound,
+    grid_cell_centers,
     realify_matrix,
 )
 from .errors import (
@@ -289,14 +287,10 @@ class Verdict:
 
 
 def default_probe_points(sys, per_dim=3):
-    """Interior tensor points at relative offsets 1/4, 1/2, 3/4; cell centers
-    for grid-sampled coefficients."""
-    for k in range(sys.d):
-        for l in range(sys.d):
-            fld = sys.coefficient(k, l)
-            if isinstance(fld, GridSampledField):
-                return fld.cell_centers()
-    return sys.interior_tensor_points(per_dim)
+    """Interior tensor points at relative offsets 1/4, 1/2, 3/4; the cell
+    centers of the common refinement for grid-sampled coefficients."""
+    centers = grid_cell_centers(sys)
+    return sys.interior_tensor_points(per_dim) if centers is None else centers
 
 
 def extract_scalar_systems(sys):
@@ -336,15 +330,13 @@ def _scan_point(sys, x0, tol, via_probe, probe_kwargs):
 
 
 def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
-                      probe_kwargs=None, require_elliptic=True, workers=1):
+                      probe_kwargs=None, require_elliptic=True):
     """Decide positivity of the semigroup by testing every symmetrized
     coefficient for real diagonality at every probe point.
 
     On success the scalar systems are extracted and their uniform bound and
     pointwise coercivity are recorded; on failure a witness is constructed at
     the first failure in scan order (points lexicographic, then k <= l).
-    Points are scanned concurrently when ``workers > 1``; the reduction is
-    ordered, so the reported failure does not depend on the worker count.
     """
     if require_elliptic:
         report = check_ellipticity(sys)
@@ -362,24 +354,15 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
 
     M = sys.bound()
     first_failure = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda x0: _scan_point(sys, x0, tol, via_probe, probe_kwargs),
-                probe_points))
-        first_failure = next((r for r in results if r is not None), None)
-    else:
-        for x0 in probe_points:
-            first_failure = _scan_point(sys, x0, tol, via_probe, probe_kwargs)
-            if first_failure:
-                break
+    for x0 in probe_points:
+        first_failure = _scan_point(sys, x0, tol, via_probe, probe_kwargs)
+        if first_failure:
+            break
 
     if first_failure is None:
         scalars = extract_scalar_systems(sys)
         bounds_ok = all(
-            field_bound(s.coefficient(k, l), sys.box) <= M + tol
+            s.coefficient(k, l).bound(sys.box) <= M + tol
             for s in scalars for k in range(sys.d) for l in range(sys.d)
         )
         coercive_ok = True

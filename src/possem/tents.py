@@ -322,9 +322,10 @@ def tensor_product_integral(terms, weight=None, nodes=None, box=None):
     """Exact integral of a product of (possibly differentiated) tensor test
     functions against an optional polynomial weight, over R^d or over a box.
 
-    ``terms`` is a list of ``(fn, deriv_axis_or_None)``; ``weight`` is a
-    MultiPoly (or None).  Fubini reduces everything to per-coordinate
-    piecewise-polynomial integrals.
+    ``terms`` is a list of ``(fn, deriv_axis_or_None)``; ``weight`` is an
+    iterable of ``(exponents, coefficient)`` monomial terms, for instance
+    ``MultiPoly.terms()``, or None for the weight 1.  Fubini reduces every
+    term to per-coordinate piecewise-polynomial integrals.
     """
     if not terms:
         raise ValueError("need at least one function")
@@ -341,14 +342,11 @@ def tensor_product_integral(terms, weight=None, nodes=None, box=None):
     per_axis = [_AxisProduct(terms, axis) for axis in range(d)]
     intervals = [None] * d if box is None else list(box)
     if weight is None:
-        total = scale
-        for axis, prod in enumerate(per_axis):
-            total *= prod.integral(interval=intervals[axis], nodes=nodes)
-        return complex(total)
-    if weight.d != d:
-        raise ValueError("weight dimension mismatch")
+        weight = (((0,) * d, 1.0),)
     total = 0.0 + 0.0j
-    for exps, coef in weight.terms():
+    for exps, coef in weight:
+        if len(exps) != d:
+            raise ValueError("weight dimension mismatch")
         term = coef * scale
         for axis, e in enumerate(exps):
             term *= per_axis[axis].integral(e, interval=intervals[axis], nodes=nodes)

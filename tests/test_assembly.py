@@ -12,9 +12,9 @@ from possem.assembly import (
     export_matrix_text,
     form_value,
 )
-from possem.coefficients import ConstantField, EllipticSystem
+from possem.coefficients import ConstantField, EllipticSystem, GridSampledField
 from possem.errors import UnsupportedContract
-from possem.tents import TensorTestFunction, hat
+from possem.tents import TensorTestFunction, build_test_pair, hat
 
 
 def scalar_identity_system(box, bc="free"):
@@ -212,3 +212,58 @@ def test_symmetrization_sufficiency_polynomial():
     K1 = assemble(sym, g).K
     scale = np.abs(K0.toarray()).max()
     assert np.abs((K1 - K0).toarray()).max() <= 1e-10 * scale
+
+
+def cell_sampled_system():
+    """Two channels on the unit square with seeded coupled values on a
+    2 x 2 coefficient grid."""
+    rng = np.random.default_rng(7)
+    box = ((0.0, 1.0), (0.0, 1.0))
+
+    def field():
+        vals = 0.2 * (rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2)))
+        return GridSampledField(box, vals + np.eye(2))
+
+    return EllipticSystem(box, 2, ((field(), field()), (field(), field())), "free", 0.0)
+
+
+FORM_KINDS = {
+    "constant": (lambda: catalog.get("witness_W").build(bc="free"), (-1.5, 0.5)),
+    "polynomial": (lambda: catalog.get("rand_coupled(3)").build(bc="free"), (0.375, 0.625)),
+    "grid": (cell_sampled_system, (0.25, 0.75)),
+}
+
+
+def grid_tent_pair(sys_, grid, x0, k, l):
+    """Tent pair at a grid node dilated by delta = 2h: every breakpoint is on
+    a grid line, so the pair lies in the Q1 space and vH K u is exact."""
+    return build_test_pair(1.0, k, l, sys_.d).dilated(np.asarray(x0), 2.0 * grid.h[0])
+
+
+@pytest.mark.parametrize("kind", sorted(FORM_KINDS))
+def test_form_value_matches_assembly(kind):
+    build, x0 = FORM_KINDS[kind]
+    sys_ = build()
+    grid = Grid(sys_.box, (16, 16), "free")
+    dform = assemble(sys_, grid)
+    nodes = grid.node_points()
+    rng = np.random.default_rng(11)
+    for k, l in [(0, 0), (0, 1), (1, 1)]:
+        pair = grid_tent_pair(sys_, grid, x0, k, l)
+        f = rng.standard_normal(sys_.m) + 1j * rng.standard_normal(sys_.m)
+        g = rng.standard_normal(sys_.m) + 1j * rng.standard_normal(sys_.m)
+        u = np.kron(pair.phi(nodes), f)
+        v = np.kron(pair.psi(nodes), g)
+        lattice = np.vdot(v, dform.K @ u)
+        exact = form_value(sys_, (pair.phi, f), (pair.psi, g))
+        assert abs(exact) > 1e-3
+        assert abs(lattice - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def test_form_value_rejects_support_across_cells():
+    sys_ = cell_sampled_system()
+    grid = Grid(sys_.box, (16, 16), "free")
+    # the diagonal pair's supports meet on both sides of x0 along axis 0
+    pair = grid_tent_pair(sys_, grid, (0.5, 0.25), 0, 0)
+    with pytest.raises(UnsupportedContract):
+        form_value(sys_, (pair.phi, np.ones(2)), (pair.psi, np.ones(2)))

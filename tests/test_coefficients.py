@@ -9,6 +9,7 @@ from possem.coefficients import (
     PolynomialField,
     check_ellipticity,
     eval_coefficient,
+    grid_cell_centers,
     realify_field,
     realify_matrix,
 )
@@ -58,6 +59,20 @@ def test_grid_sampled_tie_break_low_cell():
     assert fld.cell_index(np.array([0.25])) == (0,)
     assert fld.eval(np.array([0.25]))[0, 0] == 0
     assert fld.cell_index(np.array([1.0])) == (3,)
+
+
+def test_grid_cell_centers_common_refinement():
+    box = ((0.0, 1.0), (0.0, 2.0))
+    two = GridSampledField(box, np.zeros((2, 1, 1, 1)))
+    three = GridSampledField(box, np.zeros((3, 1, 1, 1)))
+    zero = ConstantField(np.zeros((1, 1)))
+    alone = EllipticSystem(box, 1, ((two, zero), (zero, two)))
+    assert np.array_equal(grid_cell_centers(alone), two.cell_centers())
+    mixed = EllipticSystem(box, 1, ((two, zero), (zero, three)))
+    # cuts at 0, 1/3, 1/2, 2/3, 1 along the first axis; one cell along the second
+    assert np.allclose(grid_cell_centers(mixed),
+                       [[1 / 6, 1.0], [5 / 12, 1.0], [7 / 12, 1.0], [5 / 6, 1.0]])
+    assert grid_cell_centers(EllipticSystem(box, 1, ((zero, zero), (zero, zero)))) is None
 
 
 def test_ellipticity_scalar_heat():

@@ -3,7 +3,12 @@ import pytest
 
 from possem import catalog
 from possem.assembly import Grid, assemble, form_value
-from possem.coefficients import ConstantField, EllipticSystem, PolynomialField
+from possem.coefficients import (
+    ConstantField,
+    EllipticSystem,
+    GridSampledField,
+    PolynomialField,
+)
 from possem.decoupling import (
     NonrealWitness,
     construct_witness,
@@ -134,13 +139,34 @@ def test_decision_via_probe_matches_direct():
         assert direct.decision == probed.decision
 
 
-def test_decision_workers_deterministic():
-    sys_ = catalog.get("witness_W").build()
-    seq = decide_decoupling(sys_, workers=1)
-    par = decide_decoupling(sys_, workers=4)
-    assert seq.decision == par.decision
-    assert np.allclose(seq.witness.x0, par.witness.x0)
-    assert (seq.witness.ktilde, seq.witness.ltilde) == (par.witness.ktilde, par.witness.ltilde)
+def mixed_resolution_system(fine_first):
+    """C_11 = C_22 = 3I and a coupling C_12 = C_21 that is [[0, 1], [1, 0]]
+    in the top corner cell of a 4 x 4 grid and zero elsewhere.  The
+    constant C_11 is stored on a 2 x 2 grid, or on the 4 x 4 grid when
+    ``fine_first``, so the first grid-sampled field differs in resolution."""
+    box = ((0.0, 1.0), (0.0, 1.0))
+
+    def constant(cells):
+        return GridSampledField(box, np.broadcast_to(3.0 * np.eye(2), (cells, cells, 2, 2)))
+
+    coupling = np.zeros((4, 4, 2, 2))
+    coupling[3, 3] = [[0.0, 1.0], [1.0, 0.0]]
+    c12 = GridSampledField(box, coupling)
+    return EllipticSystem(box, 2, ((constant(4 if fine_first else 2), c12),
+                                   (c12, constant(2))), "dirichlet", 1.0)
+
+
+@pytest.mark.parametrize("fine_first", [False, True])
+def test_decision_sees_every_cell_of_mixed_resolution_grids(fine_first):
+    sys_ = mixed_resolution_system(fine_first)
+    verdict = decide_decoupling(sys_)
+    assert len(verdict.probe_points) == 16
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    assert np.allclose(w.x0, [0.875, 0.875])
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == pytest.approx(w.value)
+    assert value >= w.threshold * (1 - 1e-9)
 
 
 def test_decision_gauge_robust():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from possem import catalog
 from possem.multop import (
     MultWitness,
+    default_mult_tol,
     diag_projection,
     find_witness,
     is_multiplication,
@@ -110,17 +111,51 @@ def test_trace_duality():
     assert trace_duality_residual(D, T) <= 1e-13
 
 
+def _predicate_offdiagonal(Q, tol):
+    """Disjoint supports stay disjoint: every off-diagonal entry is small."""
+    m = Q.shape[0]
+    return all(abs(Q[i, j]) <= tol for i in range(m) for j in range(m) if i != j)
+
+
+def _predicate_commutation(Q, tol):
+    """Q commutes with every coordinate indicator projection."""
+    m = Q.shape[0]
+    worst = 0.0
+    for n in range(m):
+        E = np.zeros((m, m))
+        E[n, n] = 1.0
+        worst = max(worst, float(np.max(np.abs(E @ Q - Q @ E))))
+    return worst <= tol
+
+
+def _predicate_domination(Q, tol):
+    """|Q f| <= c |f| on the standard basis vectors."""
+    m = Q.shape[0]
+    worst = 0.0
+    for j in range(m):
+        col = np.abs(Q[:, j])
+        mask = np.ones(m, dtype=bool)
+        mask[j] = False
+        if m > 1:
+            worst = max(worst, float(col[mask].max()))
+    return worst <= tol
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10 ** 6), st.booleans())
 def test_predicate_agreement(m, seed, diagonal):
-    # is_multiplication raises internally if its three predicates disagree
+    # three characterizations of a multiplication operator agree with it
     rng = np.random.default_rng(seed)
     Q = np.diag(rng.standard_normal(m)).astype(complex)
     if not diagonal and m > 1:
         i, j = rng.integers(0, m, 2)
         if i != j:
             Q[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
-    is_multiplication(Q)
+    tol = default_mult_tol(Q)
+    expected = is_multiplication(Q)
+    for predicate in (_predicate_offdiagonal, _predicate_commutation,
+                      _predicate_domination):
+        assert predicate(Q, tol) == expected
 
 
 def test_witness_complete_for_small_patterns():

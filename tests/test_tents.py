@@ -113,7 +113,7 @@ def test_tensor_integral_with_polynomial_weight():
     # (int t^2 eta)(int eta) = (1/6) * 1
     fn = TensorTestFunction(1.0, (hat(), hat()))
     w = MultiPoly.from_terms([((2, 0), 1.0)], 2)
-    val = tensor_product_integral([(fn, None)], weight=w)
+    val = tensor_product_integral([(fn, None)], weight=w.terms())
     assert val == pytest.approx(1 / 6, abs=1e-14)
 
 

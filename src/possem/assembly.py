@@ -299,40 +299,39 @@ def _assemble_sampled(grid, fld, k, l, corner_dofs):
     )
 
 
-def form_value(sys, u, v, nodes=None):
-    """Exact value of the continuous form on elementary tensors.
+def form_matrix(sys, phi, psi):
+    """Exact channel matrix ``F[i, j] = a(phi e_j, psi e_i)`` of the
+    continuous form on two scalar tensor test functions; no grid is involved.
 
-    ``u = (phi, f)`` and ``v = (psi, g)`` with piecewise-polynomial tensor
-    factors and channel vectors; no grid is involved.  On the intersection
-    of the supports of phi and psi every coefficient is a sum of monomial
-    terms ``x**e * C_e``; each (k, l) contributes the tensor-product integral
-    of the differentiated factors against the weight ``sum_e (g, C_e f) x**e``.
-    Grid-sampled coefficients raise UnsupportedContract unless that
-    intersection lies inside a single coefficient cell.
+    On the intersection of the supports every coefficient is a sum of
+    monomial terms ``x**e * C_e``, and each (k, l) adds one tensor-product
+    integral ``sum_e C_e int x**e (d_l phi)(d_k psi)``.  Grid-sampled
+    coefficients raise UnsupportedContract unless that intersection lies
+    inside a single coefficient cell.
     """
-    phi, f = u
-    psi, g = v
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    d = sys.d
+    d, m = sys.d, sys.m
+    F = np.zeros((m, m), dtype=complex)
     region = []
     for (a1, b1), (a2, b2) in zip(phi.support_box(), psi.support_box()):
         lo, hi = max(a1, a2), min(b1, b2)
         if hi <= lo:
-            return 0.0 + 0.0j
+            return F
         region.append((lo, hi))
-    total = 0.0 + 0.0j
     for k in range(d):
         for l in range(d):
-            weight = []
-            for exps, C in sys.coefficient(k, l).monomials(d, region):
-                pairing = np.vdot(g, C @ f)
-                if pairing != 0:
-                    weight.append((exps, pairing))
+            weight = sys.coefficient(k, l).monomials(d, region)
             if weight:
-                total += tensor_product_integral(
-                    [(phi, l), (psi, k)], weight=weight, nodes=nodes, box=sys.box)
-    return complex(total)
+                F += tensor_product_integral(
+                    [(phi, l), (psi, k)], weight=weight, box=sys.box)
+    return F
+
+
+def form_value(sys, u, v):
+    """Exact form value ``a(u, v) = g^H F f`` on elementary tensors
+    ``u = (phi, f)`` and ``v = (psi, g)``, F = ``form_matrix(sys, phi, psi)``."""
+    (phi, f), (psi, g) = u, v
+    F = form_matrix(sys, phi, psi)
+    return complex(np.vdot(np.asarray(g, dtype=complex), F @ np.asarray(f, dtype=complex)))
 
 
 def commutation_residual(grid, B, u, v, k, l):

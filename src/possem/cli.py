@@ -59,7 +59,6 @@ class Report:
         self.data[key] = value
 
     def finish(self):
-        self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / "report.txt").write_text("\n".join(self.lines) + "\n",
                                                 encoding="utf-8")
         if self.as_json:
@@ -69,16 +68,22 @@ class Report:
 
 
 def _load_system(args):
-    if getattr(args, "config", None):
+    name = args.catalog
+    seeded = (not args.config and bool(name) and name.startswith("rand_")
+              and "(" not in name)
+    if args.seed is not None and not seeded:
+        raise ConfigError(
+            f"--seed {args.seed} would be ignored: only a seeded catalog "
+            f"generator named without (N), such as rand_coupled, takes it")
+    if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
         sys_, meta = build_system(text)
         return sys_, meta.get("catalog", args.config)
-    if getattr(args, "catalog", None):
+    if name:
         kwargs = {}
         if args.bc:
             kwargs["bc"] = args.bc
-        name = args.catalog
-        if name.startswith("rand_") and "(" not in name:
+        if seeded:
             if args.seed is None:
                 raise ConfigError(
                     f"{name} is seeded: pass --seed N or use {name}(N)")
@@ -339,8 +344,9 @@ def build_parser():
                        help="output directory (default: POSSEM_OUTDIR or .)")
         p.add_argument("--json", action="store_true",
                        help="also write report.json")
-        p.add_argument("--seed", type=int, default=None)
         if system:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed of a seeded catalog generator")
             p.add_argument("--catalog", help="catalog system name")
             p.add_argument("--config", help="config file with a system definition")
             p.add_argument("--bc", choices=["dirichlet", "free"], default=None,
@@ -399,6 +405,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = Report(args.out, as_json=args.json)
     try:
+        report.outdir.mkdir(parents=True, exist_ok=True)
         args.func(args, report)
         report.finish()
         return 0

@@ -416,6 +416,23 @@ class EllipticityReport:
         return self.passed
 
 
+def refinement_cuts(sys):
+    """Per axis ``(cuts, fine)``: the cell faces of the common refinement of
+    every grid-sampled coefficient's cells are ``a + cuts * (b - a) / fine``.
+    None when no coefficient is grid-sampled."""
+    counts = {fld.ncells for row in sys.coeffs for fld in row
+              if isinstance(fld, GridSampledField)}
+    if not counts:
+        return None
+    out = []
+    for axis in range(sys.d):
+        fine = math.lcm(*(n[axis] for n in counts))
+        cuts = np.unique(np.concatenate(
+            [np.arange(n[axis] + 1) * (fine // n[axis]) for n in counts]))
+        out.append((cuts, fine))
+    return out
+
+
 def grid_cell_centers(sys):
     """Cell centers of the common refinement of the cells of every
     grid-sampled coefficient, or None when no coefficient is grid-sampled.
@@ -424,15 +441,11 @@ def grid_cell_centers(sys):
     points see every cell value of every field.  With a single cell grid
     they are exactly that grid's ``cell_centers()``.
     """
-    counts = {fld.ncells for row in sys.coeffs for fld in row
-              if isinstance(fld, GridSampledField)}
-    if not counts:
+    refinement = refinement_cuts(sys)
+    if refinement is None:
         return None
     axes = []
-    for axis, (a, b) in enumerate(sys.box):
-        fine = math.lcm(*(n[axis] for n in counts))
-        cuts = np.unique(np.concatenate(
-            [np.arange(n[axis] + 1) * (fine // n[axis]) for n in counts]))
+    for (a, b), (cuts, fine) in zip(sys.box, refinement):
         mids = (cuts[:-1] + cuts[1:]) / 2
         axes.append(a + mids * (b - a) / fine)
     mesh = np.meshgrid(*axes, indexing="ij")

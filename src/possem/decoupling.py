@@ -12,15 +12,17 @@ constructs a certified witness pair with a(u+, u-) > 0 on the negative side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .assembly import affine_tensor, form_value
+from .assembly import affine_tensor, form_matrix
 from .coefficients import (
     EllipticSystem,
     check_ellipticity,
     grid_cell_centers,
     realify_matrix,
+    refinement_cuts,
 )
 from .errors import (
     ContractViolation,
@@ -51,18 +53,20 @@ def default_delta_max(box, x0):
     return 0.5 * dist
 
 
-def delta_schedule(box, x0, steps=DEFAULT_SCHEDULE_STEPS):
-    dmax = default_delta_max(box, x0)
+def system_delta_max(sys, x0):
+    """``default_delta_max`` capped at half the distance to the nearest cell
+    face of the grid-sampled coefficients, so that every scheduled tent
+    support stays inside one cell of every field."""
+    dmax = default_delta_max(sys.box, x0)
+    for xi, (a, b), (cuts, fine) in zip(x0, sys.box, refinement_cuts(sys) or ()):
+        dmax = min(dmax, 0.5 * float(np.abs(a + cuts * (b - a) / fine - xi).min()))
+    if dmax <= 0:
+        raise GeometryError(f"probe point {x0} lies on a coefficient cell face")
+    return dmax
+
+
+def delta_schedule(dmax, steps=DEFAULT_SCHEDULE_STEPS):
     return tuple(dmax * 2.0 ** (-j) for j in range(steps))
-
-
-def system_form_evaluator(sys, nodes=None):
-    """Elementary-tensor form evaluator backed by exact quadrature."""
-
-    def evaluate(phi, f, psi, g):
-        return form_value(sys, (phi, f), (psi, g), nodes=nodes)
-
-    return evaluate
 
 
 @dataclass(frozen=True)
@@ -79,18 +83,19 @@ class ProbeResult:
     converged: bool
 
 
-def probe(form_eval, m, d, box, x0, ktilde, ltilde, deltas=None,
+def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None,
           richardson=True, divergence_factor=10.0):
     """Recover C_kl(x0) + C_lk(x0) from the form by dilated tent pairs.
 
-    The pair uses tau = 1 off the diagonal and tau = 2 on it, so the scaled
-    form value delta**(2-d) * a(phi_delta x f, psi_delta x g) converges to the
-    symmetrized pairing for every basis pair; the output is always the full
-    symmetrized matrix.
+    ``form_eval(phi, psi)`` returns the m x m channel matrix of the form on
+    a pair of scalar tensor test functions, ``F[i, j] = a(phi e_j, psi e_i)``
+    (``assembly.form_matrix`` for a system).  The pair uses tau = 1 off the
+    diagonal and tau = 2 on it, so the scaled matrix delta**(2-d) * F of the
+    pair dilated by delta converges to the full symmetrized matrix.
     """
     x0 = np.asarray(x0, dtype=float)
     if deltas is None:
-        deltas = delta_schedule(box, x0)
+        deltas = delta_schedule(default_delta_max(box, x0))
     deltas = tuple(float(dd) for dd in deltas)
     dist = boundary_distance(box, x0)
     for dd in deltas:
@@ -100,16 +105,11 @@ def probe(form_eval, m, d, box, x0, ktilde, ltilde, deltas=None,
             )
     tau = 2.0 if ktilde == ltilde else 1.0
     pair = build_test_pair(tau, ktilde, ltilde, d)
-    basis = np.eye(m)
     history = []
     for dd in deltas:
         dil = pair.dilated(x0, dd)
-        est = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                val = form_eval(dil.phi, basis[j], dil.psi, basis[i])
-                est[i, j] = dd ** (2 - d) * val
-        history.append((dd, est))
+        F = np.asarray(form_eval(dil.phi, dil.psi), dtype=complex)
+        history.append((dd, dd ** (2 - d) * F))
     diffs = [float(np.abs(history[s][1] - history[s - 1][1]).max())
              for s in range(1, len(history))]
     scale = max(1.0, float(np.abs(history[-1][1]).max()))
@@ -128,7 +128,11 @@ def probe(form_eval, m, d, box, x0, ktilde, ltilde, deltas=None,
 
 
 def probe_system(sys, x0, ktilde, ltilde, deltas=None, richardson=True):
-    return probe(system_form_evaluator(sys), sys.m, sys.d, sys.box, x0,
+    """``probe`` on a system's form; the default schedule starts at
+    ``system_delta_max``."""
+    if deltas is None:
+        deltas = delta_schedule(system_delta_max(sys, x0))
+    return probe(partial(form_matrix, sys), sys.d, sys.box, x0,
                  ktilde, ltilde, deltas=deltas, richardson=richardson)
 
 
@@ -156,11 +160,7 @@ class WitnessCertificate:
 
     @property
     def indicator(self):
-        m = len(self.mult_witness.f)
-        one_b = np.zeros(m)
-        for i in self.mult_witness.B:
-            one_b[i] = 1.0
-        return one_b
+        return _indicator(len(self.f), self.mult_witness.B)
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,39 @@ class NonrealWitness:
     kind: str = "nonreal"
 
 
+def _indicator(m, B):
+    one_b = np.zeros(m)
+    one_b[list(B)] = 1.0
+    return one_b
+
+
+def _localize(sys, x0, pair, delta0, max_steps, accept, what):
+    """Halve the dilation of ``pair`` at x0 from delta0 until ``accept(F,
+    delta)`` returns a value for the form matrix F of the dilated pair;
+    return (dilated pair, delta, value).  Supports that leave the box or
+    straddle coefficient cells are skipped."""
+    if delta0 is None:
+        delta0 = default_delta_max(sys.box, x0)
+    delta = float(delta0)
+    last_err = None
+    for _ in range(max_steps):
+        if delta <= boundary_distance(sys.box, x0):
+            dil = pair.dilated(x0, delta)
+            try:
+                F = form_matrix(sys, dil.phi, dil.psi)
+            except UnsupportedContract as exc:
+                last_err = exc
+            else:
+                value = accept(F, delta)
+                if value is not None:
+                    return dil, delta, value
+        delta *= 0.5
+    raise WitnessNotLocalized(
+        f"no dilation certified a {what} at {x0} within {max_steps} halvings"
+        + (f" ({last_err})" if last_err else "")
+    )
+
+
 def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, max_steps=40):
     """Build a certified witness pair from a non-diagonal symmetrized matrix.
 
@@ -199,38 +232,23 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, max_steps=40):
                          "no disjointly supported witness exists")
     tau = float(witness.pairing.real)
     pair = build_test_pair(tau, ktilde, ltilde, d)
-    if delta0 is None:
-        delta0 = default_delta_max(sys.box, x0)
-    delta = float(delta0)
-    last_err = None
-    for _ in range(max_steps):
-        if delta > boundary_distance(sys.box, x0):
-            delta *= 0.5
-            continue
-        dil = pair.dilated(x0, delta)
-        one_b = np.zeros(sys.m)
-        for i in witness.B:
-            one_b[i] = 1.0
-        try:
-            value = form_value(sys, (dil.phi, witness.f), (dil.psi, one_b)).real
-        except UnsupportedContract as exc:     # sampled field, support too wide
-            last_err = exc
-            delta *= 0.5
-            continue
+    one_b = _indicator(sys.m, witness.B)
+
+    def accept(F, delta):
+        value = float(np.vdot(one_b, F @ witness.f).real)
         threshold = 0.5 * delta ** (d - 2) * tau ** 2
-        if value >= threshold * (1.0 - 1e-9):
-            return WitnessCertificate(x0, ktilde, ltilde, witness, dil, delta,
-                                      float(value), float(threshold))
-        delta *= 0.5
-    raise WitnessNotLocalized(
-        f"no dilation certified a witness at {x0} within {max_steps} halvings"
-        + (f" ({last_err})" if last_err else "")
-    )
+        return (value, threshold) if value >= threshold * (1.0 - 1e-9) else None
+
+    dil, delta, (value, threshold) = _localize(
+        sys, x0, pair, delta0, max_steps, accept, "witness")
+    return WitnessCertificate(x0, ktilde, ltilde, witness, dil, delta,
+                              value, float(threshold))
 
 
 def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None,
                               max_steps=40):
-    """Witness for a symmetrized matrix that is diagonal but not real."""
+    """Witness for a symmetrized matrix that is diagonal but not real: the
+    form entry F[row, col] at the largest |Im Q| has a large imaginary part."""
     x0 = np.asarray(x0, dtype=float)
     d = sys.d
     Q = np.asarray(Q, dtype=complex)
@@ -241,27 +259,15 @@ def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None,
         raise ValueError("symmetrized matrix is real; no nonreal witness")
     tau = 2.0 if ktilde == ltilde else 1.0
     pair = build_test_pair(tau, ktilde, ltilde, d)
-    if delta0 is None:
-        delta0 = default_delta_max(sys.box, x0)
-    delta = float(delta0)
-    basis = np.eye(sys.m)
-    for _ in range(max_steps):
-        if delta > boundary_distance(sys.box, x0):
-            delta *= 0.5
-            continue
-        dil = pair.dilated(x0, delta)
-        try:
-            value = form_value(sys, (dil.phi, basis[col]), (dil.psi, basis[row]))
-        except UnsupportedContract:
-            delta *= 0.5
-            continue
-        if abs(value.imag) >= 0.5 * delta ** (d - 2) * abs(target):
-            return NonrealWitness(x0, ktilde, ltilde, int(row), int(col),
-                                  dil, delta, float(value.imag))
-        delta *= 0.5
-    raise WitnessNotLocalized(
-        f"no dilation certified a nonreal witness at {x0}"
-    )
+
+    def accept(F, delta):
+        value = float(F[row, col].imag)
+        return value if abs(value) >= 0.5 * delta ** (d - 2) * abs(target) else None
+
+    dil, delta, value = _localize(
+        sys, x0, pair, delta0, max_steps, accept, "nonreal witness")
+    return NonrealWitness(x0, ktilde, ltilde, int(row), int(col),
+                          dil, delta, value)
 
 
 # -- the decision --------------------------------------------------------------
@@ -415,12 +421,7 @@ def extract_offdiag_2d(sys, tol=1e-10):
     vol = float(np.prod([b - a for a, b in sys.box]))
     phi = affine_tensor(sys.box, 1)     # x2
     psi = affine_tensor(sys.box, 0)     # x1
-    m = sys.m
-    avg = np.empty((m, m), dtype=complex)
-    basis = np.eye(m)
-    for i in range(m):
-        for j in range(m):
-            avg[i, j] = form_value(sys, (phi, basis[j]), (psi, basis[i])) / vol
+    avg = form_matrix(sys, phi, psi) / vol
     sym_avg = (sys.coefficient(0, 1).average(sys.box)
                + sys.coefficient(1, 0).average(sys.box))
     anti_avg = avg - sym_avg / 2.0

@@ -34,17 +34,16 @@ def gauss_rule(nodes):
     return _gauss_cache[nodes]
 
 
-def integrate_poly(coeffs, a, b, nodes=None):
+def integrate_poly(coeffs, a, b):
     """Integrate a polynomial (coefficient array, low order first) over [a, b]."""
     coeffs = np.asarray(coeffs)
     deg = len(coeffs) - 1
-    if nodes is None:
-        nodes = DEFAULT_GAUSS_NODES
-    if deg > 2 * nodes - 1:
+    capacity = 2 * DEFAULT_GAUSS_NODES - 1
+    if deg > capacity:
         raise CapacityError(
-            f"integrand degree {deg} exceeds Gauss-Legendre capacity {2 * nodes - 1}"
+            f"integrand degree {deg} exceeds Gauss-Legendre capacity {capacity}"
         )
-    x, w = gauss_rule(nodes)
+    x, w = gauss_rule(DEFAULT_GAUSS_NODES)
     t = 0.5 * (b - a) * x + 0.5 * (b + a)
     return 0.5 * (b - a) * np.sum(w * P.polyval(t, coeffs))
 
@@ -86,10 +85,6 @@ class PiecewisePoly1D:
     @property
     def support(self):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
-    @property
-    def max_degree(self):
-        return max(len(p) - 1 for p in self.pieces)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -160,7 +155,7 @@ class PiecewisePoly1D:
             return np.zeros(1)
         return self.pieces[idx]
 
-    def integral(self, weight_exponent=0, interval=None, nodes=None):
+    def integral(self, weight_exponent=0, interval=None):
         """Exact integral of ``t**weight_exponent * self(t)`` over the support
         (or over ``interval`` intersected with the support)."""
         lo, hi = self.support
@@ -177,18 +172,8 @@ class PiecewisePoly1D:
             if b - a <= 0:
                 continue
             integrand = P.polymul(self.pieces[i], weight) if weight_exponent else self.pieces[i]
-            total += integrate_poly(integrand, a, b, nodes=nodes)
+            total += integrate_poly(integrand, a, b)
         return total
-
-
-def product_integral(factors, weight_exponent=0, interval=None, nodes=None):
-    """Exact integral of a product of piecewise polynomials times t**a."""
-    prod = None
-    for f in factors:
-        prod = f if prod is None else prod * f
-    if prod is None:
-        raise ValueError("need at least one factor")
-    return prod.integral(weight_exponent, interval=interval, nodes=nodes)
 
 
 # -- canonical 1D shapes -----------------------------------------------------
@@ -234,11 +219,6 @@ class TensorTestFunction:
     def d(self):
         return len(self.factors)
 
-    def global_factor(self, axis, deriv=False):
-        """The 1D factor along ``axis`` in global coordinates (scale excluded)."""
-        f = self.factors[axis].affine_pullback(self.center[axis], self.delta)
-        return f.derivative() if deriv else f
-
     def support_box(self):
         return [
             (self.center[i] + self.delta * f.support[0],
@@ -264,33 +244,24 @@ class TensorTestFunction:
 class _AxisProduct:
     """Product of the per-axis 1D factors of several tensor functions.
 
-    When every factor shares the same affine reparametrization the product is
-    kept in reference coordinates (well conditioned for small dilations) and
-    monomial weights are transformed instead; otherwise the factors are
-    materialized in global coordinates.
+    Every factor must share the same affine reparametrization (center and
+    dilation along the axis); the product is kept in reference coordinates,
+    well conditioned for small dilations, and monomial weights are
+    transformed instead.
     """
 
     def __init__(self, terms, axis):
         maps = {(fn.center[axis], fn.delta) for fn, _ in terms}
-        if len(maps) == 1:
-            self.center, self.delta = next(iter(maps))
-            prod = None
-            nderiv = 0
-            for fn, dax in terms:
-                f = fn.factors[axis]
-                if dax == axis:
-                    f = f.derivative()
-                    nderiv += 1
-                prod = f if prod is None else prod * f
-            self.prod = prod
-            self.nderiv = nderiv
-        else:
-            self.center, self.delta, self.nderiv = 0.0, 1.0, 0
-            prod = None
-            for fn, dax in terms:
-                g = fn.global_factor(axis, deriv=(dax == axis))
-                prod = g if prod is None else prod * g
-            self.prod = prod
+        if len(maps) != 1:
+            raise ValueError("tensor functions must share their center and dilation")
+        self.center, self.delta = next(iter(maps))
+        self.prod, self.nderiv = None, 0
+        for fn, dax in terms:
+            f = fn.factors[axis]
+            if dax == axis:
+                f = f.derivative()
+                self.nderiv += 1
+            self.prod = f if self.prod is None else self.prod * f
         self._moments = {}
 
     def _ref_interval(self, interval):
@@ -299,13 +270,13 @@ class _AxisProduct:
         lo, hi = interval
         return ((lo - self.center) / self.delta, (hi - self.center) / self.delta)
 
-    def _ref_moment(self, k, interval, nodes):
+    def _ref_moment(self, k, interval):
         if k not in self._moments:
             self._moments[k] = self.prod.integral(
-                k, interval=self._ref_interval(interval), nodes=nodes)
+                k, interval=self._ref_interval(interval))
         return self._moments[k]
 
-    def integral(self, exponent=0, interval=None, nodes=None):
+    def integral(self, exponent=0, interval=None):
         """Integral of x**exponent times the product, in global x."""
         from math import comb
 
@@ -314,18 +285,21 @@ class _AxisProduct:
         for k in range(exponent + 1):
             w = comb(exponent, k) * self.center ** (exponent - k) * self.delta ** k
             if w != 0.0:
-                total += w * self._ref_moment(k, interval, nodes)
+                total += w * self._ref_moment(k, interval)
         return base * total
 
 
-def tensor_product_integral(terms, weight=None, nodes=None, box=None):
+def tensor_product_integral(terms, weight=None, box=None):
     """Exact integral of a product of (possibly differentiated) tensor test
     functions against an optional polynomial weight, over R^d or over a box.
 
-    ``terms`` is a list of ``(fn, deriv_axis_or_None)``; ``weight`` is an
-    iterable of ``(exponents, coefficient)`` monomial terms, for instance
-    ``MultiPoly.terms()``, or None for the weight 1.  Fubini reduces every
-    term to per-coordinate piecewise-polynomial integrals.
+    ``terms`` is a list of ``(fn, deriv_axis_or_None)`` whose functions share
+    one center and dilation (ValueError otherwise); ``weight`` is an iterable
+    of ``(exponents, coefficient)`` monomial terms, for instance
+    ``MultiPoly.terms()`` or ``MatrixField.monomials``, or None for the
+    weight 1.  The result is complex with the shape of the coefficients
+    (scalars or m x m matrices).  Fubini reduces every term to
+    per-coordinate piecewise-polynomial integrals.
     """
     if not terms:
         raise ValueError("need at least one function")
@@ -335,8 +309,6 @@ def tensor_product_integral(terms, weight=None, nodes=None, box=None):
         if fn.d != d:
             raise ValueError("dimension mismatch")
         scale *= fn.scale
-    if scale == 0.0:
-        return 0.0 + 0.0j
     if box is not None and len(box) != d:
         raise ValueError("box dimension mismatch")
     per_axis = [_AxisProduct(terms, axis) for axis in range(d)]
@@ -349,9 +321,9 @@ def tensor_product_integral(terms, weight=None, nodes=None, box=None):
             raise ValueError("weight dimension mismatch")
         term = coef * scale
         for axis, e in enumerate(exps):
-            term *= per_axis[axis].integral(e, interval=intervals[axis], nodes=nodes)
-        total += term
-    return complex(total)
+            term = term * per_axis[axis].integral(e, interval=intervals[axis])
+        total = total + term
+    return total if isinstance(total, np.ndarray) else complex(total)
 
 
 # -- the five-case pair construction ------------------------------------------
@@ -375,14 +347,13 @@ class TestPair:
     def d(self):
         return self.phi.d
 
-    def interaction_matrix(self, nodes=None):
+    def interaction_matrix(self):
         d = self.d
         G = np.zeros((d, d))
         for k in range(d):
             for l in range(d):
                 G[k, l] = tensor_product_integral(
-                    [(self.phi, l), (self.psi, k)], nodes=nodes
-                ).real
+                    [(self.phi, l), (self.psi, k)]).real
         return G
 
     def expected_interaction(self):

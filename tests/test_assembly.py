@@ -10,6 +10,7 @@ from possem.assembly import (
     assemble,
     commutation_residual,
     export_matrix_text,
+    form_matrix,
     form_value,
 )
 from possem.coefficients import ConstantField, EllipticSystem, GridSampledField
@@ -258,6 +259,14 @@ def test_form_value_matches_assembly(kind):
         exact = form_value(sys_, (pair.phi, f), (pair.psi, g))
         assert abs(exact) > 1e-3
         assert abs(lattice - exact) <= 1e-9 * max(1.0, abs(exact))
+        # every channel pair at once: F[i, j] = a(phi e_j, psi e_i) = (V^H K U)[i, j]
+        eye = np.eye(sys_.m)
+        U = np.kron(pair.phi(nodes)[:, None], eye)
+        V = np.kron(pair.psi(nodes)[:, None], eye)
+        lattice_F = V.conj().T @ (dform.K @ U)
+        F = form_matrix(sys_, pair.phi, pair.psi)
+        assert np.abs(F).max() > 1e-3
+        assert np.abs(lattice_F - F).max() <= 1e-9 * max(1.0, np.abs(F).max())
 
 
 def test_form_value_rejects_support_across_cells():

@@ -1,3 +1,5 @@
+import pytest
+
 from possem.cli import main
 
 
@@ -104,6 +106,10 @@ def test_witness_subcommand(tmp_path):
     code = run(["witness", "--catalog", "witness_W"], tmp_path)
     assert code == 0
     assert "NOT-POSITIVE" in (tmp_path / "report.txt").read_text()
+    for command in ("catalog", "selftest-tents"):     # they load no system
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--seed", "5"], tmp_path)
+        assert exc.value.code == 2
     code = run(["witness", "--catalog", "scalar_heat"], tmp_path)
     assert code == 0
     assert "no witness exists" in (tmp_path / "report.txt").read_text()
@@ -118,3 +124,23 @@ def test_precondition_failure_exit_code(tmp_path):
         "[coeff 1 1]\nkind = constant\nentry 1 1 = [1, 0]\n"
         "[coeff 2 2]\nkind = constant\nentry 1 1 = [1, 0]\n")
     assert main(["decouple", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_out_directory_is_created(tmp_path):
+    out = tmp_path / "results" / "nested"
+    assert main(["decouple", "--catalog", "ex1_3", "--grid", "32", "--out", str(out)]) == 0
+    assert "POSITIVE-DECOUPLED" in (out / "report.txt").read_text()
+    assert (out / "coefficients_1.csv").exists()
+
+
+def test_seed_without_seeded_generator_is_rejected(tmp_path, capsys):
+    assert run(["decouple", "--catalog", "ex1_3", "--seed", "5"], tmp_path) == 2
+    assert run(["decouple", "--catalog", "rand_coupled(3)", "--seed", "5"], tmp_path) == 2
+    assert "--seed 5 would be ignored" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+    assert run(["decouple", "--catalog", "rand_coupled", "--seed", "3"], tmp_path) == 0
+    assert "NOT-POSITIVE" in (tmp_path / "report.txt").read_text()
+    for command in ("catalog", "selftest-tents"):     # they load no system
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--seed", "5"], tmp_path)
+        assert exc.value.code == 2

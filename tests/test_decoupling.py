@@ -169,6 +169,40 @@ def test_decision_sees_every_cell_of_mixed_resolution_grids(fine_first):
     assert value >= w.threshold * (1 - 1e-9)
 
 
+def four_cell_system(coupled):
+    """C_11 = C_22 = 3I on a 4 x 4 coefficient grid; C_12 = C_21 is zero, or
+    [[0, 1], [1, 0]] in cell (3, 3) when ``coupled``."""
+    box = ((0.0, 1.0), (0.0, 1.0))
+    diag = GridSampledField(box, np.broadcast_to(3.0 * np.eye(2), (4, 4, 2, 2)))
+    coupling = np.zeros((4, 4, 2, 2))
+    if coupled:
+        coupling[3, 3] = [[0.0, 1.0], [1.0, 0.0]]
+    c12 = GridSampledField(box, coupling)
+    return EllipticSystem(box, 2, ((diag, c12), (c12, diag)), "dirichlet", 1.0)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_decision_via_probe_on_grid_sampled_cells(coupled):
+    # the default dilations stay inside one coefficient cell, so every probe
+    # at a cell center converges and recovers the cell value exactly
+    sys_ = four_cell_system(coupled)
+    for x0 in ((0.125, 0.375), (0.875, 0.875)):
+        for k, l in [(0, 0), (0, 1), (1, 1)]:
+            res = probe_system(sys_, x0, k, l)
+            assert res.converged
+            assert np.abs(res.estimate - sys_.symmetrized(k, l, x0)).max() <= 1e-12
+    verdict = decide_decoupling(sys_, via_probe=True)
+    if not coupled:
+        assert verdict.decision == "positive-decoupled"
+        return
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    assert np.allclose(w.x0, [0.875, 0.875])
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == pytest.approx(w.value)
+    assert value >= w.threshold * (1 - 1e-9)
+
+
 def test_decision_gauge_robust():
     # shifting (C_12, C_21) by +-c I never changes the verdict
     for name in ("ex1_3", "witness_W"):
@@ -348,11 +382,11 @@ def test_probe_flags_divergent_evaluator():
 
     calls = {"n": 0}
 
-    def hostile(phi, f, psi, g):
+    def hostile(phi, psi):
         calls["n"] += 1
-        return 1.0 / phi.delta ** 2     # blows up as delta shrinks
+        return [[1.0 / phi.delta ** 2]]     # blows up as delta shrinks
 
-    res = probe(hostile, 1, 2, ((0.0, 1.0), (0.0, 1.0)),
+    res = probe(hostile, 2, ((0.0, 1.0), (0.0, 1.0)),
                 np.array([0.5, 0.5]), 0, 0)
     assert not res.converged
     assert calls["n"] == len(res.deltas)

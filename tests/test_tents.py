@@ -117,6 +117,33 @@ def test_tensor_integral_with_polynomial_weight():
     assert val == pytest.approx(1 / 6, abs=1e-14)
 
 
+def test_tensor_integral_with_matrix_weight():
+    # m x m coefficients give the m x m array of the per-entry scalar integrals
+    pair = build_test_pair(1.0, 0, 1, 2).dilated((0.3, -0.2), 0.5)
+    rng = np.random.default_rng(5)
+    weight = [((i, j), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+              for i, j in [(0, 0), (1, 0), (2, 3)]]
+    terms = [(pair.phi, 1), (pair.psi, 0)]
+    box = ((0.0, 0.7), (-1.0, 1.0))
+    F = tensor_product_integral(terms, weight=weight, box=box)
+    assert F.shape == (3, 3)
+    for i in range(3):
+        for j in range(3):
+            entry = [(exps, C[i, j]) for exps, C in weight]
+            ref = tensor_product_integral(terms, weight=entry, box=box)
+            assert abs(F[i, j] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_tensor_integral_rejects_different_dilations():
+    pair = build_test_pair(1.0, 0, 0, 2)
+    phi = pair.phi.dilated((0.0, 0.0), 0.5)
+    psi = pair.psi.dilated((0.0, 0.0), 0.25)
+    with pytest.raises(ValueError):
+        tensor_product_integral([(phi, 0), (psi, 0)])
+    with pytest.raises(ValueError):
+        tensor_product_integral([(phi, 0), (pair.psi.dilated((0.1, 0.0), 0.5), 0)])
+
+
 def test_tensor_integral_box_clipping():
     fn = TensorTestFunction(1.0, (hat(),))
     whole = tensor_product_integral([(fn, None)])

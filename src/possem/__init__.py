@@ -73,7 +73,7 @@ from .semigroup import (
     positivity_scan,
 )
 from .tents import (
-    PiecewisePoly1D,
+    PiecewiseLinear1D,
     TensorTestFunction,
     TestPair,
     build_test_pair,

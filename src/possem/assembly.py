@@ -19,7 +19,12 @@ import scipy.sparse as sp
 
 from .coefficients import GridSampledField, _as_box
 from .errors import UnsupportedContract
-from .tents import TensorTestFunction, gauss_rule, tensor_product_integral
+from .tents import (
+    PiecewiseLinear1D,
+    TensorTestFunction,
+    gauss_rule,
+    tensor_product_integral,
+)
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,6 @@ class Grid:
         for w in per_axis[1:]:
             out = np.multiply.outer(out, w)
         return out.ravel()
-
-    def interpolate(self, fn, channel_vector=None):
-        """Nodal coefficients of a scalar function, optionally tensored with
-        a channel vector (node-major, channel-minor layout)."""
-        vals = np.asarray(fn(self.node_points()))
-        if channel_vector is None:
-            return vals
-        return np.kron(vals, np.asarray(channel_vector))
 
 
 _axis_matrix_cache: dict = {}
@@ -195,11 +192,6 @@ class DiscreteForm:
         if not mask.any():
             return 0.0
         return float(np.abs(coo.data[mask]).max())
-
-    def channel_block(self, ch):
-        """The scalar stiffness acting on one channel."""
-        idx = np.arange(self.grid.N) * self.m + ch
-        return self.K[np.ix_(idx, idx)]
 
 
 def _local_geometric(grid, k, l):
@@ -364,14 +356,6 @@ def export_matrix_text(K, fileobj):
 
 def affine_tensor(box, axis):
     """Tensor test function equal to the coordinate x_axis on the box."""
-    from .tents import PiecewisePoly1D
-
-    factors = []
-    for i, (a, b) in enumerate(box):
-        if i == axis:
-            factors.append(PiecewisePoly1D([a, b], [np.array([0.0, 1.0])],
-                                           check_continuity=False))
-        else:
-            factors.append(PiecewisePoly1D([a, b], [np.array([1.0])],
-                                           check_continuity=False))
-    return TensorTestFunction(1.0, tuple(factors))
+    return TensorTestFunction(1.0, tuple(
+        PiecewiseLinear1D([a, b], [a, b] if i == axis else [1.0, 1.0])
+        for i, (a, b) in enumerate(box)))

@@ -147,11 +147,6 @@ class PolynomialField(MatrixField):
                     )
         object.__setattr__(self, "entries", rows)
 
-    @classmethod
-    def from_scalar(cls, poly, d=None):
-        d = poly.d if d is None else d
-        return cls(((poly,),), d)
-
     @property
     def m(self):
         return len(self.entries)

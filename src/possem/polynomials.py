@@ -69,21 +69,8 @@ class MultiPoly:
         degs = [sum(idx) for idx in np.argwhere(self.coeffs != 0)]
         return max(degs) if degs else 0
 
-    def degree_along(self, axis):
-        nz = np.argwhere(self.coeffs != 0)
-        return int(nz[:, axis].max()) if len(nz) else 0
-
     def is_zero(self, tol=0.0):
         return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
-
-    def is_constant(self, tol=0.0):
-        c = self.coeffs.copy()
-        c[(0,) * self.d] = 0.0
-        return bool(np.max(np.abs(c), initial=0.0) <= tol)
-
-    @property
-    def constant_term(self):
-        return complex(self.coeffs[(0,) * self.d])
 
     # -- algebra ------------------------------------------------------------
 

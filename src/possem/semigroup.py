@@ -10,7 +10,7 @@ the tested times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,10 +20,9 @@ from .errors import ContractViolation, NumericalError
 
 @dataclass
 class GeneratorOperator:
-    """Generator A = Mass^-1 K with cached propagators exp(-t A)."""
+    """Generator A = Mass^-1 K and its propagators exp(-t A)."""
 
     A: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A)
@@ -65,14 +64,11 @@ class GeneratorOperator:
         return float(np.abs(self.A.imag).max(initial=0.0))
 
     def propagator(self, t):
-        """exp(-t A), cached per time."""
-        key = float(t)
-        if key not in self._cache:
-            E = scipy.linalg.expm(-key * self.A)
-            if not np.all(np.isfinite(E)):
-                raise NumericalError("matrix exponential overflowed")
-            self._cache[key] = E
-        return self._cache[key]
+        """exp(-t A)."""
+        E = scipy.linalg.expm(-float(t) * self.A)
+        if not np.all(np.isfinite(E)):
+            raise NumericalError("matrix exponential overflowed")
+        return E
 
 
 def expm_apply(gen, t, u):
@@ -97,6 +93,7 @@ class PositivityReport:
     generator_offdiag_max: float
     generator_imag_max: float
     verdict: str                # NEGATIVE-FOUND | SIGN-PATTERN-OK | SAMPLED-NONNEGATIVE
+    per_time: tuple             # (min real part, max |imag part|) at each time
 
     @property
     def positive(self):
@@ -116,8 +113,7 @@ def positivity_scan(gen, times=None, tol=None):
     times = tuple(float(t) for t in times)
     if not times or any(t <= 0 for t in times):
         raise ValueError("times must be nonempty and positive")
-    min_entry = np.inf
-    max_imag = 0.0
+    per_time = []
     offender = None
     for t in times:
         E = gen.propagator(t)
@@ -126,10 +122,8 @@ def positivity_scan(gen, times=None, tol=None):
         re = E.real
         idx = np.unravel_index(np.argmin(re), re.shape)
         val = float(re[idx])
-        if np.iscomplexobj(E):
-            max_imag = max(max_imag, float(np.abs(E.imag).max(initial=0.0)))
-        if val < min_entry:
-            min_entry = val
+        imag = float(np.abs(E.imag).max(initial=0.0)) if np.iscomplexobj(E) else 0.0
+        per_time.append((val, imag))
         if val < -t_tol and offender is None:
             offender = (t, val, int(idx[0]), int(idx[1]))
     gen_off = gen.max_positive_offdiag()
@@ -141,8 +135,10 @@ def positivity_scan(gen, times=None, tol=None):
         verdict = "SIGN-PATTERN-OK"
     else:
         verdict = "SAMPLED-NONNEGATIVE"
-    return PositivityReport(times, float(min_entry), float(max_imag), offender,
-                            gen_off, gen_imag, verdict)
+    min_entry = min(val for val, _ in per_time)
+    max_imag = max(imag for _, imag in per_time)
+    return PositivityReport(times, min_entry, max_imag, offender,
+                            gen_off, gen_imag, verdict, tuple(per_time))
 
 
 def channel_components(u, m):

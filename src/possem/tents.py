@@ -1,12 +1,14 @@
-"""Piecewise-polynomial test functions and exact tensor-product quadrature.
+"""Piecewise-linear test functions and exact tensor-product quadrature.
 
 The building blocks are the unit tent ``hat`` and the double tent
 ``double_hat``; ``build_test_pair`` combines scaled and shifted copies into a
 pair (phi, psi) of nonnegative tensor-product functions whose gradient
 interaction matrix ``G[k, l] = integral of (d_l phi)(d_k psi)`` has a single
-prescribed symmetric entry pattern and vanishes elsewhere.  All integrals are
-evaluated piece by piece with Gauss-Legendre rules of sufficient order, so
-they are exact up to rounding.
+prescribed symmetric entry pattern and vanishes elsewhere.  Every 1D factor
+is piecewise linear, stored as its values at its breakpoints.  Along each
+axis one Gauss-Legendre routine integrates monomials against the product of
+the factors (or their slopes), cut at the union of their breakpoints, so the
+integrals are exact up to rounding.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import CapacityError, GeometryError
 
-#: Gauss-Legendre nodes per piece; order 8 integrates degree <= 15 exactly.
+#: Most Gauss-Legendre nodes per piece; 8 nodes integrate degree <= 15 exactly.
 DEFAULT_GAUSS_NODES = 8
-
-#: Breakpoints closer than this are merged when forming products.
-BREAKPOINT_MERGE_TOL = 1e-14
 
 _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -34,161 +32,60 @@ def gauss_rule(nodes):
     return _gauss_cache[nodes]
 
 
-def integrate_poly(coeffs, a, b):
-    """Integrate a polynomial (coefficient array, low order first) over [a, b]."""
-    coeffs = np.asarray(coeffs)
-    deg = len(coeffs) - 1
-    capacity = 2 * DEFAULT_GAUSS_NODES - 1
-    if deg > capacity:
-        raise CapacityError(
-            f"integrand degree {deg} exceeds Gauss-Legendre capacity {capacity}"
-        )
-    x, w = gauss_rule(DEFAULT_GAUSS_NODES)
-    t = 0.5 * (b - a) * x + 0.5 * (b + a)
-    return 0.5 * (b - a) * np.sum(w * P.polyval(t, coeffs))
+class PiecewiseLinear1D:
+    """Compactly supported piecewise-linear function on the real line.
 
-
-class PiecewisePoly1D:
-    """Compactly supported piecewise polynomial on the real line.
-
-    ``pieces[i]`` holds the polynomial coefficients (low order first) valid on
-    ``[breakpoints[i], breakpoints[i+1]]``; the function is zero outside
-    ``[breakpoints[0], breakpoints[-1]]``.
+    The function takes ``values[i]`` at ``breakpoints[i]``, is linear in
+    between and zero outside ``[breakpoints[0], breakpoints[-1]]``.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("breakpoints", "values")
 
-    def __init__(self, breakpoints, pieces, check_continuity=True):
+    def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or len(bp) < 2 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
-        if len(pieces) != len(bp) - 1:
-            raise ValueError("need one piece per interval")
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != bp.shape:
+            raise ValueError("need one value per breakpoint")
         self.breakpoints = bp
-        self.pieces = [np.atleast_1d(np.asarray(p)) for p in pieces]
-        if check_continuity:
-            jump = self.max_interior_jump()
-            if jump > 1e-12:
-                raise ValueError(f"discontinuity {jump:.3e} at an interior breakpoint")
+        self.values = vals
 
     @classmethod
     def zero(cls):
-        return cls([0.0, 1.0], [np.zeros(1)], check_continuity=False)
-
-    def max_interior_jump(self):
-        jump = 0.0
-        for i in range(len(self.pieces) - 1):
-            x = self.breakpoints[i + 1]
-            jump = max(jump, abs(P.polyval(x, self.pieces[i]) - P.polyval(x, self.pieces[i + 1])))
-        return jump
+        return cls([0.0, 1.0], [0.0, 0.0])
 
     @property
     def support(self):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        idx = np.searchsorted(self.breakpoints, tt, side="right") - 1
-        # points exactly at the right support end belong to the last piece
-        idx[tt == self.breakpoints[-1]] = len(self.pieces) - 1
-        inside = (idx >= 0) & (idx < len(self.pieces))
-        out = np.zeros(tt.shape, dtype=self.pieces[0].dtype)
-        for i in np.unique(idx[inside]):
-            sel = inside & (idx == i)
-            out[sel] = P.polyval(tt[sel], self.pieces[i])
-        return out[0] if scalar else out
+        return np.interp(t, self.breakpoints, self.values, left=0.0, right=0.0)
 
-    def derivative(self):
-        return PiecewisePoly1D(
-            self.breakpoints,
-            [P.polyder(p) if len(p) > 1 else np.zeros(1) for p in self.pieces],
-            check_continuity=False,
-        )
-
-    def scaled(self, factor):
-        return PiecewisePoly1D(
-            self.breakpoints, [factor * p for p in self.pieces], check_continuity=False
-        )
+    def slope(self, t):
+        """Slope of the piece containing t, zero outside the support."""
+        slopes = np.diff(self.values) / np.diff(self.breakpoints)
+        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
+        inside = (idx >= 0) & (idx < len(slopes))
+        return np.where(inside, slopes[np.clip(idx, 0, len(slopes) - 1)], 0.0)
 
     def affine_pullback(self, center, delta):
         """Return q with q(x) = self((x - center) / delta), delta > 0."""
         if delta <= 0:
             raise GeometryError("dilation must be positive")
-        sub = P.Polynomial([-center / delta, 1.0 / delta])
-        new_pieces = []
-        for p in self.pieces:
-            comp = P.Polynomial(p)(sub)
-            new_pieces.append(np.atleast_1d(comp.coef))
-        return PiecewisePoly1D(
-            center + delta * self.breakpoints, new_pieces, check_continuity=False
-        )
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return self.scaled(other)
-        lo = max(self.breakpoints[0], other.breakpoints[0])
-        hi = min(self.breakpoints[-1], other.breakpoints[-1])
-        if hi - lo <= BREAKPOINT_MERGE_TOL:
-            return PiecewisePoly1D.zero()
-        bp = np.concatenate([self.breakpoints, other.breakpoints])
-        bp = np.sort(bp[(bp >= lo - BREAKPOINT_MERGE_TOL) & (bp <= hi + BREAKPOINT_MERGE_TOL)])
-        keep = [bp[0]]
-        for x in bp[1:]:
-            if x - keep[-1] > BREAKPOINT_MERGE_TOL:
-                keep.append(x)
-        bp = np.asarray(keep)
-        pieces = []
-        for i in range(len(bp) - 1):
-            mid = 0.5 * (bp[i] + bp[i + 1])
-            pa = self._piece_at(mid)
-            pb = other._piece_at(mid)
-            pieces.append(P.polymul(pa, pb))
-        return PiecewisePoly1D(bp, pieces, check_continuity=False)
-
-    __rmul__ = __mul__
-
-    def _piece_at(self, x):
-        idx = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        if idx < 0 or idx >= len(self.pieces):
-            return np.zeros(1)
-        return self.pieces[idx]
-
-    def integral(self, weight_exponent=0, interval=None):
-        """Exact integral of ``t**weight_exponent * self(t)`` over the support
-        (or over ``interval`` intersected with the support)."""
-        lo, hi = self.support
-        if interval is not None:
-            lo, hi = max(lo, interval[0]), min(hi, interval[1])
-            if hi <= lo:
-                return 0.0
-        total = 0.0
-        weight = np.zeros(weight_exponent + 1)
-        weight[-1] = 1.0
-        for i in range(len(self.pieces)):
-            a = max(self.breakpoints[i], lo)
-            b = min(self.breakpoints[i + 1], hi)
-            if b - a <= 0:
-                continue
-            integrand = P.polymul(self.pieces[i], weight) if weight_exponent else self.pieces[i]
-            total += integrate_poly(integrand, a, b)
-        return total
+        return PiecewiseLinear1D(center + delta * self.breakpoints, self.values)
 
 
 # -- canonical 1D shapes -----------------------------------------------------
 
 def hat():
     """Unit tent: peak 1 at 0, support [-1, 1]."""
-    return PiecewisePoly1D([-1.0, 0.0, 1.0], [[1.0, 1.0], [1.0, -1.0]])
+    return PiecewiseLinear1D([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
 
 
 def double_hat():
     """Two half-width tents peaking at -1/2 and +1/2, support [-1, 1]."""
-    return PiecewisePoly1D(
-        [-1.0, -0.5, 0.0, 0.5, 1.0],
-        [[2.0, 2.0], [0.0, -2.0], [0.0, 2.0], [2.0, -2.0]],
-    )
+    return PiecewiseLinear1D([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 1.0, 0.0, 1.0, 0.0])
 
 
 def shifted_hat(center, halfwidth):
@@ -241,52 +138,47 @@ class TensorTestFunction:
         return TensorTestFunction(self.scale, self.factors, tuple(center), float(delta))
 
 
-class _AxisProduct:
-    """Product of the per-axis 1D factors of several tensor functions.
+def _axis_moments(terms, axis, top, interval):
+    """``[integral of x**e * prod_j f_j(x) dx for e in 0..top]`` in global x.
 
-    Every factor must share the same affine reparametrization (center and
-    dilation along the axis); the product is kept in reference coordinates,
-    well conditioned for small dilations, and monomial weights are
-    transformed instead.
+    ``f_j`` is the axis factor of term j, or its derivative when the term
+    differentiates along ``axis``; the integral runs over ``interval``
+    (None for the whole line).  The terms must share their center and
+    dilation, so the factors are evaluated in reference coordinates
+    ``t = (x - center) / delta`` on the pieces between the union of their
+    breakpoints, with the fewest Gauss-Legendre nodes per piece that are
+    exact for the integrand's degree.
     """
-
-    def __init__(self, terms, axis):
-        maps = {(fn.center[axis], fn.delta) for fn, _ in terms}
-        if len(maps) != 1:
-            raise ValueError("tensor functions must share their center and dilation")
-        self.center, self.delta = next(iter(maps))
-        self.prod, self.nderiv = None, 0
-        for fn, dax in terms:
-            f = fn.factors[axis]
-            if dax == axis:
-                f = f.derivative()
-                self.nderiv += 1
-            self.prod = f if self.prod is None else self.prod * f
-        self._moments = {}
-
-    def _ref_interval(self, interval):
-        if interval is None:
-            return None
-        lo, hi = interval
-        return ((lo - self.center) / self.delta, (hi - self.center) / self.delta)
-
-    def _ref_moment(self, k, interval):
-        if k not in self._moments:
-            self._moments[k] = self.prod.integral(
-                k, interval=self._ref_interval(interval))
-        return self._moments[k]
-
-    def integral(self, exponent=0, interval=None):
-        """Integral of x**exponent times the product, in global x."""
-        from math import comb
-
-        base = self.delta ** (1 - self.nderiv)
-        total = 0.0
-        for k in range(exponent + 1):
-            w = comb(exponent, k) * self.center ** (exponent - k) * self.delta ** k
-            if w != 0.0:
-                total += w * self._ref_moment(k, interval)
-        return base * total
+    maps = {(fn.center[axis], fn.delta) for fn, _ in terms}
+    if len(maps) != 1:
+        raise ValueError("tensor functions must share their center and dilation")
+    center, delta = next(iter(maps))
+    factors = [fn.factors[axis] for fn, _ in terms]
+    differentiated = [dax == axis for _, dax in terms]
+    nderiv = sum(differentiated)
+    degree = top + len(terms) - nderiv
+    capacity = 2 * DEFAULT_GAUSS_NODES - 1
+    if degree > capacity:
+        raise CapacityError(
+            f"integrand degree {degree} exceeds Gauss-Legendre capacity {capacity}"
+        )
+    lo = max(f.breakpoints[0] for f in factors)
+    hi = min(f.breakpoints[-1] for f in factors)
+    if interval is not None:
+        lo = max(lo, (interval[0] - center) / delta)
+        hi = min(hi, (interval[1] - center) / delta)
+    if hi <= lo:
+        return np.zeros(top + 1)
+    cuts = np.concatenate([[lo, hi]] + [f.breakpoints for f in factors])
+    cuts = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+    x, w = gauss_rule(degree // 2 + 1)
+    half = 0.5 * np.diff(cuts)[:, None]
+    t = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x
+    vals = half * w
+    for f, deriv in zip(factors, differentiated):
+        vals = vals * (f.slope(t) if deriv else f(t))
+    powers = (center + delta * t)[..., None] ** np.arange(top + 1)
+    return delta ** (1 - nderiv) * np.einsum("pn,pne->e", vals, powers)
 
 
 def tensor_product_integral(terms, weight=None, box=None):
@@ -298,8 +190,8 @@ def tensor_product_integral(terms, weight=None, box=None):
     of ``(exponents, coefficient)`` monomial terms, for instance
     ``MultiPoly.terms()`` or ``MatrixField.monomials``, or None for the
     weight 1.  The result is complex with the shape of the coefficients
-    (scalars or m x m matrices).  Fubini reduces every term to
-    per-coordinate piecewise-polynomial integrals.
+    (scalars or m x m matrices).  Fubini reduces every term to products of
+    per-axis moments, each axis's computed once up to its largest exponent.
     """
     if not terms:
         raise ValueError("need at least one function")
@@ -311,17 +203,20 @@ def tensor_product_integral(terms, weight=None, box=None):
         scale *= fn.scale
     if box is not None and len(box) != d:
         raise ValueError("box dimension mismatch")
-    per_axis = [_AxisProduct(terms, axis) for axis in range(d)]
-    intervals = [None] * d if box is None else list(box)
-    if weight is None:
-        weight = (((0,) * d, 1.0),)
-    total = 0.0 + 0.0j
-    for exps, coef in weight:
+    weight = [((0,) * d, 1.0)] if weight is None else list(weight)
+    top = [0] * d
+    for exps, _ in weight:
         if len(exps) != d:
             raise ValueError("weight dimension mismatch")
+        top = [max(t, e) for t, e in zip(top, exps)]
+    intervals = [None] * d if box is None else list(box)
+    moments = [_axis_moments(terms, axis, top[axis], intervals[axis])
+               for axis in range(d)]
+    total = 0.0 + 0.0j
+    for exps, coef in weight:
         term = coef * scale
         for axis, e in enumerate(exps):
-            term = term * per_axis[axis].integral(e, interval=intervals[axis])
+            term = term * moments[axis][e]
         total = total + term
     return total if isinstance(total, np.ndarray) else complex(total)
 
@@ -394,7 +289,7 @@ def build_test_pair(tau, ktilde, ltilde, d, verify=True):
     mid = shifted_hat(0.0, 0.5)
 
     if tau == 0:
-        zero = PiecewisePoly1D.zero()
+        zero = PiecewiseLinear1D.zero()
         pair = TestPair(
             TensorTestFunction(0.0, (zero,) * d),
             TensorTestFunction(0.0, (zero,) * d),

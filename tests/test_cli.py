@@ -144,3 +144,16 @@ def test_seed_without_seeded_generator_is_rejected(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run([command, "--seed", "5"], tmp_path)
         assert exc.value.code == 2
+
+
+def test_bc_overrides_config(tmp_path):
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text(
+        "d = 2\nm = 1\nbox = 0 1 0 1\nbc = free\nmu = 0.5\n"
+        "[coeff 1 1]\nkind = constant\nentry 1 1 = [1, 0]\n"
+        "[coeff 2 2]\nkind = constant\nentry 1 1 = [1, 0]\n")
+    assert run(["assemble", "--config", str(cfg), "--grid", "4"], tmp_path) == 0
+    assert "25 degrees of freedom (free)" in (tmp_path / "report.txt").read_text()
+    assert run(["assemble", "--config", str(cfg), "--bc", "dirichlet",
+                "--grid", "4"], tmp_path) == 0
+    assert "9 degrees of freedom (dirichlet)" in (tmp_path / "report.txt").read_text()

@@ -4,7 +4,6 @@ import pytest
 from possem.errors import CapacityError
 from possem.polynomials import MultiPoly
 from possem.tents import (
-    PiecewisePoly1D,
     TensorTestFunction,
     build_test_pair,
     double_hat,
@@ -31,19 +30,22 @@ def test_double_hat_values():
     assert rho(1.0) == 0.0
 
 
+def integral_1d(f, df, g, dg, weight=None, box=None):
+    # 1D tensor_product_integral of the factor pair, each optionally differentiated
+    terms = [(TensorTestFunction(1.0, (f,)), 0 if df else None),
+             (TensorTestFunction(1.0, (g,)), 0 if dg else None)]
+    return tensor_product_integral(terms, weight=weight, box=box)
+
+
 def test_base_identities():
     # the four 1D integrals every interaction computation reduces to
     eta, rho = hat(), double_hat()
-    assert (eta * rho).integral() == pytest.approx(0.5, abs=1e-15)
-    assert (eta.derivative() * rho).integral() == pytest.approx(0.0, abs=1e-15)
-    assert (eta * rho.derivative()).integral() == pytest.approx(0.0, abs=1e-15)
-    assert (eta.derivative() * rho.derivative()).integral() == pytest.approx(0.0, abs=1e-15)
-    assert eta.integral() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_continuity_enforced():
-    with pytest.raises(ValueError, match="discontinuity"):
-        PiecewisePoly1D([-1.0, 0.0, 1.0], [[1.0, 1.0], [0.5, -1.0]])
+    assert integral_1d(eta, False, rho, False) == pytest.approx(0.5, abs=1e-15)
+    assert integral_1d(eta, True, rho, False) == pytest.approx(0.0, abs=1e-15)
+    assert integral_1d(eta, False, rho, True) == pytest.approx(0.0, abs=1e-15)
+    assert integral_1d(eta, True, rho, True) == pytest.approx(0.0, abs=1e-15)
+    fn = TensorTestFunction(1.0, (eta,))
+    assert tensor_product_integral([(fn, None)]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_affine_pullback():
@@ -56,10 +58,22 @@ def test_affine_pullback():
 
 
 def test_capacity_error():
-    # degree 20 polynomial piece exceeds the default 8-node capacity
-    high = PiecewisePoly1D([0.0, 1.0], [np.zeros(21)], check_continuity=False)
+    # x**14 against two tents has degree 16, past the 8-node capacity of 15
+    fn = TensorTestFunction(1.0, (hat(),))
     with pytest.raises(CapacityError):
-        high.integral()
+        tensor_product_integral([(fn, None), (fn, None)], weight=[((14,), 1.0)])
+
+
+def test_box_cutting_a_piece():
+    # the box [0, 0.3] ends inside the right piece of the tent
+    eta = hat()
+    fn = TensorTestFunction(1.0, (eta,))
+    box = ((0.0, 0.3),)
+    val = tensor_product_integral([(fn, None)], weight=[((2,), 1.0)], box=box)
+    assert val == pytest.approx(0.006975, abs=1e-15)
+    val = integral_1d(eta, True, eta, False, weight=[((1,), 1.0)], box=box)
+    assert val == pytest.approx(-0.036, abs=1e-15)
+    assert tensor_product_integral([(fn, None)], weight=[], box=box) == 0
 
 
 @pytest.mark.parametrize("tau", [-10.0, -3.0, -1.0, 0.0, 1.0, 2.0, 10.0])

@@ -264,8 +264,7 @@ def assemble(sys, grid):
 
 def _assemble_sampled(grid, fld, k, l, corner_dofs):
     m = fld.m
-    centers = grid.cell_centers()
-    vals = np.stack([fld.eval(x) for x in centers])       # (ncells, m, m)
+    vals = fld.values[fld.cell_index(grid.cell_centers())]   # (ncells, m, m)
     L = _local_geometric(grid, k, l)                      # (2^d, 2^d)
     ncells, nloc = corner_dofs.shape
     rows, cols, data = [], [], []

@@ -337,8 +337,10 @@ def build_parser():
                     "certify, falsify",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cells_help = "cells per dimension (default 8)"
+    samples_help = "samples per axis of a witness's witness.csv (default 16)"
 
-    def add_common(p, system=True, grid=False):
+    def add_common(p, system=True, grid_help=None):
         p.add_argument("--out", default=os.environ.get("POSSEM_OUTDIR", "."),
                        help="output directory (default: POSSEM_OUTDIR or .)")
         p.add_argument("--json", action="store_true",
@@ -350,27 +352,26 @@ def build_parser():
             p.add_argument("--config", help="config file with a system definition")
             p.add_argument("--bc", choices=["dirichlet", "free"], default=None,
                            help="override the system boundary condition")
-        if grid:
-            p.add_argument("--grid", type=int, default=None,
-                           help="cells per dimension (default 8)")
+        if grid_help:
+            p.add_argument("--grid", type=int, default=None, help=grid_help)
 
     p = sub.add_parser("check-elliptic", help="coercivity check")
     add_common(p)
     p.set_defaults(func=cmd_check_elliptic)
 
     p = sub.add_parser("assemble", help="assemble the discrete form")
-    add_common(p, grid=True)
+    add_common(p, grid_help=cells_help)
     p.add_argument("--dump-config", action="store_true",
                    help="echo the system as a config file")
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("positivity", help="scan the propagator for negative entries")
-    add_common(p, grid=True)
+    add_common(p, grid_help=cells_help)
     p.add_argument("--times", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_positivity)
 
     p = sub.add_parser("decouple", help="run the positivity decision")
-    add_common(p, grid=True)
+    add_common(p, grid_help=samples_help)
     p.set_defaults(func=cmd_decouple)
 
     p = sub.add_parser("probe", help="recover a symmetrized coefficient from the form")
@@ -381,7 +382,7 @@ def build_parser():
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("witness", help="construct a non-positivity witness")
-    add_common(p, grid=True)
+    add_common(p, grid_help=samples_help)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("analyze", help="multiplication-operator analysis at a point")

@@ -31,12 +31,14 @@ def _as_box(box):
 
 
 def _check_point_in_box(x, box):
+    """x as floats, checked to lie in the box: a point or (n, d) points."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (len(box),):
+    if x.shape[-1:] != (len(box),) or x.ndim > 2:
         raise DomainError(f"point has dimension {x.shape}, box has {len(box)}")
-    for xi, (a, b) in zip(x, box):
-        if xi < a or xi > b:
-            raise DomainError(f"coordinate {xi} outside [{a}, {b}]")
+    lows, highs = (x.min(axis=0), x.max(axis=0)) if x.ndim == 2 else (x, x)
+    for lo, hi, (a, b) in zip(lows, highs, box):
+        if lo < a or hi > b:
+            raise DomainError(f"coordinate {lo if lo < a else hi} outside [{a}, {b}]")
     return x
 
 
@@ -52,7 +54,17 @@ class MatrixField:
     kind = "abstract"
 
     def eval(self, x):
-        raise NotImplementedError
+        """C(x): the monomial terms on the one-point box {x}, summed."""
+        xs = np.asarray(x, dtype=float).tolist()
+        out = np.zeros((self.m, self.m), dtype=complex)
+        try:
+            for exps, C in self.monomials(len(xs), [(xi, xi) for xi in xs]):
+                out += math.prod([xi ** e for xi, e in zip(xs, exps)]) * C
+        except OverflowError as exc:
+            raise NumericalError("non-finite coefficient value") from exc
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("non-finite coefficient value")
+        return out
 
     def monomials(self, d, region):
         """The ``(exponents, m x m matrix)`` terms of C on the sub-box
@@ -73,8 +85,14 @@ class MatrixField:
         raise NotImplementedError
 
     def average(self, box):
-        """Exact average of C over the box."""
-        raise NotImplementedError
+        """Exact average of C over the box, from the monomial moments
+        prod_i (b_i**(e_i+1) - a_i**(e_i+1)) / ((e_i+1) (b_i - a_i))."""
+        box = _as_box(box)
+        out = np.zeros((self.m, self.m), dtype=complex)
+        for exps, C in self.monomials(len(box), box):
+            out += math.prod([(b ** (e + 1) - a ** (e + 1)) / ((e + 1) * (b - a))
+                              for (a, b), e in zip(box, exps)]) * C
+        return out
 
     def is_zero(self, tol=0.0):
         raise NotImplementedError
@@ -98,9 +116,6 @@ class ConstantField(MatrixField):
     def m(self):
         return self.matrix.shape[0]
 
-    def eval(self, x):
-        return self.matrix.copy()
-
     @cached_property
     def _nonzero(self):
         return bool(self.matrix.any())
@@ -116,9 +131,6 @@ class ConstantField(MatrixField):
 
     def diagonal_scalar(self, n):
         return ConstantField(np.array([[self.matrix[n, n].real]], dtype=complex))
-
-    def average(self, box):
-        return self.matrix.copy()
 
     def is_zero(self, tol=0.0):
         return bool(np.max(np.abs(self.matrix), initial=0.0) <= tol)
@@ -154,16 +166,6 @@ class PolynomialField(MatrixField):
     def entry(self, i, j):
         return self.entries[i][j]
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty((self.m, self.m), dtype=complex)
-        for i in range(self.m):
-            for j in range(self.m):
-                out[i, j] = self.entries[i][j](x)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("non-finite coefficient value")
-        return out
-
     @cached_property
     def _monomials(self):
         by_exponent = {}
@@ -175,13 +177,16 @@ class PolynomialField(MatrixField):
         return sorted(by_exponent.items())
 
     def monomials(self, d, region):
+        if d != self.d:
+            raise DomainError(f"{d} coordinates for a field in {self.d} variables")
         return self._monomials
 
     def bound(self, box):
-        b = np.empty((self.m, self.m))
-        for i in range(self.m):
-            for j in range(self.m):
-                b[i, j] = self.entries[i][j].bound_on_box(box)
+        """2-norm of the entrywise bounds sum_e |C_e| prod_i max(|a_i|, |b_i|)**e_i."""
+        b = np.zeros((self.m, self.m))
+        for exps, C in self._monomials:
+            b += np.abs(C) * math.prod([max(abs(lo), abs(hi)) ** e
+                                        for (lo, hi), e in zip(box, exps)])
         return float(np.linalg.norm(b, 2))
 
     def realified(self):
@@ -193,14 +198,6 @@ class PolynomialField(MatrixField):
 
     def diagonal_scalar(self, n):
         return PolynomialField(((self.entries[n][n].real,),), self.d, self.max_total_degree)
-
-    def average(self, box):
-        vol = float(np.prod([b - a for a, b in box]))
-        out = np.empty((self.m, self.m), dtype=complex)
-        for i in range(self.m):
-            for j in range(self.m):
-                out[i, j] = self.entries[i][j].box_integral(box) / vol
-        return out
 
     def is_zero(self, tol=0.0):
         return all(p.is_zero(tol) for row in self.entries for p in row)
@@ -241,14 +238,16 @@ class GridSampledField(MatrixField):
         return tuple((b - a) / n for (a, b), n in zip(self.box, self.ncells))
 
     def cell_index(self, x):
-        """Cell containing x; points on a shared face go to the lower cell."""
+        """Index tuple of the cell containing x, or of index arrays for (n, d)
+        points: ceil(t) - 1 clipped to the grid at t = (x_i - a_i) / h_i, so
+        points on a shared face go to the lower cell."""
         x = _check_point_in_box(x, self.box)
-        idx = []
-        for xi, (a, b), n in zip(x, self.box, self.ncells):
-            t = (xi - a) / (b - a) * n
-            i = int(np.ceil(t)) - 1 if t > 0 else 0
-            idx.append(min(max(i, 0), n - 1))
-        return tuple(idx)
+        if x.ndim == 2:
+            lo, hi = np.array(self.box).T
+            t = np.ceil((x - lo) / (hi - lo) * self.ncells).astype(int) - 1
+            return tuple(np.clip(t, 0, np.array(self.ncells) - 1).T)
+        return tuple(min(max(math.ceil((xi - a) / (b - a) * n) - 1, 0), n - 1)
+                     for xi, (a, b), n in zip(x.tolist(), self.box, self.ncells))
 
     def cell_centers(self):
         axes = [
@@ -258,18 +257,11 @@ class GridSampledField(MatrixField):
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def eval(self, x):
-        return self.values[self.cell_index(x)].copy()
-
     def monomials(self, d, region):
         """The constant term of the one cell that holds ``region``."""
-        mid = np.array([(lo + hi) / 2 for lo, hi in region])
-        idx = self.cell_index(mid)
-        widths = self.cell_widths()
-        for axis, ((lo, hi), i) in enumerate(zip(region, idx)):
-            a = self.box[axis][0] + i * widths[axis]
-            b = a + widths[axis]
-            if lo < a - 1e-12 or hi > b + 1e-12:
+        idx = self.cell_index([(lo + hi) / 2 for lo, hi in region])
+        for (lo, hi), i, (a, _), w in zip(region, idx, self.box, self.cell_widths()):
+            if lo < a + i * w - 1e-12 or hi > a + (i + 1) * w + 1e-12:
                 raise UnsupportedContract(
                     "grid-sampled coefficients need the test support inside a single cell"
                 )
@@ -299,9 +291,7 @@ def eval_coefficient(field, x, box=None):
     """Evaluate a coefficient field at a point of the (closed) domain box."""
     if box is not None:
         x = _check_point_in_box(x, _as_box(box))
-    elif isinstance(field, GridSampledField):
-        x = _check_point_in_box(x, field.box)
-    return field.eval(np.asarray(x, dtype=float))
+    return field.eval(x)
 
 
 def realify_matrix(Q):
@@ -428,26 +418,28 @@ def refinement_cuts(sys):
     return out
 
 
-def grid_cell_centers(sys):
-    """Cell centers of the common refinement of the cells of every
-    grid-sampled coefficient, or None when no coefficient is grid-sampled.
-
-    Every grid-sampled field is constant on each refined cell, so these
-    points see every cell value of every field.  With a single cell grid
-    they are exactly that grid's ``cell_centers()``.
-    """
+def _refined_cell_points(sys, offsets):
+    """Tensor points at the given relative offsets in every cell of the
+    common refinement, or None when no coefficient is grid-sampled."""
     refinement = refinement_cuts(sys)
     if refinement is None:
         return None
     axes = []
     for (a, b), (cuts, fine) in zip(sys.box, refinement):
-        mids = (cuts[:-1] + cuts[1:]) / 2
-        axes.append(a + mids * (b - a) / fine)
+        pts = cuts[:-1, None] + np.asarray(offsets)[None, :] * np.diff(cuts)[:, None]
+        axes.append(a + pts.ravel() * (b - a) / fine)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
 
-def default_ellipticity_points(sys, per_dim=5):
+def grid_cell_centers(sys):
+    """Cell centers of the common refinement of the cells of every
+    grid-sampled coefficient, or None when none is: they see every cell value
+    of every field, and with a single cell grid equal its ``cell_centers()``."""
+    return _refined_cell_points(sys, (0.5,))
+
+
+def default_ellipticity_points(sys):
     """Sample points for the coercivity check: a single center point when all
     coefficients are constant, grid cell centers for sampled fields, and an
     interior tensor grid otherwise."""
@@ -457,18 +449,18 @@ def default_ellipticity_points(sys, per_dim=5):
         center = np.array([(a + b) / 2 for a, b in sys.box])
         return center[None, :]
     if "polynomial" in kinds or "constant" in kinds:
-        pts.append(sys.interior_tensor_points(per_dim))
+        pts.append(sys.interior_tensor_points(5))
     centers = grid_cell_centers(sys)
     if centers is not None:
         pts.append(centers)
     return np.unique(np.concatenate(pts, axis=0), axis=0)
 
 
-def check_ellipticity(sys, sample_points=None, tol=None, per_dim=5):
+def check_ellipticity(sys, sample_points=None, tol=None):
     """Smallest eigenvalue of the Hermitian part of the coefficient block
     matrix over the sample points, compared against the declared mu."""
     if sample_points is None or len(sample_points) == 0:
-        sample_points = default_ellipticity_points(sys, per_dim)
+        sample_points = default_ellipticity_points(sys)
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if tol is None:
         tol = 1e-10 * max(1.0, sys.bound())

@@ -19,8 +19,8 @@ import numpy as np
 from .assembly import affine_tensor, form_matrix
 from .coefficients import (
     EllipticSystem,
+    _refined_cell_points,
     check_ellipticity,
-    grid_cell_centers,
     realify_matrix,
     refinement_cuts,
 )
@@ -36,6 +36,12 @@ from .tents import build_test_pair
 
 #: Dilation schedule: delta_max * 2**-j for j = 0..6.
 DEFAULT_SCHEDULE_STEPS = 7
+
+#: A probe diverges when its last step exceeds this factor times its first.
+DIVERGENCE_FACTOR = 10.0
+
+#: Dilation halvings a witness search tries before giving up.
+MAX_HALVINGS = 40
 
 
 def default_decision_tol(sys):
@@ -65,8 +71,8 @@ def system_delta_max(sys, x0):
     return dmax
 
 
-def delta_schedule(dmax, steps=DEFAULT_SCHEDULE_STEPS):
-    return tuple(dmax * 2.0 ** (-j) for j in range(steps))
+def delta_schedule(dmax):
+    return tuple(dmax * 2.0 ** (-j) for j in range(DEFAULT_SCHEDULE_STEPS))
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,7 @@ class ProbeResult:
     converged: bool
 
 
-def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None,
-          richardson=True, divergence_factor=10.0):
+def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
     """Recover C_kl(x0) + C_lk(x0) from the form by dilated tent pairs.
 
     ``form_eval(phi, psi)`` returns the m x m channel matrix of the form on
@@ -116,7 +121,7 @@ def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None,
     converged = True
     if diffs:
         tiny = 1e-12 * scale
-        if diffs[-1] > tiny and diffs[-1] > divergence_factor * max(diffs[0], tiny):
+        if diffs[-1] > tiny and diffs[-1] > DIVERGENCE_FACTOR * max(diffs[0], tiny):
             converged = False
     estimate = history[-1][1]
     extrapolated = False
@@ -189,7 +194,7 @@ def _indicator(m, B):
     return one_b
 
 
-def _localize(sys, x0, pair, delta0, max_steps, accept, what):
+def _localize(sys, x0, pair, delta0, accept, what):
     """Halve the dilation of ``pair`` at x0 from delta0 until ``accept(F,
     delta)`` returns a value for the form matrix F of the dilated pair;
     return (dilated pair, delta, value).  Supports that leave the box or
@@ -198,7 +203,7 @@ def _localize(sys, x0, pair, delta0, max_steps, accept, what):
         delta0 = default_delta_max(sys.box, x0)
     delta = float(delta0)
     last_err = None
-    for _ in range(max_steps):
+    for _ in range(MAX_HALVINGS):
         if delta <= boundary_distance(sys.box, x0):
             dil = pair.dilated(x0, delta)
             try:
@@ -211,12 +216,12 @@ def _localize(sys, x0, pair, delta0, max_steps, accept, what):
                     return dil, delta, value
         delta *= 0.5
     raise WitnessNotLocalized(
-        f"no dilation certified a {what} at {x0} within {max_steps} halvings"
+        f"no dilation certified a {what} at {x0} within {MAX_HALVINGS} halvings"
         + (f" ({last_err})" if last_err else "")
     )
 
 
-def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, max_steps=40):
+def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
     """Build a certified witness pair from a non-diagonal symmetrized matrix.
 
     The tent pair is built with tau equal to the witness pairing of the
@@ -240,13 +245,12 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, max_steps=40):
         return (value, threshold) if value >= threshold * (1.0 - 1e-9) else None
 
     dil, delta, (value, threshold) = _localize(
-        sys, x0, pair, delta0, max_steps, accept, "witness")
+        sys, x0, pair, delta0, accept, "witness")
     return WitnessCertificate(x0, ktilde, ltilde, witness, dil, delta,
                               value, float(threshold))
 
 
-def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None,
-                              max_steps=40):
+def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
     """Witness for a symmetrized matrix that is diagonal but not real: the
     form entry F[row, col] at the largest |Im Q| has a large imaginary part."""
     x0 = np.asarray(x0, dtype=float)
@@ -265,7 +269,7 @@ def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None,
         return value if abs(value) >= 0.5 * delta ** (d - 2) * abs(target) else None
 
     dil, delta, value = _localize(
-        sys, x0, pair, delta0, max_steps, accept, "nonreal witness")
+        sys, x0, pair, delta0, accept, "nonreal witness")
     return NonrealWitness(x0, ktilde, ltilde, int(row), int(col),
                           dil, delta, value)
 
@@ -292,11 +296,14 @@ class Verdict:
         return self.decision == "positive-decoupled"
 
 
-def default_probe_points(sys, per_dim=3):
-    """Interior tensor points at relative offsets 1/4, 1/2, 3/4; the cell
-    centers of the common refinement for grid-sampled coefficients."""
-    centers = grid_cell_centers(sys)
-    return sys.interior_tensor_points(per_dim) if centers is None else centers
+def default_probe_points(sys):
+    """Interior tensor points at relative offsets 1/4, 1/2, 3/4 of the box, or
+    of every refined cell of grid-sampled coefficients (only the cell centers
+    when no coefficient is a polynomial); no point lies on a cell face."""
+    kinds = {fld.kind for row in sys.coeffs for fld in row}
+    if "grid" not in kinds:
+        return sys.interior_tensor_points(3)
+    return _refined_cell_points(sys, (0.25, 0.5, 0.75) if "polynomial" in kinds else (0.5,))
 
 
 def extract_scalar_systems(sys):
@@ -311,9 +318,9 @@ def extract_scalar_systems(sys):
     return out
 
 
-def _symmetrized_at(sys, x0, k, l, via_probe, probe_kwargs):
+def _symmetrized_at(sys, x0, k, l, via_probe):
     if via_probe:
-        res = probe_system(sys, x0, k, l, **probe_kwargs)
+        res = probe_system(sys, x0, k, l)
         if not res.converged:
             raise IndeterminateDecision(
                 f"probe did not converge at {x0} for target ({k}, {l})",
@@ -323,11 +330,11 @@ def _symmetrized_at(sys, x0, k, l, via_probe, probe_kwargs):
     return sys.symmetrized(k, l, x0)
 
 
-def _scan_point(sys, x0, tol, via_probe, probe_kwargs):
+def _scan_point(sys, x0, tol, via_probe):
     """First real-diagonality failure at one point, or None."""
     for k in range(sys.d):
         for l in range(k, sys.d):
-            Q = _symmetrized_at(sys, x0, k, l, via_probe, probe_kwargs)
+            Q = _symmetrized_at(sys, x0, k, l, via_probe)
             diagonal = is_multiplication(Q, tol)
             real = float(np.abs(Q.imag).max(initial=0.0)) <= tol
             if not (diagonal and real):
@@ -336,7 +343,7 @@ def _scan_point(sys, x0, tol, via_probe, probe_kwargs):
 
 
 def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
-                      probe_kwargs=None, require_elliptic=True):
+                      require_elliptic=True):
     """Decide positivity of the semigroup by testing every symmetrized
     coefficient for real diagonality at every probe point.
 
@@ -356,12 +363,11 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if tol is None:
         tol = default_decision_tol(sys)
-    probe_kwargs = probe_kwargs or {}
 
     M = sys.bound()
     first_failure = None
     for x0 in probe_points:
-        first_failure = _scan_point(sys, x0, tol, via_probe, probe_kwargs)
+        first_failure = _scan_point(sys, x0, tol, via_probe)
         if first_failure:
             break
 
@@ -371,13 +377,8 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
             s.coefficient(k, l).bound(sys.box) <= M + tol
             for s in scalars for k in range(sys.d) for l in range(sys.d)
         )
-        coercive_ok = True
-        for s in scalars:
-            for x0 in probe_points:
-                B = s.block_matrix(x0)
-                lam = float(np.linalg.eigvalsh(0.5 * (B + B.conj().T))[0])
-                if lam < sys.mu - tol:
-                    coercive_ok = False
+        coercive_ok = all(check_ellipticity(s, probe_points, tol=tol).passed
+                          for s in scalars)
         return Verdict(
             "positive-decoupled", tuple(scalars), None, tol, probe_points,
             {"bound": M, "scalar_bounds_ok": bounds_ok,

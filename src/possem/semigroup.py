@@ -17,6 +17,9 @@ import scipy.linalg
 
 from .errors import ContractViolation, NumericalError
 
+#: Relative channel coupling above which ``factorization_residual`` refuses.
+BLOCK_TOL = 1e-10
+
 
 @dataclass
 class GeneratorOperator:
@@ -147,19 +150,19 @@ def channel_components(u, m):
     return [u[ch::m] for ch in range(m)]
 
 
-def factorization_residual(dform, scalar_dforms, t, u, tol_block=1e-10):
+def factorization_residual(dform, scalar_dforms, t, u):
     """Relative gap between the block propagator and the channelwise scalar
     propagators: || exp(-tA) u - stack_n exp(-tA_n) u_n || / ||u||.
 
     Requires the assembled block stiffness to be channel-decoupled; a
-    coupling entry above ``tol_block * ||K||`` raises ContractViolation.
+    coupling entry above ``BLOCK_TOL * ||K||`` raises ContractViolation.
     """
     m = dform.m
     if len(scalar_dforms) != m:
         raise ValueError(f"need {m} scalar systems")
     scale = float(np.abs(dform.K.data).max(initial=0.0))
     coupling = dform.channel_coupling_max()
-    if coupling > tol_block * max(scale, 1.0):
+    if coupling > BLOCK_TOL * max(scale, 1.0):
         raise ContractViolation(
             f"stiffness couples channels (max coupling {coupling:.3e})"
         )

@@ -13,7 +13,7 @@ from possem.coefficients import (
     realify_field,
     realify_matrix,
 )
-from possem.errors import DomainError
+from possem.errors import DomainError, NumericalError
 from possem.polynomials import MultiPoly
 
 
@@ -44,12 +44,17 @@ def test_eval_polynomial_entries():
     box = ((-1, 1),) * 3
     assert eval_coefficient(fld, np.zeros(3), box=box)[0, 0] == 0
     assert eval_coefficient(fld, np.array([0.0, 0.0, 0.5]), box=box)[0, 0] == pytest.approx(-0.5)
+    huge = PolynomialField(((1e300 * x1 * x1 * x2,),), 3)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        huge.eval(np.array([1e5, 1.0, 0.0]))
 
 
 def test_eval_outside_box_raises():
     fld = ConstantField(np.eye(1, dtype=complex))
     with pytest.raises(DomainError):
         eval_coefficient(fld, np.array([2.0]), box=((0.0, 1.0),))
+    with pytest.raises(DomainError):
+        PolynomialField(((MultiPoly.variable(1, 2),),), 2).eval(np.array([0.5]))
 
 
 def test_grid_sampled_tie_break_low_cell():
@@ -59,6 +64,22 @@ def test_grid_sampled_tie_break_low_cell():
     assert fld.cell_index(np.array([0.25])) == (0,)
     assert fld.eval(np.array([0.25]))[0, 0] == 0
     assert fld.cell_index(np.array([1.0])) == (3,)
+
+
+def test_grid_cell_index_of_point_array():
+    box = ((0.0, 1.0), (-1.0, 2.0))
+    fld = GridSampledField(box, np.arange(12, dtype=complex).reshape(4, 3, 1, 1))
+    rng = np.random.default_rng(4)
+    interior = rng.uniform([0.0, -1.0], [1.0, 2.0], size=(20, 2))
+    faces = np.array([[0.25, 0.5], [0.5, 0.0], [0.75, 1.0], [0.25, 1.7]])
+    edges = np.array([[0.0, -1.0], [1.0, 2.0], [0.0, 2.0], [0.6, -1.0], [1.0, 0.3]])
+    pts = np.concatenate([interior, faces, edges])
+    idx = fld.cell_index(pts)
+    assert [tuple(int(i) for i in ij) for ij in zip(*idx)] == [fld.cell_index(x) for x in pts]
+    assert np.array_equal(fld.values[idx], np.stack([fld.eval(x) for x in pts]))
+    for bad in ([[0.5, 0.5], [1.5, 0.5]], [[0.5, -1.5]], [[0.5, 0.5, 0.5]]):
+        with pytest.raises(DomainError):
+            fld.cell_index(np.array(bad))
 
 
 def test_grid_cell_centers_common_refinement():
@@ -169,6 +190,41 @@ def test_operator_norm_within_bound():
     pts = np.stack([rng.uniform(a, b, 1000) for a, b in box], axis=-1)
     for x in pts:
         assert np.linalg.norm(fld.eval(x), 2) <= M + 1e-12
+    # the same bound as the 2-norm of the per-entry coefficient-norm bounds
+    per_entry = [[q.bound_on_box(box) for q in row] for row in fld.entries]
+    assert M == pytest.approx(np.linalg.norm(per_entry, 2), rel=1e-14)
+
+
+def random_polynomial_field(rng, m, d):
+    """m x m complex polynomial entries of total degree <= 6, some zero."""
+    def entry():
+        terms = []
+        for _ in range(int(rng.integers(0, 5))):
+            exps = rng.multinomial(int(rng.integers(0, 7)), np.ones(d + 1) / (d + 1))[:d]
+            terms.append((tuple(exps), complex(rng.standard_normal(), rng.standard_normal())))
+        return MultiPoly.from_terms(terms, d)
+    return PolynomialField(tuple(tuple(entry() for _ in range(m)) for _ in range(m)), d)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monomial_reads_match_entrywise_polynomials(m, d):
+    # eval, average and bound read the monomial terms; MultiPoly evaluates,
+    # integrates and bounds each entry on its own
+    rng = np.random.default_rng(100 * m + d)
+    for _ in range(5):
+        fld = random_polynomial_field(rng, m, d)
+        lows = rng.uniform(-2.0, 0.5, d)
+        box = tuple(zip(lows, lows + rng.uniform(0.5, 2.0, d)))
+        vol = np.prod([b - a for a, b in box])
+        entrywise = [[q.box_integral(box) / vol for q in row] for row in fld.entries]
+        avg = fld.average(box)
+        assert np.abs(avg - entrywise).max() <= 1e-13 * max(1.0, np.abs(avg).max())
+        per_entry = [[q.bound_on_box(box) for q in row] for row in fld.entries]
+        assert fld.bound(box) == pytest.approx(np.linalg.norm(per_entry, 2), rel=1e-14, abs=0.0)
+        for x in rng.uniform(*np.array(box).T, size=(10, d)):
+            ref = np.array([[q(x) for q in row] for row in fld.entries])
+            assert np.abs(fld.eval(x) - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_symmetrized_examples():

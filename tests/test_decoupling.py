@@ -203,6 +203,33 @@ def test_decision_via_probe_on_grid_sampled_cells(coupled):
     assert value >= w.threshold * (1 - 1e-9)
 
 
+def grid_polynomial_system():
+    """C_11 = 3I stored on 2 x 2 coefficient cells, C_22 = 3I, and a
+    polynomial coupling C_12 = C_21 = 2 (x_1 - 1/4)(x_1 - 3/4) [[0, 1], [1, 0]]
+    that vanishes at every cell center but not in between."""
+    box = ((0.0, 1.0), (0.0, 1.0))
+    x1 = MultiPoly.variable(0, 2)
+    c = 2 * (x1 - 0.25) * (x1 - 0.75)
+    zero = MultiPoly.constant(0.0, 2)
+    c12 = PolynomialField(((zero, c), (c, zero)), 2)
+    c11 = GridSampledField(box, np.broadcast_to(3.0 * np.eye(2), (2, 2, 2, 2)))
+    c22 = ConstantField(3.0 * np.eye(2))
+    return EllipticSystem(box, 2, ((c11, c12), (c12, c22)), "dirichlet", 1.0)
+
+
+@pytest.mark.parametrize("via_probe", [False, True])
+def test_decision_sees_polynomial_coupling_between_cell_centres(via_probe):
+    # 3 x 3 interior points in each of the 2 x 2 cells, none on a cell face
+    sys_ = grid_polynomial_system()
+    verdict = decide_decoupling(sys_, via_probe=via_probe)
+    assert len(verdict.probe_points) == 36
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == pytest.approx(w.value)
+    assert value >= w.threshold * (1 - 1e-9)
+
+
 def test_decision_gauge_robust():
     # shifting (C_12, C_21) by +-c I never changes the verdict
     for name in ("ex1_3", "witness_W"):

@@ -1,24 +1,29 @@
 """Galerkin discretization on uniform box grids with multilinear elements.
 
 The stiffness matrix of the form a(u, v) = sum_kl int (C_kl d_l u, d_k v) is
-assembled with quadrature that is exact for constant and polynomial
-coefficient kinds: every contribution factorizes through per-axis banded
-matrices ``int x^a b_p^(dp) b_q^(dq) dx`` combined by Kronecker products.
-Grid-sampled coefficients use their cell-center value times exact geometric
-factors.  The mass matrix is lumped (product of per-axis node weights).
+assembled into one stencil-block array, one CSR build: on a uniform grid every
+contribution couples a node to its 3^d neighbours, so K is summed into a dense
+array indexed by (active node, channel i, neighbour offset, channel j).  The
+quadrature is exact for constant and polynomial coefficient kinds: each
+monomial term is a product of per-axis banded moments ``int x^e b_p^(dp)
+b_q^(dq) dx``.  Grid-sampled coefficients use their cell-center value times
+exact geometric factors.  The mass matrix is lumped (product of per-axis node
+weights).
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import GridSampledField, _as_box
-from .errors import UnsupportedContract
+from .errors import NumericalError, UnsupportedContract
 from .tents import (
     PiecewiseLinear1D,
     TensorTestFunction,
@@ -74,17 +79,6 @@ class Grid:
         mesh = np.meshgrid(*[self.node_coords(i) for i in range(self.d)], indexing="ij")
         return np.stack([mm.ravel() for mm in mesh], axis=-1)
 
-    def active_index(self, axis):
-        """Map full 1D node index -> active index (-1 for removed nodes)."""
-        nn = self.n[axis]
-        idx = np.arange(nn + 1)
-        if self.bc == "dirichlet":
-            out = idx - 1
-            out[0] = -1
-            out[-1] = -1
-            return out
-        return idx
-
     def cell_centers(self):
         axes = [a + (np.arange(nn) + 0.5) * hh
                 for (a, b), nn, hh in zip(self.box, self.n, self.h)]
@@ -107,52 +101,37 @@ class Grid:
         return out.ravel()
 
 
-_axis_matrix_cache: dict = {}
-
-
-def axis_moment_matrix(grid, axis, exponent, dp, dq):
-    """Banded 1D matrix  A[p, q] = int x^exponent b_p^(dp) b_q^(dq) dx
-    over the axis interval, restricted to the grid's active nodes."""
-    key = (grid, axis, exponent, dp, dq)
-    if key in _axis_matrix_cache:
-        return _axis_matrix_cache[key]
-    a, b = grid.box[axis]
-    nn = grid.n[axis]
+def _cell_moments(grid, axis, top):
+    """``int_cell x^e b_a^(dp) b_b^(dq) dx`` for e = 0..top, dp, dq in
+    {0, 1} and the cell's left and right corner functions a, b, from one
+    Gauss pass: array (e, dp, dq, cell, a, b)."""
+    gx, gw = gauss_rule(max(2, (top + 4) // 2))      # exact for degree top + 2
     h = grid.h[axis]
-    lows = a + h * np.arange(nn)
-    nodes = max(2, (exponent + 4) // 2)   # exact for degree exponent + 2
-    gx, gw = gauss_rule(nodes)
-    pts = lows[:, None] + h * (gx[None, :] + 1) / 2          # (cells, g)
-    wts = (h / 2) * gw[None, :] * pts ** exponent            # (cells, g)
-    base = {
-        (0, 0): (lows[:, None] + h - pts) / h,               # left hat value
-        (0, 1): (pts - lows[:, None]) / h,                   # right hat value
-        (1, 0): np.full_like(pts, -1.0 / h),
-        (1, 1): np.full_like(pts, 1.0 / h),
-    }
-    dense = np.zeros((nn + 1, nn + 1))
-    for ploc in (0, 1):
-        for qloc in (0, 1):
-            contrib = np.sum(wts * base[(dp, ploc)] * base[(dq, qloc)], axis=1)
-            np.add.at(dense, (np.arange(nn) + ploc, np.arange(nn) + qloc), contrib)
-    if grid.bc == "dirichlet":
-        dense = dense[1:-1, 1:-1]
-    mat = sp.csr_matrix(dense)
-    _axis_matrix_cache[key] = mat
-    return mat
+    pts = grid.box[axis][0] + h * (np.arange(grid.n[axis])[:, None] + (gx + 1) / 2)
+    wts = (h / 2) * gw * pts ** np.arange(top + 1)[:, None, None]   # (e, cell, g)
+    right = (gx + 1) / 2
+    # base[dp, corner]: value (dp = 0) or slope (dp = 1) of the corner
+    # functions at the Gauss nodes
+    base = np.array([[1 - right, right], [np.full_like(gx, -1 / h), np.full_like(gx, 1 / h)]])
+    return np.einsum("ecg,pag,qbg->epqcab", wts, base, base)
 
 
-def directional_stiffness(grid, k, l, exponents=None):
-    """Kronecker product over axes of the 1D moment matrices for the
-    derivative pattern (test derivative along k, trial derivative along l)."""
-    if exponents is None:
-        exponents = (0,) * grid.d
-    mat = None
-    for axis in range(grid.d):
-        f = axis_moment_matrix(grid, axis, int(exponents[axis]),
-                               int(axis == k), int(axis == l))
-        mat = f if mat is None else sp.kron(mat, f, format="csr")
-    return sp.csr_matrix(mat)
+def _axis_bands(grid, axis, top):
+    """Banded 1D moments ``int x^e b_p^(dp) b_q^(dq) dx`` over the axis
+    interval: array (e, dp, dq, active node p, 3) whose last index is the
+    neighbour offset q - p + 1.  Bands that point at a removed or
+    out-of-range node are zero."""
+    nn = grid.n[axis]
+    local = _cell_moments(grid, axis, top)
+    full = np.zeros((top + 1, 2, 2, nn + 1, 3))
+    for a in (0, 1):
+        for b in (0, 1):
+            full[..., a:a + nn, b - a + 1] += local[..., a, b]
+    if grid.bc == "free":
+        return full
+    bands = full[..., 1:-1, :]
+    bands[..., 0, 0] = bands[..., -1, 2] = 0.0
+    return bands
 
 
 @dataclass(frozen=True)
@@ -194,45 +173,72 @@ class DiscreteForm:
         return float(np.abs(coo.data[mask]).max())
 
 
-def _local_geometric(grid, k, l):
-    """Reference-cell matrices L[a_loc, b_loc] = int_cell d_l b_b d_k b_a."""
-    mats = []
-    for axis in range(grid.d):
-        h = grid.h[axis]
-        dp, dq = int(axis == k), int(axis == l)
-        if dp and dq:
-            mats.append(np.array([[1.0, -1.0], [-1.0, 1.0]]) / h)
-        elif dp:
-            mats.append(np.array([[-0.5, -0.5], [0.5, 0.5]]))
-        elif dq:
-            mats.append(np.array([[-0.5, 0.5], [-0.5, 0.5]]))
-        else:
-            mats.append(h / 6 * np.array([[2.0, 1.0], [1.0, 2.0]]))
-    out = mats[0]
-    for mm in mats[1:]:
-        out = np.kron(out, mm)
-    return out
-
-
-def _cell_corner_dofs(grid):
-    """Active flat node index per (cell, local corner); -1 where removed."""
+def _term_stencil(grid, terms, m):
+    """Stencil-block array (*nodes, i, *offsets, j) of the monomial terms
+    (k, l, exponents, C): ``sum_t C_t[i, j] prod_axis band_t(node, offset)``
+    with one contraction over the terms t."""
     d = grid.d
-    cell_idx = np.meshgrid(*[np.arange(nn) for nn in grid.n], indexing="ij")
-    cell_idx = [c.ravel() for c in cell_idx]
-    shape = grid.shape
-    corners = []
-    for bits in range(2 ** d):
-        per_axis = []
-        valid = np.ones(cell_idx[0].shape, dtype=bool)
-        for axis in range(d):
-            bit = (bits >> (d - 1 - axis)) & 1
-            act = grid.active_index(axis)[cell_idx[axis] + bit]
-            valid &= act >= 0
-            per_axis.append(np.clip(act, 0, None))
-        flat = np.ravel_multi_index(per_axis, shape)
-        flat = np.where(valid, flat, -1)
-        corners.append(flat)
-    return np.stack(corners, axis=1)   # (ncells, 2**d)
+    S = np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
+    if not terms:
+        return S
+    k, l, exps, C = (np.array(v) for v in zip(*terms))
+    stacks = [_axis_bands(grid, ax, exps[:, ax].max())[
+                  exps[:, ax], (k == ax).astype(int), (l == ax).astype(int)]
+              for ax in range(d)]                            # (T, n_axis, 3)
+    if not all(np.isfinite(a).all() for a in (*stacks, C)):
+        # a non-finite factor would turn the zero blocks of off-grid
+        # neighbours into NaN, which _stencil_csr cannot drop
+        raise NumericalError("non-finite coefficient term or moment")
+    nodes, offs = "abcdefgh"[:d], "opqrsuvw"[:d]
+    spec = ",".join(f"t{n}{o}" for n, o in zip(nodes, offs)) + f",tij->{nodes}i{offs}j"
+    np.einsum(spec, *stacks, C, out=S, optimize=True)
+    return S
+
+
+def _add_sampled(S, grid, fld, k, l):
+    """Add a cell-sampled coefficient into the stencil-block array: for each
+    corner pair (a, b) of the local matrix L, the value of every assembly
+    cell whose corners a and b are both active nodes, times L[a, b]."""
+    m, drop = fld.m, int(grid.bc == "dirichlet")
+    vals = fld.values[fld.cell_index(grid.cell_centers())].reshape(grid.n + (m, m))
+    # corner matrix L[a, b] = int_cell d_l b_b d_k b_a, one factor per axis
+    L = functools.reduce(np.kron, [_cell_moments(grid, ax, 0)[0, int(ax == k), int(ax == l), 0]
+                                   for ax in range(grid.d)])
+    corners = list(itertools.product((0, 1), repeat=grid.d))
+    for (a, ca), (b, cb) in itertools.product(enumerate(corners), repeat=2):
+        span = [(max(0, drop - p, drop - q), min(n, n + 1 - drop - p, n + 1 - drop - q))
+                for p, q, n in zip(ca, cb, grid.n)]
+        cells = tuple(slice(lo, hi) for lo, hi in span)
+        rows = tuple(slice(lo + p - drop, hi + p - drop) for (lo, hi), p in zip(span, ca))
+        offset = tuple(q - p + 1 for p, q in zip(ca, cb))
+        S[rows + (slice(None),) + offset] += L[a, b] * vals[cells]
+
+
+def _stencil_csr(S, grid):
+    """CSR matrix of a stencil-block array, built on S's own buffer: rows
+    (node, i), columns (node + offset, j) ascending.  Blocks of neighbours
+    off the grid hold exact zeros (their bands and cell corners are zero),
+    so one eliminate_zeros drops them with the other stored zeros and
+    leaves K canonical."""
+    d, N, shape = grid.d, grid.N, grid.shape
+    m = S.shape[d]
+    idx = np.int32 if S.size < 2 ** 31 else np.int64
+    # first column m * (node + offset) of each (node, offset) block, built
+    # axis by axis; off-grid neighbours point at node 0 on that axis
+    col, stride = 0, m
+    for ax in reversed(range(d)):
+        q = np.arange(shape[ax], dtype=idx)[:, None] + np.arange(-1, 2, dtype=idx)
+        q[(q < 0) | (q >= shape[ax])] = 0
+        dims = [1] * (2 * d)
+        dims[ax], dims[d + ax] = shape[ax], 3
+        col = col + (stride * q).reshape(dims)
+        stride *= shape[ax]
+    cols = np.broadcast_to(col.reshape(N, 1, 3 ** d, 1) + np.arange(m, dtype=idx),
+                           (N, m, 3 ** d, m)).flatten()
+    indptr = np.arange(0, S.size + 1, 3 ** d * m, dtype=idx)
+    K = sp.csr_matrix((S.reshape(-1), cols, indptr), shape=(N * m, N * m))
+    K.eliminate_zeros()
+    return K
 
 
 def assemble(sys, grid):
@@ -243,51 +249,19 @@ def assemble(sys, grid):
     """
     if _as_box(sys.box) != grid.box:
         raise ValueError("grid box must equal the system box")
-    d, m, N = sys.d, sys.m, grid.N
-    K = sp.csr_matrix((N * m, N * m), dtype=complex)
-
-    corner_dofs = None
+    d, m = sys.d, sys.m
+    terms, sampled = [], []
     for k in range(d):
         for l in range(d):
             fld = sys.coefficient(k, l)
             if isinstance(fld, GridSampledField):
-                if corner_dofs is None:
-                    corner_dofs = _cell_corner_dofs(grid)
-                K = K + _assemble_sampled(grid, fld, k, l, corner_dofs)
-                continue
-            for exps, C in fld.monomials(d, grid.box):
-                A = directional_stiffness(grid, k, l, exps)
-                K = K + sp.kron(A, sp.csr_matrix(C), format="csr")
-    K.sum_duplicates()
-    return DiscreteForm(K, grid.mass_weights(), grid, m)
-
-
-def _assemble_sampled(grid, fld, k, l, corner_dofs):
-    m = fld.m
-    vals = fld.values[fld.cell_index(grid.cell_centers())]   # (ncells, m, m)
-    L = _local_geometric(grid, k, l)                      # (2^d, 2^d)
-    ncells, nloc = corner_dofs.shape
-    rows, cols, data = [], [], []
-    for a in range(nloc):
-        for b in range(nloc):
-            if L[a, b] == 0.0:
-                continue
-            pa = corner_dofs[:, a]
-            qb = corner_dofs[:, b]
-            ok = (pa >= 0) & (qb >= 0)
-            if not ok.any():
-                continue
-            block = L[a, b] * vals[ok]                    # (nok, m, m)
-            ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-            rows.append((pa[ok][:, None, None] * m + ii[None]).ravel())
-            cols.append((qb[ok][:, None, None] * m + jj[None]).ravel())
-            data.append(block.ravel())
-    if not rows:
-        return sp.csr_matrix((grid.N * m, grid.N * m), dtype=complex)
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.N * m, grid.N * m),
-    )
+                sampled.append((fld, k, l))
+            else:
+                terms += [(k, l, e, C) for e, C in fld.monomials(d, grid.box)]
+    S = _term_stencil(grid, terms, m)
+    for fld, k, l in sampled:
+        _add_sampled(S, grid, fld, k, l)
+    return DiscreteForm(_stencil_csr(S, grid), grid.mass_weights(), grid, m)
 
 
 def form_matrix(sys, phi, psi):
@@ -333,13 +307,11 @@ def commutation_residual(grid, B, u, v, k, l):
             "the gradient commutation identity requires the zero-trace space"
         )
     B = np.asarray(B, dtype=complex)
-    m = B.shape[0]
-    U = np.asarray(u, dtype=complex).reshape(grid.N, m)
-    V = np.asarray(v, dtype=complex).reshape(grid.N, m)
+    u, v = (np.asarray(w, dtype=complex).ravel() for w in (u, v))
 
     def pairing(kk, ll):
-        G = directional_stiffness(grid, kk, ll)
-        return np.sum(np.conj(V) * ((G @ U) @ B.T))
+        S = _term_stencil(grid, [(kk, ll, (0,) * grid.d, B)], B.shape[0])
+        return np.vdot(v, _stencil_csr(S, grid) @ u)
 
     return float(abs(pairing(k, l) - pairing(l, k)))
 

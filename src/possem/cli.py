@@ -189,6 +189,9 @@ def cmd_decouple(args, report):
             write_csv(out / f"coefficients_{n + 1}.csv", header, rows)
         report.add(f"wrote {sys_.m} scalar coefficient tables "
                    f"over {len(verdict.probe_points)} probe points")
+        if args.grid is not None:
+            report.add(f"--grid {args.grid} unused: it only sizes the witness.csv "
+                       f"of a NOT-POSITIVE verdict")
     else:
         report.add("verdict: NOT-POSITIVE")
         _report_witness(report, out, sys_, verdict.witness, args)

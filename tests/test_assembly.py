@@ -1,11 +1,14 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from possem import catalog
 from possem.assembly import (
     Grid,
+    _axis_bands,
     affine_tensor,
     assemble,
     commutation_residual,
@@ -13,9 +16,15 @@ from possem.assembly import (
     form_matrix,
     form_value,
 )
-from possem.coefficients import ConstantField, EllipticSystem, GridSampledField
-from possem.errors import UnsupportedContract
-from possem.tents import TensorTestFunction, build_test_pair, hat
+from possem.coefficients import (
+    ConstantField,
+    EllipticSystem,
+    GridSampledField,
+    PolynomialField,
+)
+from possem.errors import NumericalError, UnsupportedContract
+from possem.polynomials import MultiPoly
+from possem.tents import TensorTestFunction, build_test_pair, gauss_rule, hat
 
 
 def scalar_identity_system(box, bc="free"):
@@ -276,3 +285,183 @@ def test_form_value_rejects_support_across_cells():
     pair = grid_tent_pair(sys_, grid, (0.5, 0.25), 0, 0)
     with pytest.raises(UnsupportedContract):
         form_value(sys_, (pair.phi, np.ones(2)), (pair.psi, np.ones(2)))
+
+
+# -- Kronecker-sum oracle ---------------------------------------------------------
+# Reference assembly: every monomial term of every (k, l) is a full-size
+# Kronecker product of per-axis banded moment matrices, summed one by one;
+# a cell-sampled field adds COO triplets per cell corner pair.
+
+
+def oracle_axis_matrix(grid, axis, exponent, dp, dq):
+    """A[p, q] = int x^exponent b_p^(dp) b_q^(dq) dx over the active nodes."""
+    a, _ = grid.box[axis]
+    nn, h = grid.n[axis], grid.h[axis]
+    lows = a + h * np.arange(nn)
+    gx, gw = gauss_rule(max(2, (exponent + 4) // 2))
+    pts = lows[:, None] + h * (gx[None, :] + 1) / 2
+    wts = (h / 2) * gw[None, :] * pts ** exponent
+    base = {(0, 0): (lows[:, None] + h - pts) / h, (0, 1): (pts - lows[:, None]) / h,
+            (1, 0): np.full_like(pts, -1.0 / h), (1, 1): np.full_like(pts, 1.0 / h)}
+    dense = np.zeros((nn + 1, nn + 1))
+    for ploc in (0, 1):
+        for qloc in (0, 1):
+            contrib = np.sum(wts * base[(dp, ploc)] * base[(dq, qloc)], axis=1)
+            np.add.at(dense, (np.arange(nn) + ploc, np.arange(nn) + qloc), contrib)
+    if grid.bc == "dirichlet":
+        dense = dense[1:-1, 1:-1]
+    return sp.csr_matrix(dense)
+
+
+def oracle_directional(grid, k, l, exps):
+    mat = None
+    for axis in range(grid.d):
+        f = oracle_axis_matrix(grid, axis, int(exps[axis]), int(axis == k), int(axis == l))
+        mat = f if mat is None else sp.kron(mat, f, format="csr")
+    return sp.csr_matrix(mat)
+
+
+def oracle_sampled(grid, fld, k, l):
+    """Cell value times the exact corner matrix, scattered per cell."""
+    d, m = grid.d, fld.m
+    # one-cell free grids give the reference-cell corner matrices per axis
+    L = np.ones((1, 1))
+    for axis in range(d):
+        cell = Grid(((0.0, grid.h[axis]),), (1,), "free")
+        L = np.kron(L, oracle_axis_matrix(cell, 0, 0, int(axis == k), int(axis == l)).toarray())
+    vals = fld.values[fld.cell_index(grid.cell_centers())]
+    drop = int(grid.bc == "dirichlet")
+    cells = [c.ravel() for c in np.meshgrid(*[np.arange(n) for n in grid.n], indexing="ij")]
+    corners = []
+    for bits in itertools.product((0, 1), repeat=d):
+        act = [c + b - drop for c, b in zip(cells, bits)]
+        ok = np.all([(a >= 0) & (a < n) for a, n in zip(act, grid.shape)], axis=0)
+        corners.append(np.where(ok, np.ravel_multi_index(
+            [np.clip(a, 0, n - 1) for a, n in zip(act, grid.shape)], grid.shape), -1))
+    rows, cols, data = [], [], []
+    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    for a, pa in enumerate(corners):
+        for b, qb in enumerate(corners):
+            ok = (pa >= 0) & (qb >= 0)
+            rows.append((pa[ok][:, None, None] * m + ii).ravel())
+            cols.append((qb[ok][:, None, None] * m + jj).ravel())
+            data.append((L[a, b] * vals[ok]).ravel())
+    n = grid.N * m
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def kronecker_assembly(sys_, grid):
+    n = grid.N * sys_.m
+    K = sp.csr_matrix((n, n), dtype=complex)
+    for k in range(sys_.d):
+        for l in range(sys_.d):
+            fld = sys_.coefficient(k, l)
+            if isinstance(fld, GridSampledField):
+                K = K + oracle_sampled(grid, fld, k, l)
+                continue
+            for exps, C in fld.monomials(sys_.d, grid.box):
+                K = K + sp.kron(oracle_directional(grid, k, l, exps), sp.csr_matrix(C))
+    return K
+
+
+ORACLE_BOXES = ((-0.5, 1.0), (0.25, 2.0), (-2.0, -1.0))
+
+
+def seeded_field(rng, kind, d, m, box):
+    if kind == "constant":
+        return ConstantField(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    if kind == "grid":
+        cells = (3, 2, 2)[:d]
+        vals = rng.standard_normal(cells + (m, m)) + 1j * rng.standard_normal(cells + (m, m))
+        return GridSampledField(box, vals)
+    # polynomial entries of degree <= 2 per axis, <= 4 in total (<= 2 in 3D)
+    exps = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= (4 if d < 3 else 2)]
+
+    def entry():
+        return MultiPoly.from_terms(
+            [(e, complex(*rng.standard_normal(2))) for e in exps], d)
+
+    return PolynomialField(tuple(tuple(entry() for _ in range(m)) for _ in range(m)), d)
+
+
+def seeded_system(kind, d, m, bc, seed=0):
+    """Seeded coefficients of one kind; "mixed" cycles constant, polynomial
+    and grid-sampled fields over the (k, l) pairs."""
+    rng = np.random.default_rng(seed)
+    box = ORACLE_BOXES[:d]
+    kinds = itertools.cycle(["constant", "polynomial", "grid"] if kind == "mixed" else [kind])
+    coeffs = tuple(tuple(seeded_field(rng, next(kinds), d, m, box) for _ in range(d))
+                   for _ in range(d))
+    return EllipticSystem(box, m, coeffs, bc, 0.0)
+
+
+def assert_canonical_csr(K, grid, m):
+    """Sorted column indices within rows, no duplicates, no stored zeros,
+    and at most m^2 3^d entries per node."""
+    n = grid.N * m
+    assert K.shape == (n, n)
+    assert K.indptr[0] == 0 and K.indptr[-1] == K.nnz
+    assert np.all(np.diff(K.indptr) >= 0)
+    row_of = np.repeat(np.arange(n), np.diff(K.indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    assert np.all(np.diff(K.indices)[same_row] > 0)
+    assert np.all(K.data != 0)
+    assert K.nnz <= grid.N * m * m * 3 ** grid.d
+
+
+@pytest.mark.parametrize("bc", ["free", "dirichlet"])
+@pytest.mark.parametrize("cells", [1, 2, 5])
+def test_axis_bands_are_the_moment_matrix_diagonals(cells, bc):
+    if bc == "dirichlet" and cells < 2:
+        return
+    grid = Grid((ORACLE_BOXES[0],), (cells,), bc)
+    bands = _axis_bands(grid, 0, 3)
+    n = grid.shape[0]
+    assert bands.shape == (4, 2, 2, n, 3)
+    for e, dp, dq in itertools.product(range(4), (0, 1), (0, 1)):
+        A = oracle_axis_matrix(grid, 0, e, dp, dq).toarray()
+        padded = np.zeros((n, n + 2))
+        padded[:, 1:-1] = A
+        # band[p, o] = A[p, p + o - 1], zero where p + o - 1 is off the grid
+        expect = np.stack([padded[np.arange(n), np.arange(n) + o] for o in range(3)], axis=1)
+        assert np.abs(bands[e, dp, dq] - expect).max() <= 1e-14 * max(1.0, np.abs(A).max())
+
+
+@pytest.mark.parametrize("bc", ["free", "dirichlet"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "grid", "mixed"])
+def test_assembly_matches_kronecker_oracle(kind, d, bc):
+    smallest = 1 if bc == "free" else 2
+    for m in (1, 2, 3):
+        sys_ = seeded_system(kind, d, m, bc, seed=10 * d + m)
+        for cells in ((smallest,) * d, (5, 4, 3)[:d]):
+            grid = Grid(sys_.box, cells, bc)
+            K = assemble(sys_, grid).K
+            ref = kronecker_assembly(sys_, grid)
+            scale = np.abs(ref.data).max()
+            assert scale > 0
+            assert np.abs((K - ref).toarray()).max() <= 1e-13 * scale, (m, cells)
+            assert_canonical_csr(K, grid, m)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_zero_coefficients_assemble_to_empty_matrix(sampled):
+    box = ORACLE_BOXES[:2]
+    zero = (GridSampledField(box, np.zeros((2, 2, 3, 3))) if sampled
+            else ConstantField(np.zeros((3, 3))))
+    sys_ = EllipticSystem(box, 3, ((zero, zero), (zero, zero)), "free", 0.0)
+    grid = Grid(box, (4, 3), "free")
+    K = assemble(sys_, grid).K
+    assert K.shape == (grid.N * 3, grid.N * 3)
+    assert K.nnz == 0
+    assert_canonical_csr(K, grid, 3)
+
+
+def test_non_finite_polynomial_term_is_rejected():
+    box = ORACLE_BOXES[:2]
+    bad = PolynomialField(((MultiPoly.from_terms([((1, 0), np.inf)], 2),),), 2)
+    one = ConstantField(np.eye(1))
+    sys_ = EllipticSystem(box, 1, ((bad, one), (one, one)), "free", 0.0)
+    with pytest.raises(NumericalError):
+        assemble(sys_, Grid(box, (3, 3), "free"))

@@ -14,6 +14,16 @@ def test_decouple_positive(tmp_path, capsys):
     assert "POSITIVE-DECOUPLED" in report
     assert (tmp_path / "coefficients_1.csv").exists()
     assert (tmp_path / "coefficients_2.csv").exists()
+    assert "--grid" not in report
+
+
+def test_decouple_positive_reports_unused_grid(tmp_path):
+    code = run(["decouple", "--catalog", "ex1_3", "--grid", "32"], tmp_path)
+    assert code == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert "POSITIVE-DECOUPLED" in report
+    assert "--grid 32 unused: it only sizes the witness.csv" in report
+    assert not (tmp_path / "witness.csv").exists()
 
 
 def test_decouple_witness(tmp_path):

@@ -27,8 +27,9 @@ from .errors import NumericalError, UnsupportedContract
 from .tents import (
     PiecewiseLinear1D,
     TensorTestFunction,
+    check_capacity,
     gauss_rule,
-    tensor_product_integral,
+    moment_tables,
 )
 
 
@@ -266,29 +267,36 @@ def assemble(sys, grid):
 
 def form_matrix(sys, phi, psi):
     """Exact channel matrix ``F[i, j] = a(phi e_j, psi e_i)`` of the
-    continuous form on two scalar tensor test functions; no grid is involved.
+    continuous form on two scalar tensor test functions that share a center
+    and dilation; no grid is involved.
 
-    On the intersection of the supports every coefficient is a sum of
-    monomial terms ``x**e * C_e``, and each (k, l) adds one tensor-product
-    integral ``sum_e C_e int x**e (d_l phi)(d_k psi)``.  Grid-sampled
-    coefficients raise UnsupportedContract unless that intersection lies
-    inside a single coefficient cell.
+    On the intersection of the supports and the box every coefficient is a
+    sum of monomial terms ``x**e * C_e``.  ``tents.moment_tables`` gives one
+    (2, 2, top + 1) table per axis, ``int x**e phi_axis^(a) psi_axis^(b)``
+    over the box for every derivative pattern (a, b), and one contraction
+    sums ``C_e prod_axis table[axis, l == axis, k == axis, e_axis]`` over
+    every term of every (k, l).  Grid-sampled coefficients raise
+    UnsupportedContract unless that intersection lies inside a single
+    coefficient cell.
     """
     d, m = sys.d, sys.m
-    F = np.zeros((m, m), dtype=complex)
     region = []
-    for (a1, b1), (a2, b2) in zip(phi.support_box(), psi.support_box()):
-        lo, hi = max(a1, a2), min(b1, b2)
+    for (a1, b1), (a2, b2), (a, b) in zip(phi.support_box(), psi.support_box(), sys.box):
+        lo, hi = max(a1, a2, a), min(b1, b2, b)
         if hi <= lo:
-            return F
+            return np.zeros((m, m), dtype=complex)
         region.append((lo, hi))
-    for k in range(d):
-        for l in range(d):
-            weight = sys.coefficient(k, l).monomials(d, region)
-            if weight:
-                F += tensor_product_integral(
-                    [(phi, l), (psi, k)], weight=weight, box=sys.box)
-    return F
+    terms = [(k, l, e, C) for k in range(d) for l in range(d)
+             for e, C in sys.coefficient(k, l).monomials(d, region)]
+    if not terms:
+        return np.zeros((m, m), dtype=complex)
+    k, l, exps, C = (np.array(v) for v in zip(*terms))
+    # derivative patterns (T, d): phi is differentiated along l, psi along k
+    dphi, dpsi = ((idx[:, None] == np.arange(d)).astype(int) for idx in (l, k))
+    check_capacity(int((exps + 2 - dphi - dpsi).max()))
+    tables = moment_tables((phi, psi), int(exps.max()), sys.box)
+    weights = tables[np.arange(d), dphi, dpsi, exps].prod(axis=1)
+    return phi.scale * psi.scale * np.einsum("t,tij->ij", weights, C)
 
 
 def form_value(sys, u, v):

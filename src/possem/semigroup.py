@@ -20,6 +20,10 @@ from .errors import ContractViolation, NumericalError
 #: Relative channel coupling above which ``factorization_residual`` refuses.
 BLOCK_TOL = 1e-10
 
+#: Rounding band of the offender: entries within this fraction of the
+#: largest |entry| above the minimum count as tied with it.
+OFFENDER_BAND = 1e-12
+
 
 @dataclass
 class GeneratorOperator:
@@ -109,7 +113,10 @@ def positivity_scan(gen, times=None, tol=None):
     Verdicts: NEGATIVE-FOUND with a reproducible offender; SIGN-PATTERN-OK
     when additionally A is real with nonpositive off-diagonal entries (a
     sufficient certificate for entrywise nonnegativity at all t); otherwise
-    SAMPLED-NONNEGATIVE for the tested times only.
+    SAMPLED-NONNEGATIVE for the tested times only.  The offender is taken
+    at the first time whose minimum entry is below the tolerance: the
+    smallest (row, col) among the entries within ``OFFENDER_BAND`` times
+    the largest |entry| of that minimum.
     """
     if times is None:
         times = default_times(gen)
@@ -123,12 +130,15 @@ def positivity_scan(gen, times=None, tol=None):
         scale = float(np.abs(E).max(initial=0.0))
         t_tol = (1e-9 * scale) if tol is None else tol
         re = E.real
-        idx = np.unravel_index(np.argmin(re), re.shape)
-        val = float(re[idx])
+        val = float(re.min())
         imag = float(np.abs(E.imag).max(initial=0.0)) if np.iscomplexobj(E) else 0.0
         per_time.append((val, imag))
         if val < -t_tol and offender is None:
-            offender = (t, val, int(idx[0]), int(idx[1]))
+            # the smallest (row, col) among the entries tied with the
+            # minimum, so that summation order cannot move the offender
+            tied = re <= val + OFFENDER_BAND * scale
+            i, j = np.unravel_index(np.argmax(tied), re.shape)
+            offender = (t, float(re[i, j]), int(i), int(j))
     gen_off = gen.max_positive_offdiag()
     gen_imag = gen.max_imag()
     scaleA = max(1.0, float(np.abs(gen.A).max(initial=0.0)))

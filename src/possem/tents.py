@@ -5,22 +5,41 @@ The building blocks are the unit tent ``hat`` and the double tent
 pair (phi, psi) of nonnegative tensor-product functions whose gradient
 interaction matrix ``G[k, l] = integral of (d_l phi)(d_k psi)`` has a single
 prescribed symmetric entry pattern and vanishes elsewhere.  Every 1D factor
-is piecewise linear, stored as its values at its breakpoints.  Along each
-axis one Gauss-Legendre routine integrates monomials against the product of
-the factors (or their slopes), cut at the union of their breakpoints, so the
-integrals are exact up to rounding.
+is piecewise linear, stored as its values at its breakpoints, and immutable.
+
+Functions that share a center and dilation are integrated in reference
+coordinates ``t = (x - center) / delta``: one Gauss-Legendre pass, cut at the
+union of the factors' breakpoints, gives the reference moments ``m_j = int
+t**j prod_i f_i^(a_i)(t) dt`` of every derivative pattern, and a bounded memo
+keyed by the factors' values keeps them.  The binomial shift ``int x**e ... dx
+= delta**(1 - #derivs) sum_j C(e, j) center**(e - j) delta**j m_j`` turns
+them into the moments of every dilation and center, so ``moment_tables`` is
+the one moment path behind ``tensor_product_integral``, the pair self-check
+and ``assembly.form_matrix``.  The integrals are exact up to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, GeometryError
 
-#: Most Gauss-Legendre nodes per piece; 8 nodes integrate degree <= 15 exactly.
+#: Gauss-Legendre nodes per piece of the reference moments; 8 nodes
+#: integrate degree <= 15 exactly.
 DEFAULT_GAUSS_NODES = 8
+
+#: Highest integrand degree that the rule integrates exactly.
+CAPACITY = 2 * DEFAULT_GAUSS_NODES - 1
+
+#: Reference moment arrays the memo keeps, least recently used dropped first.
+MOMENT_MEMO_SIZE = 128
+
+_BINOMIAL = np.array([[math.comb(e, j) for j in range(CAPACITY + 1)]
+                      for e in range(CAPACITY + 1)], dtype=float)
 
 _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -32,24 +51,46 @@ def gauss_rule(nodes):
     return _gauss_cache[nodes]
 
 
+def check_capacity(degree):
+    """Raise CapacityError when an integrand degree exceeds CAPACITY."""
+    if degree > CAPACITY:
+        raise CapacityError(
+            f"integrand degree {degree} exceeds Gauss-Legendre capacity {CAPACITY}"
+        )
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class PiecewiseLinear1D:
     """Compactly supported piecewise-linear function on the real line.
 
     The function takes ``values[i]`` at ``breakpoints[i]``, is linear in
-    between and zero outside ``[breakpoints[0], breakpoints[-1]]``.
+    between and zero outside ``[breakpoints[0], breakpoints[-1]]``.  It is
+    immutable (read-only arrays) and compares and hashes by its breakpoints
+    and values.
     """
 
-    __slots__ = ("breakpoints", "values")
+    breakpoints: np.ndarray
+    values: np.ndarray
+    _key: tuple = field(init=False, repr=False)
 
-    def __init__(self, breakpoints, values):
-        bp = np.asarray(breakpoints, dtype=float)
+    def __post_init__(self):
+        # + 0.0 copies and turns -0.0 into 0.0, so equal functions have equal keys
+        bp = np.asarray(self.breakpoints, dtype=float) + 0.0
         if bp.ndim != 1 or len(bp) < 2 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
-        vals = np.asarray(values, dtype=float)
+        vals = np.asarray(self.values, dtype=float) + 0.0
         if vals.shape != bp.shape:
             raise ValueError("need one value per breakpoint")
-        self.breakpoints = bp
-        self.values = vals
+        bp.flags.writeable = vals.flags.writeable = False
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_key", (bp.tobytes(), vals.tobytes()))
+
+    def __eq__(self, other):
+        return isinstance(other, PiecewiseLinear1D) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @classmethod
     def zero(cls):
@@ -138,47 +179,67 @@ class TensorTestFunction:
         return TensorTestFunction(self.scale, self.factors, tuple(center), float(delta))
 
 
-def _axis_moments(terms, axis, top, interval):
-    """``[integral of x**e * prod_j f_j(x) dx for e in 0..top]`` in global x.
-
-    ``f_j`` is the axis factor of term j, or its derivative when the term
-    differentiates along ``axis``; the integral runs over ``interval``
-    (None for the whole line).  The terms must share their center and
-    dilation, so the factors are evaluated in reference coordinates
-    ``t = (x - center) / delta`` on the pieces between the union of their
-    breakpoints, with the fewest Gauss-Legendre nodes per piece that are
-    exact for the integrand's degree.
-    """
-    maps = {(fn.center[axis], fn.delta) for fn, _ in terms}
-    if len(maps) != 1:
-        raise ValueError("tensor functions must share their center and dilation")
-    center, delta = next(iter(maps))
-    factors = [fn.factors[axis] for fn, _ in terms]
-    differentiated = [dax == axis for _, dax in terms]
-    nderiv = sum(differentiated)
-    degree = top + len(terms) - nderiv
-    capacity = 2 * DEFAULT_GAUSS_NODES - 1
-    if degree > capacity:
-        raise CapacityError(
-            f"integrand degree {degree} exceeds Gauss-Legendre capacity {capacity}"
-        )
-    lo = max(f.breakpoints[0] for f in factors)
-    hi = min(f.breakpoints[-1] for f in factors)
-    if interval is not None:
-        lo = max(lo, (interval[0] - center) / delta)
-        hi = min(hi, (interval[1] - center) / delta)
-    if hi <= lo:
-        return np.zeros(top + 1)
+@functools.lru_cache(maxsize=MOMENT_MEMO_SIZE)
+def _reference_moments(factors, lo, hi):
+    """Read-only array (2,)*n + (CAPACITY + 1,) of the reference moments
+    ``m[a_1, ..., a_n, j] = integral over [lo, hi] of t**j prod_i
+    f_i^(a_i)(t) dt``, where a_i = 0 takes factor i's value and a_i = 1
+    its slope.  One Gauss-Legendre pass over the pieces between the union
+    of the breakpoints; an entry is exact when j plus the number of
+    undifferentiated factors is at most CAPACITY."""
     cuts = np.concatenate([[lo, hi]] + [f.breakpoints for f in factors])
     cuts = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
-    x, w = gauss_rule(degree // 2 + 1)
+    x, w = gauss_rule(DEFAULT_GAUSS_NODES)
     half = 0.5 * np.diff(cuts)[:, None]
     t = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x
-    vals = half * w
-    for f, deriv in zip(factors, differentiated):
-        vals = vals * (f.slope(t) if deriv else f(t))
-    powers = (center + delta * t)[..., None] ** np.arange(top + 1)
-    return delta ** (1 - nderiv) * np.einsum("pn,pne->e", vals, powers)
+    prod = half * w
+    for f in factors:
+        prod = prod[..., None, :, :] * np.stack([f(t), f.slope(t)])
+    out = np.einsum("...pg,pgj->...j", prod, t[..., None] ** np.arange(CAPACITY + 1))
+    out.flags.writeable = False
+    return out
+
+
+def moment_tables(fns, top, box=None):
+    """Per-axis moments of tensor test functions that share one center and
+    dilation (ValueError otherwise), their scales left out.
+
+    Returns an array (d, 2, ..., 2, top + 1), one derivative index per
+    function: ``tables[axis, a_1, ..., a_n, e]`` is the integral over the
+    line (or the box's interval) of ``x**e prod_i f_i^(a_i)`` in the
+    axis's coordinate, where f_i is the axis factor of ``fns[i]`` and
+    a_i = 1 differentiates it.  All axes come from the memoized reference
+    moments by one binomial shift ``x = center + delta t``.  An entry is
+    exact when e plus the number of undifferentiated factors is at most
+    CAPACITY; callers check that with ``check_capacity``.
+    """
+    first = fns[0]
+    if any(fn.d != first.d for fn in fns):
+        raise ValueError("dimension mismatch")
+    if any(fn.delta != first.delta or tuple(fn.center) != tuple(first.center)
+           for fn in fns):
+        raise ValueError("tensor functions must share their center and dilation")
+    if box is not None and len(box) != first.d:
+        raise ValueError("box dimension mismatch")
+    delta, n = first.delta, len(fns)
+    refs = np.zeros((first.d,) + (2,) * n + (top + 1,))
+    for axis, center in enumerate(first.center):
+        factors = tuple(fn.factors[axis] for fn in fns)
+        lo = max(f.support[0] for f in factors)
+        hi = min(f.support[1] for f in factors)
+        if box is not None:
+            lo = max(lo, (box[axis][0] - center) / delta)
+            hi = min(hi, (box[axis][1] - center) / delta)
+        if hi > lo:
+            refs[axis] = _reference_moments(factors, float(lo), float(hi))[..., :top + 1]
+    # shift[axis, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e
+    e = np.arange(top + 1)
+    centers = np.array(first.center, dtype=float)[:, None, None]
+    shift = (_BINOMIAL[:top + 1, :top + 1]
+             * centers ** np.maximum(e[:, None] - e, 0) * delta ** e)
+    # delta**(1 - #derivs): dx = delta dt and each slope brings 1 / delta
+    deriv_scale = delta ** (1 - np.indices((2,) * n).sum(axis=0))[..., None]
+    return deriv_scale * np.einsum("a...j,aej->a...e", refs, shift)
 
 
 def tensor_product_integral(terms, weight=None, box=None):
@@ -191,27 +252,24 @@ def tensor_product_integral(terms, weight=None, box=None):
     ``MultiPoly.terms()`` or ``MatrixField.monomials``, or None for the
     weight 1.  The result is complex with the shape of the coefficients
     (scalars or m x m matrices).  Fubini reduces every term to products of
-    per-axis moments, each axis's computed once up to its largest exponent.
+    per-axis moments from ``moment_tables``.
     """
     if not terms:
         raise ValueError("need at least one function")
-    d = terms[0][0].d
-    scale = 1.0
-    for fn, _ in terms:
-        if fn.d != d:
-            raise ValueError("dimension mismatch")
-        scale *= fn.scale
-    if box is not None and len(box) != d:
-        raise ValueError("box dimension mismatch")
+    fns = [fn for fn, _ in terms]
+    d = fns[0].d
     weight = [((0,) * d, 1.0)] if weight is None else list(weight)
     top = [0] * d
     for exps, _ in weight:
         if len(exps) != d:
             raise ValueError("weight dimension mismatch")
         top = [max(t, e) for t, e in zip(top, exps)]
-    intervals = [None] * d if box is None else list(box)
-    moments = [_axis_moments(terms, axis, top[axis], intervals[axis])
+    for axis in range(d):
+        check_capacity(top[axis] + sum(dax != axis for _, dax in terms))
+    tables = moment_tables(fns, max(top), box)
+    moments = [tables[(axis,) + tuple(int(dax == axis) for _, dax in terms)]
                for axis in range(d)]
+    scale = math.prod(fn.scale for fn in fns)
     total = 0.0 + 0.0j
     for exps, coef in weight:
         term = coef * scale
@@ -244,11 +302,11 @@ class TestPair:
 
     def interaction_matrix(self):
         d = self.d
-        G = np.zeros((d, d))
-        for k in range(d):
-            for l in range(d):
-                G[k, l] = tensor_product_integral(
-                    [(self.phi, l), (self.psi, k)]).real
+        G = np.full((d, d), self.phi.scale * self.psi.scale)
+        for axis, tab in enumerate(moment_tables((self.phi, self.psi), 0)):
+            # G[k, l] differentiates phi along l and psi along k
+            along = (np.arange(d) == axis).astype(int)
+            G *= tab[along[None, :], along[:, None], 0]
         return G
 
     def expected_interaction(self):
@@ -269,6 +327,12 @@ class TestPair:
         )
 
 
+#: The reference factors of every pair, built once (factors are immutable):
+#: eta, rho and the half-width tents centered at -1/2, 1/2 and 0.
+_PAIR_FACTORS = (hat(), double_hat(), shifted_hat(-0.5, 0.5),
+                 shifted_hat(0.5, 0.5), shifted_hat(0.0, 0.5))
+
+
 def build_test_pair(tau, ktilde, ltilde, d, verify=True):
     """Construct the test pair for the prescribed interaction pattern.
 
@@ -282,11 +346,7 @@ def build_test_pair(tau, ktilde, ltilde, d, verify=True):
     if ktilde != ltilde and d < 2:
         raise ValueError("off-diagonal targets need d >= 2")
 
-    eta = hat()
-    rho = double_hat()
-    left = shifted_hat(-0.5, 0.5)
-    right = shifted_hat(0.5, 0.5)
-    mid = shifted_hat(0.0, 0.5)
+    eta, rho, left, right, mid = _PAIR_FACTORS
 
     if tau == 0:
         zero = PiecewiseLinear1D.zero()

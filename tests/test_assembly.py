@@ -22,9 +22,15 @@ from possem.coefficients import (
     GridSampledField,
     PolynomialField,
 )
-from possem.errors import NumericalError, UnsupportedContract
+from possem.errors import CapacityError, NumericalError, UnsupportedContract
 from possem.polynomials import MultiPoly
-from possem.tents import TensorTestFunction, build_test_pair, gauss_rule, hat
+from possem.tents import (
+    TensorTestFunction,
+    build_test_pair,
+    gauss_rule,
+    hat,
+    tensor_product_integral,
+)
 
 
 def scalar_identity_system(box, bc="free"):
@@ -465,3 +471,76 @@ def test_non_finite_polynomial_term_is_rejected():
     sys_ = EllipticSystem(box, 1, ((bad, one), (one, one)), "free", 0.0)
     with pytest.raises(NumericalError):
         assemble(sys_, Grid(box, (3, 3), "free"))
+
+
+# -- per-(k, l) form oracle -----------------------------------------------------
+# Reference form matrix: one tensor_product_integral per (k, l), each with
+# the monomial terms of C_kl on the intersection of the supports and the box.
+
+
+def per_kl_form_matrix(sys_, phi, psi):
+    d, m = sys_.d, sys_.m
+    F = np.zeros((m, m), dtype=complex)
+    region = []
+    for (a1, b1), (a2, b2), (a, b) in zip(phi.support_box(), psi.support_box(), sys_.box):
+        lo, hi = max(a1, a2, a), min(b1, b2, b)
+        if hi <= lo:
+            return F
+        region.append((lo, hi))
+    for k in range(d):
+        for l in range(d):
+            weight = sys_.coefficient(k, l).monomials(d, region)
+            if weight:
+                F += tensor_product_integral(
+                    [(phi, l), (psi, k)], weight=weight, box=sys_.box)
+    return F
+
+
+# pair centers on ORACLE_BOXES for dilation 0.2: inside one cell of the
+# grid-sampled fields (3 x 2 x 2 cells) and inside the box, or inside the
+# corner cell with the supports clipped by the box
+FORM_PLACEMENTS = {"inside": (0.25, 0.7, -1.25), "clipped": (-0.45, 0.3, -1.95)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "grid", "mixed"])
+def test_form_matrix_matches_per_kl_oracle(kind, d):
+    # all five pair cases: tau > 0 and tau < 0 on and off the diagonal, tau = 0
+    targets = [(tau, kt, lt) for tau in (1.5, -0.7, 0.0)
+               for kt in range(d) for lt in range(d) if d > 1 or kt == lt]
+    for m in (1, 2, 3):
+        sys_ = seeded_system(kind, d, m, "free", seed=10 * d + m)
+        cases = set()
+        for placement, x0 in FORM_PLACEMENTS.items():
+            for tau, kt, lt in targets:
+                pair = build_test_pair(tau, kt, lt, d).dilated(x0[:d], 0.2)
+                cases.add(pair.case_id)
+                clipped = any(lo < a or hi > b for fn in (pair.phi, pair.psi)
+                              for (lo, hi), (a, b) in zip(fn.support_box(), sys_.box))
+                assert clipped == (placement == "clipped" and tau != 0)
+                F = form_matrix(sys_, pair.phi, pair.psi)
+                ref = per_kl_form_matrix(sys_, pair.phi, pair.psi)
+                assert F.shape == (m, m)
+                assert (np.abs(ref).max() > 1e-3) == (tau != 0)
+                assert np.abs(F - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max()), \
+                    (placement, tau, kt, lt, m)
+        assert cases == ({1, 3, 5} if d == 1 else {1, 2, 3, 4, 5})
+
+
+def test_form_matrix_capacity():
+    # C_11 = x_2**14: in the (1, 1) term neither factor along axis 2 is
+    # differentiated, so the integrand has degree 16 > 15; x_1**14 there
+    # meets two slopes and has degree 14
+    box = ((0.0, 1.0), (0.0, 1.0))
+    one, zero = ConstantField(np.eye(1)), ConstantField(np.zeros((1, 1)))
+    pair = build_test_pair(1.0, 0, 0, 2).dilated((0.5, 0.5), 0.25)
+    for exps, raises in [((0, 14), True), ((14, 0), False)]:
+        c11 = PolynomialField(((MultiPoly.from_terms([(exps, 1.0)], 2),),), 2,
+                              max_total_degree=14)
+        sys_ = EllipticSystem(box, 1, ((c11, zero), (zero, one)), "free", 0.0)
+        if raises:
+            with pytest.raises(CapacityError):
+                form_matrix(sys_, pair.phi, pair.psi)
+        else:
+            F = form_matrix(sys_, pair.phi, pair.psi)
+            assert np.abs(F - per_kl_form_matrix(sys_, pair.phi, pair.psi)).max() <= 1e-14

@@ -87,6 +87,29 @@ def test_positivity_scan_negative_found():
     assert val == pytest.approx(-0.5)
 
 
+def test_positivity_offender_is_stable_under_rounding():
+    # A = L^2 for the free 1D Laplacian on 6 nodes is symmetric under
+    # transposition and reversal, so the minimum of exp(-0.3 A) is taken at
+    # (0, 3), (3, 0), (2, 5) and (5, 2); a 1-ulp change of one entry of A
+    # moves the plain argmin between (5, 2) and (3, 0)
+    n = 6
+    L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    L[0, 0] = L[-1, -1] = 1.0
+    A = L @ L
+    variants = [A]
+    for r, c in [(0, 0), (1, 1), (2, 3), (3, 2), (5, 5)]:
+        for direction in (-np.inf, np.inf):
+            B = A.copy()
+            B[r, c] = np.nextafter(B[r, c], direction)
+            variants.append(B)
+    for B in variants:
+        rep = positivity_scan(GeneratorOperator(B), times=(0.3,))
+        assert rep.verdict == "NEGATIVE-FOUND"
+        t, val, i, j = rep.offender
+        assert (i, j) == (0, 3)
+        assert val == pytest.approx(rep.min_entry, abs=1e-15)
+
+
 def test_positivity_scan_coupled_complex_pair():
     # the antisymmetric coupling vanishes on zero-trace grids, so the scan
     # sees a plain decoupled heat flow

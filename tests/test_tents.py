@@ -1,13 +1,25 @@
+import math
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+from possem import catalog
+from possem.coefficients import DEFAULT_MAX_TOTAL_DEGREE
+from possem.decoupling import probe_system
 from possem.errors import CapacityError
 from possem.polynomials import MultiPoly
 from possem.tents import (
+    CAPACITY,
+    MOMENT_MEMO_SIZE,
+    PiecewiseLinear1D,
     TensorTestFunction,
+    _reference_moments,
     build_test_pair,
     double_hat,
     hat,
+    moment_tables,
     shifted_hat,
     tensor_product_integral,
 )
@@ -192,3 +204,136 @@ def test_integral_odd_weight_vanishes():
 
     c12, _, _ = _nullform_polys()
     assert abs(c12.box_integral(((-1, 1), (-1, 1), (-1, 1)))) <= 1e-15
+
+
+# -- reference moments against per-piece antiderivatives ------------------------
+
+PAIR_SHAPES = {"eta": hat(), "rho": double_hat(), "left": shifted_hat(-0.5, 0.5),
+               "right": shifted_hat(0.5, 0.5), "mid": shifted_hat(0.0, 0.5)}
+
+
+def exact_moment(factors, derivs, e, lo, hi, absolute=False):
+    """int_lo^hi x**e prod_i f_i^(derivs_i)(x) dx from the antiderivative of
+    each piece between the factors' breakpoints, or with absolute=True the
+    same integral of |x|**e prod_i |f_i^(derivs_i)(x)| (the factors are
+    nonnegative).  A piece is expanded in s = x - p around its end p
+    nearer to 0, so the powers of x = p + s do not cancel."""
+    cuts = np.unique(np.concatenate([[lo, hi]] + [f.breakpoints for f in factors]))
+    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        p = a if abs(a) <= abs(b) else b
+        u, v = a + (b - a) / 4, a + 3 * (b - a) / 4
+        q = ((-1 if absolute and b <= 0 else 1) * Polynomial([p, 1])) ** e
+        for f, dd in zip(factors, derivs):
+            slope = (f(v) - f(u)) / (v - u)
+            if dd:
+                q = q * (abs(slope) if absolute else slope)
+            else:
+                q = q * Polynomial([f(u) + slope * (p - u), slope])
+        antiderivative = q.integ()
+        total += antiderivative(b - p) - antiderivative(a - p)
+    return total
+
+
+def test_reference_moments_match_antiderivatives():
+    # the memoized reference moments are exact for every j the capacity allows
+    for (nf, f), (ng, g) in [(a, b) for a in PAIR_SHAPES.items() for b in PAIR_SHAPES.items()]:
+        for lo, hi in [(-1.0, 1.0), (-0.3, 0.8)]:
+            ref = _reference_moments((f, g), lo, hi)
+            assert ref.shape == (2, 2, CAPACITY + 1) and not ref.flags.writeable
+            for da in (0, 1):
+                for db in (0, 1):
+                    for j in range(CAPACITY + 1 - (2 - da - db)):
+                        expect = exact_moment((f, g), (da, db), j, lo, hi)
+                        assert abs(ref[da, db, j] - expect) <= 2e-14, (nf, ng, lo, da, db, j)
+
+
+@pytest.mark.parametrize("base", [0.0, 10.0])
+def test_moment_tables_match_antiderivatives(base):
+    # global moments int_box x**e f^(a) g^(b) dx up to the coefficient degree
+    # cap, on the unit box or [10, 11]; the supports are inside the box or
+    # clipped by it.  Global monomials are ill-conditioned off the origin,
+    # so the error is measured against the sum of the absolute terms of
+    # the binomial shift.
+    box = (base, base + 1.0)
+    top = DEFAULT_MAX_TOTAL_DEGREE
+    for offset, delta in [(0.4, 0.3), (0.2, 0.5), (0.9, 0.25)]:
+        center = base + offset
+        for f in PAIR_SHAPES.values():
+            for g in PAIR_SHAPES.values():
+                F = TensorTestFunction(1.0, (f,), (center,), delta)
+                G = TensorTestFunction(1.0, (g,), (center,), delta)
+                tables = moment_tables((F, G), top, (box,))
+                assert tables.shape == (1, 2, 2, top + 1)
+                fg = [q.affine_pullback(center, delta) for q in (f, g)]
+                lo = max(box[0], *(q.support[0] for q in fg))
+                hi = min(box[1], *(q.support[1] for q in fg))
+                if hi <= lo:
+                    assert not tables.any()
+                    continue
+                for da in (0, 1):
+                    for db in (0, 1):
+                        # sum of the absolute shift terms, each reference
+                        # moment replaced by its absolute counterpart
+                        absolute = [exact_moment((f, g), (da, db), j, (lo - center) / delta,
+                                                 (hi - center) / delta, absolute=True)
+                                    for j in range(top + 1)]
+                        for e in range(top + 1):
+                            expect = exact_moment(fg, (da, db), e, lo, hi)
+                            terms = delta ** (1 - da - db) * sum(
+                                math.comb(e, j) * abs(center) ** (e - j) * delta ** j
+                                * absolute[j] for j in range(e + 1))
+                            got = tables[0, da, db, e]
+                            assert abs(got - expect) <= 1e-13 * terms, (center, e, da, db)
+
+
+def test_factors_are_immutable_and_compare_by_value():
+    f = hat()
+    with pytest.raises(ValueError):
+        f.values[1] = 2.0
+    with pytest.raises(ValueError):
+        f.breakpoints[0] = -2.0
+    with pytest.raises(FrozenInstanceError):
+        f.values = np.zeros(3)
+    # -0.0 and 0.0 give the same key; the caller's arrays are copied
+    bp = np.array([-1.0, -0.0, 1.0])
+    same = PiecewiseLinear1D(bp, [0.0, 1.0, 0.0])
+    bp[0] = -5.0
+    assert same == f and hash(same) == hash(f)
+    assert same.support == (-1.0, 1.0)
+    assert f != double_hat() and f != PiecewiseLinear1D([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
+
+
+def test_moment_memo_is_bounded():
+    # probes at distinct points reuse the reference moments of their pairs:
+    # the memo holds the same entries after 10 and after 1000 probes
+    sys_ = catalog.get("ex1_3").build()
+    rng = np.random.default_rng(4)
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    _reference_moments.cache_clear()
+
+    def probes(count):
+        for i in range(count):
+            x0 = [a + (b - a) * rng.uniform(0.1, 0.9) for a, b in sys_.box]
+            probe_system(sys_, x0, *pairs[i % len(pairs)])
+
+    probes(10)
+    after_10 = _reference_moments.cache_info()
+    probes(990)
+    after_1000 = _reference_moments.cache_info()
+    assert 0 < after_1000.currsize == after_10.currsize <= MOMENT_MEMO_SIZE
+    assert after_1000.misses == after_10.misses
+    assert after_1000.hits > after_10.hits
+
+
+def test_binomial_shift_of_a_dilated_pair():
+    # a dilated pair has the moments of its reference pair, shifted: int x**e
+    # (eta eta)((x - c) / delta) dx = delta sum_j C(e, j) c**(e-j) delta**j m_j
+    c, delta, e = 0.7, 0.125, 4
+    fn = TensorTestFunction(1.0, (hat(),), (c,), delta)
+    val = tensor_product_integral([(fn, None), (fn, None)], weight=[((e,), 1.0)])
+    m = [exact_moment((hat(), hat()), (0, 0), j, -1.0, 1.0) for j in range(e + 1)]
+    expect = delta * sum(math.comb(e, j) * c ** (e - j) * delta ** j * m[j]
+                         for j in range(e + 1))
+    assert val == pytest.approx(expect, rel=1e-14)

@@ -28,7 +28,6 @@ from .coefficients import (
     eval_coefficient,
     realify_field,
     realify_matrix,
-    symmetrized,
 )
 from .decoupling import (
     NonrealWitness,

@@ -179,13 +179,11 @@ def cmd_decouple(args, report):
                    f"scalar coercivity inherited: {verdict.diagnostics['scalar_coercivity_ok']}")
         header = [f"x{i + 1}" for i in range(sys_.d)] + ["k", "l", "c"]
         for n, scalar in enumerate(verdict.scalar_systems):
-            rows = []
-            for x in verdict.probe_points:
-                for k in range(sys_.d):
-                    for l in range(sys_.d):
-                        val = scalar.eval_coefficient(k, l, x)[0, 0].real
-                        rows.append([_fmt(v) for v in x]
-                                    + [str(k + 1), str(l + 1), _fmt(val)])
+            # with m = 1 the block matrix is the d x d array of c_kl(x)
+            C = scalar.block_matrix(verdict.probe_points).real
+            rows = [[_fmt(v) for v in x] + [str(k + 1), str(l + 1), _fmt(c)]
+                    for x, Cx in zip(verdict.probe_points, C)
+                    for k, row in enumerate(Cx) for l, c in enumerate(row)]
             write_csv(out / f"coefficients_{n + 1}.csv", header, rows)
         report.add(f"wrote {sys_.m} scalar coefficient tables "
                    f"over {len(verdict.probe_points)} probe points")

@@ -54,17 +54,20 @@ class MatrixField:
     kind = "abstract"
 
     def eval(self, x):
-        """C(x): the monomial terms on the one-point box {x}, summed."""
-        xs = np.asarray(x, dtype=float).tolist()
-        out = np.zeros((self.m, self.m), dtype=complex)
-        try:
-            for exps, C in self.monomials(len(xs), [(xi, xi) for xi in xs]):
-                out += math.prod([xi ** e for xi, e in zip(xs, exps)]) * C
-        except OverflowError as exc:
-            raise NumericalError("non-finite coefficient value") from exc
+        """C(x): an m x m matrix at a point, an (n, m, m) stack at (n, d)
+        points.  The monomial terms are summed over all points at once; the
+        constant and polynomial terms do not depend on the region, so the
+        points' bounding box is passed (the grid kind reads its cells)."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        region = list(zip(pts.min(axis=0), pts.max(axis=0)))
+        out = np.zeros((len(pts), self.m, self.m), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for exps, C in self.monomials(pts.shape[1], region):
+                out += np.prod(pts ** np.array(exps), axis=1)[:, None, None] * C
         if not np.all(np.isfinite(out)):
             raise NumericalError("non-finite coefficient value")
-        return out
+        return out if x.ndim == 2 else out[0]
 
     def monomials(self, d, region):
         """The ``(exponents, m x m matrix)`` terms of C on the sub-box
@@ -257,6 +260,10 @@ class GridSampledField(MatrixField):
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def eval(self, x):
+        """The value of the cell holding x, for a point or (n, d) points."""
+        return self.values[self.cell_index(x)]
+
     def monomials(self, d, region):
         """The constant term of the one cell that holds ``region``."""
         idx = self.cell_index([(lo + hi) / 2 for lo, hi in region])
@@ -288,7 +295,8 @@ class GridSampledField(MatrixField):
 
 
 def eval_coefficient(field, x, box=None):
-    """Evaluate a coefficient field at a point of the (closed) domain box."""
+    """Evaluate a coefficient field at a point, or at (n, d) points, of the
+    (closed) domain box."""
     if box is not None:
         x = _check_point_in_box(x, _as_box(box))
     return field.eval(x)
@@ -344,21 +352,21 @@ class EllipticSystem:
 
     def bound(self):
         """Uniform coefficient bound M over all (k, l) and the whole box."""
-        return max(self.coeffs[k][l].bound(self.box)
-                   for k in range(self.d) for l in range(self.d))
+        return self._bound
+
+    @cached_property
+    def _bound(self):
+        return max(fld.bound(self.box) for row in self.coeffs for fld in row)
 
     def block_matrix(self, x):
-        """The (m d) x (m d) matrix with blocks C_kl(x)."""
+        """The (m d) x (m d) matrix with blocks C_kl(x) at a point, or the
+        (n, m d, m d) stack of them at (n, d) points."""
         x = _check_point_in_box(x, self.box)
-        d, m = self.d, self.m
-        B = np.zeros((d * m, d * m), dtype=complex)
-        for k in range(d):
-            for l in range(d):
-                B[k * m:(k + 1) * m, l * m:(l + 1) * m] = self.coeffs[k][l].eval(x)
-        return B
+        return np.block([[fld.eval(x) for fld in row] for row in self.coeffs])
 
     def symmetrized(self, k, l, x):
-        """C_kl(x) + C_lk(x), the combination the form determines."""
+        """C_kl(x) + C_lk(x), the combination the form determines, at a point
+        or stacked over (n, d) points."""
         x = _check_point_in_box(x, self.box)
         return self.coeffs[k][l].eval(x) + self.coeffs[l][k].eval(x)
 
@@ -384,10 +392,6 @@ class EllipticSystem:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([mm.ravel() for mm in mesh], axis=-1)
-
-
-def symmetrized(sys, k, l, x):
-    return sys.symmetrized(k, l, x)
 
 
 @dataclass(frozen=True)
@@ -458,24 +462,22 @@ def default_ellipticity_points(sys):
 
 def check_ellipticity(sys, sample_points=None, tol=None):
     """Smallest eigenvalue of the Hermitian part of the coefficient block
-    matrix over the sample points, compared against the declared mu."""
+    matrix over the sample points, compared against the declared mu.
+
+    One ``block_matrix`` read over all points and one stacked ``eigvalsh``;
+    ``per_point`` holds every point's smallest eigenvalue and ``argmin`` is
+    the first point that attains the minimum."""
     if sample_points is None or len(sample_points) == 0:
         sample_points = default_ellipticity_points(sys)
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if tol is None:
         tol = 1e-10 * max(1.0, sys.bound())
-    lam_min = np.inf
-    argmin = sample_points[0]
-    per_point = []
-    for x in sample_points:
-        B = sys.block_matrix(x)
-        H = 0.5 * (B + B.conj().T)
-        try:
-            lam = float(np.linalg.eigvalsh(H)[0])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed at x = {x}") from exc
-        per_point.append(lam)
-        if lam < lam_min:
-            lam_min, argmin = lam, x
-    passed = lam_min >= sys.mu - tol
-    return EllipticityReport(lam_min, passed, np.asarray(argmin), tuple(per_point))
+    B = sys.block_matrix(sample_points)
+    try:
+        lams = np.linalg.eigvalsh(0.5 * (B + B.conj().swapaxes(-1, -2)))[:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigensolver failed on the sample points") from exc
+    i = int(np.argmin(lams))
+    passed = lams[i] >= sys.mu - tol
+    return EllipticityReport(float(lams[i]), bool(passed), sample_points[i],
+                             tuple(lams.tolist()))

@@ -318,27 +318,34 @@ def extract_scalar_systems(sys):
     return out
 
 
-def _symmetrized_at(sys, x0, k, l, via_probe):
-    if via_probe:
-        res = probe_system(sys, x0, k, l)
-        if not res.converged:
-            raise IndeterminateDecision(
-                f"probe did not converge at {x0} for target ({k}, {l})",
-                diagnostics={"history": res.history},
-            )
-        return res.estimate
-    return sys.symmetrized(k, l, x0)
+def _first_failure(sys, points, tol, via_probe):
+    """First (x0, k, l, Q, diagonal, real) in scan order (points
+    lexicographic, then k <= l) whose symmetrized coefficient Q is not real
+    diagonal, or None.  The direct path reads each (k, l) once over all
+    points; ``via_probe`` probes one point and pair at a time and stops at
+    the first failure."""
+    pairs = [(k, l) for k in range(sys.d) for l in range(k, sys.d)]
 
+    def probed():
+        for x0 in points:
+            for k, l in pairs:
+                res = probe_system(sys, x0, k, l)
+                if not res.converged:
+                    raise IndeterminateDecision(
+                        f"probe did not converge at {x0} for target ({k}, {l})",
+                        diagnostics={"history": res.history},
+                    )
+                yield x0[None], [(k, l)], res.estimate[None, None]
 
-def _scan_point(sys, x0, tol, via_probe):
-    """First real-diagonality failure at one point, or None."""
-    for k in range(sys.d):
-        for l in range(k, sys.d):
-            Q = _symmetrized_at(sys, x0, k, l, via_probe)
-            diagonal = is_multiplication(Q, tol)
-            real = float(np.abs(Q.imag).max(initial=0.0)) <= tol
-            if not (diagonal and real):
-                return (x0, k, l, Q, diagonal, real)
+    reads = probed() if via_probe else [
+        (points, pairs, np.stack([sys.symmetrized(k, l, points) for k, l in pairs], axis=1))]
+    for pts, kls, Q in reads:
+        diagonal = is_multiplication(Q, tol)
+        real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
+        failed = ~(diagonal & real)
+        if failed.any():
+            i, j = np.unravel_index(np.argmax(failed), failed.shape)
+            return (pts[i], *kls[j], Q[i, j], bool(diagonal[i, j]), bool(real[i, j]))
     return None
 
 
@@ -365,18 +372,11 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
         tol = default_decision_tol(sys)
 
     M = sys.bound()
-    first_failure = None
-    for x0 in probe_points:
-        first_failure = _scan_point(sys, x0, tol, via_probe)
-        if first_failure:
-            break
+    first_failure = _first_failure(sys, probe_points, tol, via_probe)
 
     if first_failure is None:
         scalars = extract_scalar_systems(sys)
-        bounds_ok = all(
-            s.coefficient(k, l).bound(sys.box) <= M + tol
-            for s in scalars for k in range(sys.d) for l in range(sys.d)
-        )
+        bounds_ok = all(s.bound() <= M + tol for s in scalars)
         coercive_ok = all(check_ellipticity(s, probe_points, tol=tol).passed
                           for s in scalars)
         return Verdict(
@@ -426,8 +426,7 @@ def extract_offdiag_2d(sys, tol=1e-10):
     sym_avg = (sys.coefficient(0, 1).average(sys.box)
                + sys.coefficient(1, 0).average(sys.box))
     anti_avg = avg - sym_avg / 2.0
-    pts = sys.interior_tensor_points(3)
-    syms = np.stack([sys.symmetrized(0, 1, x) for x in pts])
+    syms = sys.symmetrized(0, 1, sys.interior_tensor_points(3))
     sym_const = bool(np.abs(syms - syms[0]).max(initial=0.0) <= tol * max(1.0, sys.bound()))
     return OffdiagReport(avg, sym_avg, anti_avg, sym_const)
 

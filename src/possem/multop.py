@@ -14,19 +14,19 @@ import numpy as np
 
 
 def default_mult_tol(Q):
-    return 1e-9 * (1.0 + float(np.max(np.abs(Q), initial=0.0)))
+    """1e-9 (1 + max |Q_ij|), per matrix of a stack."""
+    return 1e-9 * (1.0 + np.max(np.abs(Q), axis=(-2, -1), initial=0.0))
 
 
 def _offdiag_abs_max(Q):
     A = np.abs(np.asarray(Q))
-    if A.shape[0] == 1:
-        return 0.0
-    return float(np.max(A - np.diag(np.diag(A))))
+    return np.where(np.eye(A.shape[-1], dtype=bool), 0.0, A).max(axis=(-2, -1))
 
 
 def is_multiplication(Q, tol=None):
     """True iff Q is (to tolerance) a multiplication operator, i.e. diagonal:
-    disjoint supports stay disjoint, so every off-diagonal entry is small."""
+    disjoint supports stay disjoint, so every off-diagonal entry is small.
+    For an (..., m, m) stack, one answer per matrix."""
     Q = np.asarray(Q, dtype=complex)
     if tol is None:
         tol = default_mult_tol(Q)
@@ -98,8 +98,4 @@ def lift_is_diagonal(field, cells, tol=None):
     is a multiplication operator iff C(x) is one at (almost) every point;
     checked here at every cell center."""
     centers = cells.cell_centers() if hasattr(cells, "cell_centers") else np.atleast_2d(cells)
-    for x in centers:
-        Q = field.eval(np.asarray(x, dtype=float))
-        if not is_multiplication(Q, tol):
-            return False
-    return True
+    return bool(np.all(is_multiplication(field.eval(centers), tol)))

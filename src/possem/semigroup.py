@@ -54,12 +54,6 @@ class GeneratorOperator:
     def norm1(self):
         return float(np.max(np.abs(self.A).sum(axis=0), initial=0.0))
 
-    def is_real(self, tol=1e-12):
-        if not np.iscomplexobj(self.A):
-            return True
-        scale = max(1.0, float(np.abs(self.A.real).max(initial=0.0)))
-        return float(np.abs(self.A.imag).max(initial=0.0)) <= tol * scale
-
     def max_positive_offdiag(self):
         R = self.A.real.copy()
         np.fill_diagonal(R, -np.inf)

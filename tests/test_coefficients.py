@@ -8,6 +8,7 @@ from possem.coefficients import (
     GridSampledField,
     PolynomialField,
     check_ellipticity,
+    default_ellipticity_points,
     eval_coefficient,
     grid_cell_centers,
     realify_field,
@@ -47,6 +48,11 @@ def test_eval_polynomial_entries():
     huge = PolynomialField(((1e300 * x1 * x1 * x2,),), 3)
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         huge.eval(np.array([1e5, 1.0, 0.0]))
+    # over (n, d) points: one overflowing point is enough
+    assert huge.eval(np.array([[1.0, 1.0, 0.0], [0.5, 2.0, 0.0]]))[:, 0, 0] == \
+        pytest.approx([1e300, 5e299])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        huge.eval(np.array([[1.0, 1.0, 0.0], [1e5, 1.0, 0.0]]))
 
 
 def test_eval_outside_box_raises():
@@ -55,6 +61,11 @@ def test_eval_outside_box_raises():
         eval_coefficient(fld, np.array([2.0]), box=((0.0, 1.0),))
     with pytest.raises(DomainError):
         PolynomialField(((MultiPoly.variable(1, 2),),), 2).eval(np.array([0.5]))
+    # over (n, d) points: one point outside the box is enough
+    with pytest.raises(DomainError):
+        eval_coefficient(fld, np.array([[0.5], [1.5], [0.25]]), box=((0.0, 1.0),))
+    with pytest.raises(DomainError):
+        PolynomialField(((MultiPoly.variable(1, 2),),), 2).eval(np.array([[0.5], [0.25]]))
 
 
 def test_grid_sampled_tie_break_low_cell():
@@ -77,6 +88,7 @@ def test_grid_cell_index_of_point_array():
     idx = fld.cell_index(pts)
     assert [tuple(int(i) for i in ij) for ij in zip(*idx)] == [fld.cell_index(x) for x in pts]
     assert np.array_equal(fld.values[idx], np.stack([fld.eval(x) for x in pts]))
+    assert np.array_equal(fld.eval(pts), fld.values[idx])
     for bad in ([[0.5, 0.5], [1.5, 0.5]], [[0.5, -1.5]], [[0.5, 0.5, 0.5]]):
         with pytest.raises(DomainError):
             fld.cell_index(np.array(bad))
@@ -124,6 +136,29 @@ def test_ellipticity_symmetric_coupling():
     rep = check_ellipticity(sys_)
     assert rep.lambda_min == pytest.approx(5.5, abs=1e-12)
     assert rep.passed
+
+
+def test_ellipticity_per_point_matches_oracle():
+    # one stacked eigvalsh over all points against the per-point oracle
+    box = ((0.0, 1.0), (0.0, 2.0))
+    rng = np.random.default_rng(8)
+    two = GridSampledField(box, 3 * np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 1, 2, 2)))
+    three = GridSampledField(box, 3 * np.eye(2) + 0.3 * rng.uniform(-1, 1, (1, 3, 2, 2)))
+    coupling = GridSampledField(box, 0.2j * rng.uniform(-1, 1, (3, 2, 2, 2)))
+    mixed = EllipticSystem(box, 2, ((two, coupling), (coupling, three)))
+    for sys_ in (catalog.get("rand_coupled(3)").build(), mixed):
+        pts = np.concatenate([default_ellipticity_points(sys_), sys_.interior_tensor_points(4)])
+        rep = check_ellipticity(sys_, pts)
+        oracle = np.array([hermitian_block_lambda_min(sys_, x) for x in pts])
+        assert np.abs(np.array(rep.per_point) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        assert rep.lambda_min == min(rep.per_point)
+        assert np.array_equal(rep.argmin, pts[int(np.argmin(oracle))])
+    # all points tie on a constant system: the first one is the minimiser
+    sys_ = catalog.get("ex1_3").build()
+    pts = sys_.interior_tensor_points(3)[::-1]
+    rep = check_ellipticity(sys_, pts)
+    assert len(set(rep.per_point)) == 1
+    assert np.array_equal(rep.argmin, pts[0])
 
 
 def test_realify_matches_defining_action():
@@ -222,9 +257,11 @@ def test_monomial_reads_match_entrywise_polynomials(m, d):
         assert np.abs(avg - entrywise).max() <= 1e-13 * max(1.0, np.abs(avg).max())
         per_entry = [[q.bound_on_box(box) for q in row] for row in fld.entries]
         assert fld.bound(box) == pytest.approx(np.linalg.norm(per_entry, 2), rel=1e-14, abs=0.0)
-        for x in rng.uniform(*np.array(box).T, size=(10, d)):
-            ref = np.array([[q(x) for q in row] for row in fld.entries])
+        xs = rng.uniform(*np.array(box).T, size=(10, d))
+        refs = np.array([[[q(x) for q in row] for row in fld.entries] for x in xs])
+        for x, ref in zip(xs, refs):
             assert np.abs(fld.eval(x) - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        assert np.abs(fld.eval(xs) - refs).max() <= 1e-13 * max(1.0, np.abs(refs).max())
 
 
 def test_symmetrized_examples():

@@ -3,12 +3,12 @@
 The stiffness matrix of the form a(u, v) = sum_kl int (C_kl d_l u, d_k v) is
 assembled into one stencil-block array, one CSR build: on a uniform grid every
 contribution couples a node to its 3^d neighbours, so K is summed into a dense
-array indexed by (active node, channel i, neighbour offset, channel j).  The
-quadrature is exact for constant and polynomial coefficient kinds: each
+array indexed by (active node, channel i, neighbour offset, channel j).  Each
 monomial term is a product of per-axis banded moments ``int x^e b_p^(dp)
-b_q^(dq) dx``.  Grid-sampled coefficients use their cell-center value times
-exact geometric factors.  The mass matrix is lumped (product of per-axis node
-weights).
+b_q^(dq) dx``: a grid hat is a dilated unit tent, so these are the tents'
+reference moments shifted to each node, under the Gauss rule and capacity
+check of ``form_matrix``.  Grid-sampled coefficients use their cell-center
+value times the same moments on one cell.  The mass matrix is lumped.
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
 """
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import GridSampledField, _as_box
+from .coefficients import GridSampledField, _as_box, tensor_points
 from .errors import NumericalError, UnsupportedContract
 from .tents import (
     PiecewiseLinear1D,
     TensorTestFunction,
+    binomial_shift,
     check_capacity,
-    gauss_rule,
+    hat_moments,
     moment_tables,
 )
 
@@ -77,14 +78,11 @@ class Grid:
         return full[1:-1] if self.bc == "dirichlet" else full
 
     def node_points(self):
-        mesh = np.meshgrid(*[self.node_coords(i) for i in range(self.d)], indexing="ij")
-        return np.stack([mm.ravel() for mm in mesh], axis=-1)
+        return tensor_points([self.node_coords(i) for i in range(self.d)])
 
     def cell_centers(self):
-        axes = [a + (np.arange(nn) + 0.5) * hh
-                for (a, b), nn, hh in zip(self.box, self.n, self.h)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([mm.ravel() for mm in mesh], axis=-1)
+        return tensor_points([a + (np.arange(nn) + 0.5) * hh
+                              for (a, b), nn, hh in zip(self.box, self.n, self.h)])
 
     def mass_weights(self):
         """Lumped mass per active node: product of per-axis hat integrals."""
@@ -102,36 +100,17 @@ class Grid:
         return out.ravel()
 
 
-def _cell_moments(grid, axis, top):
-    """``int_cell x^e b_a^(dp) b_b^(dq) dx`` for e = 0..top, dp, dq in
-    {0, 1} and the cell's left and right corner functions a, b, from one
-    Gauss pass: array (e, dp, dq, cell, a, b)."""
-    gx, gw = gauss_rule(max(2, (top + 4) // 2))      # exact for degree top + 2
-    h = grid.h[axis]
-    pts = grid.box[axis][0] + h * (np.arange(grid.n[axis])[:, None] + (gx + 1) / 2)
-    wts = (h / 2) * gw * pts ** np.arange(top + 1)[:, None, None]   # (e, cell, g)
-    right = (gx + 1) / 2
-    # base[dp, corner]: value (dp = 0) or slope (dp = 1) of the corner
-    # functions at the Gauss nodes
-    base = np.array([[1 - right, right], [np.full_like(gx, -1 / h), np.full_like(gx, 1 / h)]])
-    return np.einsum("ecg,pag,qbg->epqcab", wts, base, base)
-
-
 def _axis_bands(grid, axis, top):
     """Banded 1D moments ``int x^e b_p^(dp) b_q^(dq) dx`` over the axis
     interval: array (e, dp, dq, active node p, 3) whose last index is the
-    neighbour offset q - p + 1.  Bands that point at a removed or
-    out-of-range node are zero."""
-    nn = grid.n[axis]
-    local = _cell_moments(grid, axis, top)
-    full = np.zeros((top + 1, 2, 2, nn + 1, 3))
-    for a in (0, 1):
-        for b in (0, 1):
-            full[..., a:a + nn, b - a + 1] += local[..., a, b]
-    if grid.bc == "free":
-        return full
-    bands = full[..., 1:-1, :]
-    bands[..., 0, 0] = bands[..., -1, 2] = 0.0
+    neighbour offset q - p + 1: the ``tents.hat_moments`` of p's class shifted
+    to p, zero where they point at a removed or out-of-range node."""
+    h, nodes = grid.h[axis], grid.node_coords(axis)
+    cls = 1 - (nodes == grid.box[axis][0]) + (nodes == grid.box[axis][1])    # 0, 2 at edges
+    bands = binomial_shift(hat_moments()[cls], nodes, h, top, np.add.outer((0, 1), (0, 1)))
+    bands = bands.transpose(4, 2, 3, 0, 1)
+    if grid.bc == "dirichlet":
+        bands[..., 0, 0] = bands[..., -1, 2] = 0.0
     return bands
 
 
@@ -174,6 +153,14 @@ class DiscreteForm:
         return float(np.abs(coo.data[mask]).max())
 
 
+def _term_arrays(terms, d):
+    """exps, dk, dl (T, d) and C (T, m, m) of the terms; CapacityError past e + 2 - dk - dl."""
+    k, l, exps, C = (np.array(v) for v in zip(*terms))
+    dk, dl = np.eye(d, dtype=int)[[k, l]]
+    check_capacity(int((exps - dk - dl).max()) + 2)
+    return exps, dk, dl, C
+
+
 def _term_stencil(grid, terms, m):
     """Stencil-block array (*nodes, i, *offsets, j) of the monomial terms
     (k, l, exponents, C): ``sum_t C_t[i, j] prod_axis band_t(node, offset)``
@@ -182,9 +169,8 @@ def _term_stencil(grid, terms, m):
     S = np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
     if not terms:
         return S
-    k, l, exps, C = (np.array(v) for v in zip(*terms))
-    stacks = [_axis_bands(grid, ax, exps[:, ax].max())[
-                  exps[:, ax], (k == ax).astype(int), (l == ax).astype(int)]
+    exps, dk, dl, C = _term_arrays(terms, d)
+    stacks = [_axis_bands(grid, ax, exps[:, ax].max())[exps[:, ax], dk[:, ax], dl[:, ax]]
               for ax in range(d)]                            # (T, n_axis, 3)
     if not all(np.isfinite(a).all() for a in (*stacks, C)):
         # a non-finite factor would turn the zero blocks of off-grid
@@ -202,9 +188,11 @@ def _add_sampled(S, grid, fld, k, l):
     cell whose corners a and b are both active nodes, times L[a, b]."""
     m, drop = fld.m, int(grid.bc == "dirichlet")
     vals = fld.values[fld.cell_index(grid.cell_centers())].reshape(grid.n + (m, m))
-    # corner matrix L[a, b] = int_cell d_l b_b d_k b_a, one factor per axis
-    L = functools.reduce(np.kron, [_cell_moments(grid, ax, 0)[0, int(ax == k), int(ax == l), 0]
-                                   for ax in range(grid.d)])
+    # corner matrix L[a, b] = int_cell d_l b_b d_k b_a per axis; corner 0 is a left edge
+    a, b, ref = *np.indices((2, 2)), hat_moments()
+    L = functools.reduce(np.kron, [
+        ref[2 * a, b - a + 1, int(ax == k), int(ax == l), 0] * h ** (1 - (ax == k) - (ax == l))
+        for ax, h in enumerate(grid.h)])
     corners = list(itertools.product((0, 1), repeat=grid.d))
     for (a, ca), (b, cb) in itertools.product(enumerate(corners), repeat=2):
         span = [(max(0, drop - p, drop - q), min(n, n + 1 - drop - p, n + 1 - drop - q))
@@ -290,10 +278,7 @@ def form_matrix(sys, phi, psi):
              for e, C in sys.coefficient(k, l).monomials(d, region)]
     if not terms:
         return np.zeros((m, m), dtype=complex)
-    k, l, exps, C = (np.array(v) for v in zip(*terms))
-    # derivative patterns (T, d): phi is differentiated along l, psi along k
-    dphi, dpsi = ((idx[:, None] == np.arange(d)).astype(int) for idx in (l, k))
-    check_capacity(int((exps + 2 - dphi - dpsi).max()))
+    exps, dpsi, dphi, C = _term_arrays(terms, d)    # psi along k, phi along l
     tables = moment_tables((phi, psi), int(exps.max()), sys.box)
     weights = tables[np.arange(d), dphi, dpsi, exps].prod(axis=1)
     return phi.scale * psi.scale * np.einsum("t,tij->ij", weights, C)

@@ -229,6 +229,12 @@ def names():
     return tuple(_CATALOG)
 
 
+def needs_seed(name):
+    """Whether ``name`` is a seeded generator named without ``(seed)``,
+    which builds only from a seed."""
+    return name in ("rand_decoupled", "rand_coupled")
+
+
 def get(name, **kwargs):
     """Look up a catalog entry; seeded generators accept ``name(seed)``."""
     m = _SEEDED.match(name)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .assembly import Grid, assemble, export_matrix_text
-from .coefficients import check_ellipticity, default_ellipticity_points
+from .coefficients import check_ellipticity, default_ellipticity_points, tensor_points
 from .config import build_system, dump_system
 from .decoupling import (
     NonrealWitness,
@@ -70,8 +70,7 @@ class Report:
 
 def _load_system(args):
     name = args.catalog
-    seeded = (not args.config and bool(name) and name.startswith("rand_")
-              and "(" not in name)
+    seeded = not args.config and _catalog.needs_seed(name)
     if args.seed is not None and not seeded:
         raise ConfigError(
             f"--seed {args.seed} would be ignored: only a seeded catalog "
@@ -210,8 +209,7 @@ def _report_witness(report, out, sys_, wit, args):
         grid = np.linspace(wit.x0 - 1.5 * wit.delta, wit.x0 + 1.5 * wit.delta,
                            res + 1, axis=0)
         rows = []
-        mesh = np.meshgrid(*[grid[:, i] for i in range(sys_.d)], indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
+        pts = tensor_points(grid.T)
         phi_vals = wit.pair.phi(pts)
         psi_vals = wit.pair.psi(pts)
         one_b = wit.indicator

@@ -30,6 +30,13 @@ def _as_box(box):
     return out
 
 
+def tensor_points(axes):
+    """(n, d) array of the tensor grid of d coordinate arrays, the first
+    axis varying slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([mm.ravel() for mm in mesh], axis=-1)
+
+
 def _check_point_in_box(x, box):
     """x as floats, checked to lie in the box: a point or (n, d) points."""
     x = np.asarray(x, dtype=float)
@@ -253,12 +260,8 @@ class GridSampledField(MatrixField):
                      for xi, (a, b), n in zip(x.tolist(), self.box, self.ncells))
 
     def cell_centers(self):
-        axes = [
-            a + (np.arange(n) + 0.5) * (b - a) / n
-            for (a, b), n in zip(self.box, self.ncells)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points([a + (np.arange(n) + 0.5) * (b - a) / n
+                              for (a, b), n in zip(self.box, self.ncells)])
 
     def eval(self, x):
         """The value of the cell holding x, for a point or (n, d) points."""
@@ -386,12 +389,8 @@ class EllipticSystem:
     def interior_tensor_points(self, per_dim=3):
         """Tensor grid of interior sample points at relative offsets
         (i + 1) / (per_dim + 1)."""
-        axes = [
-            a + (np.arange(1, per_dim + 1) / (per_dim + 1)) * (b - a)
-            for a, b in self.box
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([mm.ravel() for mm in mesh], axis=-1)
+        return tensor_points([a + (np.arange(1, per_dim + 1) / (per_dim + 1)) * (b - a)
+                              for a, b in self.box])
 
 
 @dataclass(frozen=True)
@@ -432,8 +431,7 @@ def _refined_cell_points(sys, offsets):
     for (a, b), (cuts, fine) in zip(sys.box, refinement):
         pts = cuts[:-1, None] + np.asarray(offsets)[None, :] * np.diff(cuts)[:, None]
         axes.append(a + pts.ravel() * (b - a) / fine)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([mm.ravel() for mm in mesh], axis=-1)
+    return tensor_points(axes)
 
 
 def grid_cell_centers(sys):

@@ -116,16 +116,24 @@ def build_system(text):
     config delegated to the catalog.
     """
     top, tables = parse_config(text)
+    bc = _get_scalar(top, "bc", str, required=False, default="dirichlet")
+    if bc not in ("dirichlet", "free"):
+        raise ConfigError(f"bc must be 'dirichlet' or 'free', got {bc!r}", top["bc"][1])
     if "catalog" in top:
         from . import catalog
 
-        name = top["catalog"][0]
+        name, line = top["catalog"]
         seed = _get_scalar(top, "seed", int, required=False)
-        kwargs = {}
-        if seed is not None and name.startswith("rand_"):
-            kwargs["seed"] = seed
+        seeded = catalog.needs_seed(name)
+        if seed is None and seeded:
+            raise ConfigError(f"{name} is seeded: add 'seed = N' or use {name}(N)", line)
+        if seed is not None and not seeded:
+            raise ConfigError(
+                f"seed = {seed} would be ignored: only a seeded catalog generator "
+                f"named without (N), such as rand_coupled, takes it", top["seed"][1])
+        kwargs = {} if seed is None else {"seed": seed}
         if "bc" in top:
-            kwargs["bc"] = top["bc"][0]
+            kwargs["bc"] = bc
         entry = catalog.get(name)
         return entry.build(**kwargs), {"catalog": name, "seed": seed}
 
@@ -141,8 +149,11 @@ def build_system(text):
     if len(nums) != 2 * d:
         raise ConfigError(f"box needs {2 * d} numbers for d = {d}", box_line)
     box = tuple((nums[2 * i], nums[2 * i + 1]) for i in range(d))
-    bc = _get_scalar(top, "bc", str, required=False, default="dirichlet")
     mu = _get_scalar(top, "mu", float, required=False, default=0.0)
+    for (k, l), table in tables.items():
+        if not (0 <= k < d and 0 <= l < d):
+            raise ConfigError(f"coefficient ({k + 1}, {l + 1}) out of range for d = {d}",
+                              table["line"])
 
     coeffs = []
     for k in range(d):

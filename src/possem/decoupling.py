@@ -355,8 +355,10 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
     coefficient for real diagonality at every probe point.
 
     On success the scalar systems are extracted and their uniform bound and
-    pointwise coercivity are recorded; on failure a witness is constructed at
-    the first failure in scan order (points lexicographic, then k <= l).
+    pointwise coercivity are checked: with ``require_elliptic`` a failed
+    check raises ContractViolation, otherwise it is only recorded.  On
+    failure a witness is constructed at the first failure in scan order
+    (points lexicographic, then k <= l).
     """
     if require_elliptic:
         report = check_ellipticity(sys)
@@ -379,6 +381,9 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
         bounds_ok = all(s.bound() <= M + tol for s in scalars)
         coercive_ok = all(check_ellipticity(s, probe_points, tol=tol).passed
                           for s in scalars)
+        if require_elliptic and not (bounds_ok and coercive_ok):
+            failed = "coercivity check at the probe points" if bounds_ok else "bound check"
+            raise ContractViolation(f"the decoupled scalar systems fail their {failed}")
         return Verdict(
             "positive-decoupled", tuple(scalars), None, tol, probe_points,
             {"bound": M, "scalar_bounds_ok": bounds_ok,

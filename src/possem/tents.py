@@ -13,9 +13,9 @@ union of the factors' breakpoints, gives the reference moments ``m_j = int
 t**j prod_i f_i^(a_i)(t) dt`` of every derivative pattern, and a bounded memo
 keyed by the factors' values keeps them.  The binomial shift ``int x**e ... dx
 = delta**(1 - #derivs) sum_j C(e, j) center**(e - j) delta**j m_j`` turns
-them into the moments of every dilation and center, so ``moment_tables`` is
-the one moment path behind ``tensor_product_integral``, the pair self-check
-and ``assembly.form_matrix``.  The integrals are exact up to rounding.
+them into the moments of every dilation and center: one path behind
+``moment_tables`` (the exact integrals, the pair self-check, ``form_matrix``)
+and ``hat_moments`` (the stiffness bands and cell corner matrices).
 """
 
 from __future__ import annotations
@@ -28,27 +28,18 @@ import numpy as np
 
 from .errors import CapacityError, GeometryError
 
-#: Gauss-Legendre nodes per piece of the reference moments; 8 nodes
-#: integrate degree <= 15 exactly.
-DEFAULT_GAUSS_NODES = 8
+#: Gauss-Legendre nodes and weights per piece of the reference moments;
+#: 8 nodes integrate degree <= 15 exactly.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 #: Highest integrand degree that the rule integrates exactly.
-CAPACITY = 2 * DEFAULT_GAUSS_NODES - 1
+CAPACITY = 2 * len(_GAUSS_NODES) - 1
 
 #: Reference moment arrays the memo keeps, least recently used dropped first.
 MOMENT_MEMO_SIZE = 128
 
 _BINOMIAL = np.array([[math.comb(e, j) for j in range(CAPACITY + 1)]
                       for e in range(CAPACITY + 1)], dtype=float)
-
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_rule(nodes):
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1]."""
-    if nodes not in _gauss_cache:
-        _gauss_cache[nodes] = np.polynomial.legendre.leggauss(nodes)
-    return _gauss_cache[nodes]
 
 
 def check_capacity(degree):
@@ -189,14 +180,45 @@ def _reference_moments(factors, lo, hi):
     undifferentiated factors is at most CAPACITY."""
     cuts = np.concatenate([[lo, hi]] + [f.breakpoints for f in factors])
     cuts = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
-    x, w = gauss_rule(DEFAULT_GAUSS_NODES)
     half = 0.5 * np.diff(cuts)[:, None]
-    t = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x
-    prod = half * w
+    t = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * _GAUSS_NODES
+    prod = half * _GAUSS_WEIGHTS
     for f in factors:
         prod = prod[..., None, :, :] * np.stack([f(t), f.slope(t)])
     out = np.einsum("...pg,pgj->...j", prod, t[..., None] ** np.arange(CAPACITY + 1))
     out.flags.writeable = False
+    return out
+
+
+def binomial_shift(refs, centers, delta, top, derivs):
+    """Reference moments ``refs[c, ..., j]`` carried to ``x = center + delta
+    t``, one center per c: ``delta**(1 - derivs) sum_j C(e, j) center**(e - j)
+    delta**j refs[c, ..., j]`` for e = 0..top, derivs counting the slopes."""
+    e = np.arange(top + 1)
+    # shift[c, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e
+    shift = (_BINOMIAL[:top + 1, :top + 1] * np.asarray(centers, dtype=float)[:, None, None]
+             ** np.maximum(e[:, None] - e, 0) * delta ** e)
+    # delta**(1 - derivs): dx = delta dt and each slope brings 1 / delta
+    deriv_scale = delta ** (1.0 - derivs)[..., None]
+    return deriv_scale * np.einsum("c...j,cej->c...e", refs[..., :top + 1], shift)
+
+
+#: Tent pairs and reflection signs (-1)**(dp + dq + j) of ``hat_moments``.
+_TENT_PAIRS = tuple((hat(), hat().affine_pullback(o, 1.0)) for o in (0, 1))
+_REFLECTION = (-1.0) ** np.indices((2, 2, CAPACITY + 1)).sum(axis=0)
+
+
+def hat_moments():
+    """Reference moments of the unit tent against its neighbours ``hat(t - o)``,
+    o = -1, 0, 1, on [0, 1], [-1, 1] and [-1, 0] (grid hats at a left edge,
+    interior and right edge node): array (class, o + 1, dp, dq, CAPACITY + 1).
+    Reflecting the left edge gives the right and their sum the interior, so
+    moments that vanish by symmetry are exact zeros."""
+    out = np.zeros((3, 3, 2, 2, CAPACITY + 1))
+    for o in (0, 1):
+        out[0, o + 1] = _reference_moments(_TENT_PAIRS[o], 0.0, 1.0)
+    out[2] = _REFLECTION * out[0, ::-1]               # t -> -t: right[o] from left[-o]
+    out[1] = out[0] + out[2]
     return out
 
 
@@ -232,14 +254,7 @@ def moment_tables(fns, top, box=None):
             hi = min(hi, (box[axis][1] - center) / delta)
         if hi > lo:
             refs[axis] = _reference_moments(factors, float(lo), float(hi))[..., :top + 1]
-    # shift[axis, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e
-    e = np.arange(top + 1)
-    centers = np.array(first.center, dtype=float)[:, None, None]
-    shift = (_BINOMIAL[:top + 1, :top + 1]
-             * centers ** np.maximum(e[:, None] - e, 0) * delta ** e)
-    # delta**(1 - #derivs): dx = delta dt and each slope brings 1 / delta
-    deriv_scale = delta ** (1 - np.indices((2,) * n).sum(axis=0))[..., None]
-    return deriv_scale * np.einsum("a...j,aej->a...e", refs, shift)
+    return binomial_shift(refs, first.center, delta, top, np.indices((2,) * n).sum(axis=0))
 
 
 def tensor_product_integral(terms, weight=None, box=None):

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from possem.cli import main
@@ -167,3 +170,37 @@ def test_bc_overrides_config(tmp_path):
     assert run(["assemble", "--config", str(cfg), "--bc", "dirichlet",
                 "--grid", "4"], tmp_path) == 0
     assert "9 degrees of freedom (dirichlet)" in (tmp_path / "report.txt").read_text()
+
+
+INLINE_D2 = "d = 2\nm = 1\nbox = 0 1 0 1\nmu = 0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("catalog = rand_coupled\n", "line 1: rand_coupled is seeded"),
+    ("catalog = ex1_3\nseed = 3\n", "line 2: seed = 3 would be ignored"),
+    ("catalog = rand_coupled(3)\nseed = 3\n", "line 2: seed = 3 would be ignored"),
+    ("catalog = ex1_3\nbc = neumann\n", "line 2: bc must be"),
+    (INLINE_D2 + "bc = neumann\n", "line 5: bc must be"),
+    (INLINE_D2 + "[coeff 1 1]\nkind = constant\n[coeff 3 1]\nkind = constant\n",
+     "line 7: coefficient (3, 1) out of range for d = 2"),
+], ids=["unseeded", "ignored-seed", "seed-on-named-seed", "bc-catalog", "bc-inline",
+        "coeff-out-of-range"])
+def test_config_mistakes_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(text)
+    assert run(["check-elliptic", "--config", str(cfg)], tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+def readme_commands():
+    """The ``possem ...`` lines of README's "Command line" block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("possem ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(tmp_path, argv):
+    # argparse keeps the last --out, so the run writes into tmp_path only
+    assert run(argv, tmp_path) == 0
+    assert (tmp_path / "report.txt").exists()

@@ -19,7 +19,7 @@ from possem.decoupling import (
     lattice_pair_value,
     probe_system,
 )
-from possem.errors import GeometryError, UnsupportedContract
+from possem.errors import ContractViolation, GeometryError, UnsupportedContract
 from possem.polynomials import MultiPoly
 
 
@@ -105,6 +105,28 @@ def test_decision_extracted_scalars_coupled_complex_pair():
                 assert val.real == pytest.approx(6.0 if k == l else 0.0)
     assert verdict.diagnostics["scalar_bounds_ok"]
     assert verdict.diagnostics["scalar_coercivity_ok"]
+
+
+def test_positive_verdict_requires_its_scalar_checks():
+    # C_11 = 1 + 2000 prod_{i=1..5} (x_1 - i/6) reads 1 at the 5^2 samples
+    # of the system's coercivity check, which sit on the roots of the
+    # product, but reads below mu at the probe points, where the scalar
+    # systems are checked
+    d = 2
+    x1, one = MultiPoly.variable(0, d), MultiPoly.constant(1.0, d)
+    prod = one
+    for i in range(1, 6):
+        prod = prod * (x1 - MultiPoly.constant(i / 6, d))
+    c11 = PolynomialField(((one + 2000 * prod,),), d)
+    unit, zero = ConstantField(np.eye(1)), ConstantField(np.zeros((1, 1)))
+    sys_ = EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 1, ((c11, zero), (zero, unit)),
+                          "dirichlet", 0.5)
+    with pytest.raises(ContractViolation, match="scalar systems fail their coercivity"):
+        decide_decoupling(sys_)
+    verdict = decide_decoupling(sys_, require_elliptic=False)
+    assert verdict.positive
+    assert verdict.diagnostics["scalar_bounds_ok"]
+    assert not verdict.diagnostics["scalar_coercivity_ok"]
 
 
 def test_decision_embedded_nullform():

@@ -96,8 +96,29 @@ def _load_system(args):
 
 
 def _grid_for(sys_, args):
-    res = args.grid or 8
-    return Grid(sys_.box, (res,) * sys_.d, sys_.bc)
+    res = 8 if args.grid is None else args.grid
+    try:
+        return Grid(sys_.box, (res,) * sys_.d, sys_.bc)
+    except ValueError as exc:
+        raise ConfigError(f"--grid {res}: {exc}") from exc
+
+
+def _witness_samples(args):
+    """Samples per axis of witness.csv: --grid of decouple and witness."""
+    if args.grid is None:
+        return 16
+    if args.grid < 1:
+        raise ConfigError(f"--grid {args.grid}: need >= 1 sample per axis")
+    return args.grid
+
+
+def _point_for(sys_, args):
+    """--point, or the centre of the box."""
+    if args.point is None:
+        return np.array([(a + b) / 2 for a, b in sys_.box])
+    if len(args.point) != sys_.d:
+        raise ConfigError(f"--point needs {sys_.d} coordinates, got {len(args.point)}")
+    return np.asarray(args.point, dtype=float)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -142,11 +163,13 @@ def cmd_assemble(args, report):
 
 
 def cmd_positivity(args, report):
+    times = tuple(args.times) if args.times else None
+    if times and not all(t > 0 for t in times):
+        raise ConfigError(f"--times must be positive, got {' '.join(map(str, times))}")
     sys_, name = _load_system(args)
     grid = _grid_for(sys_, args)
     dform = assemble(sys_, grid)
     gen = GeneratorOperator.from_discrete_form(dform)
-    times = tuple(args.times) if args.times else None
     rep = positivity_scan(gen, times=times)
     rows = [[_fmt(t), _fmt(re_min), _fmt(im_max)]
             for t, (re_min, im_max) in zip(rep.times, rep.per_time)]
@@ -166,6 +189,7 @@ def cmd_positivity(args, report):
 
 
 def cmd_decouple(args, report):
+    samples = _witness_samples(args)
     sys_, name = _load_system(args)
     verdict = decide_decoupling(sys_)
     out = Path(args.out)
@@ -191,11 +215,11 @@ def cmd_decouple(args, report):
                        f"of a NOT-POSITIVE verdict")
     else:
         report.add("verdict: NOT-POSITIVE")
-        _report_witness(report, out, sys_, verdict.witness, args)
+        _report_witness(report, out, sys_, verdict.witness, samples)
     report.record("decision", verdict.decision)
 
 
-def _report_witness(report, out, sys_, wit, args):
+def _report_witness(report, out, sys_, wit, samples):
     if isinstance(wit, WitnessCertificate):
         report.add(f"witness at x0 = {np.array2string(wit.x0, precision=6)}, "
                    f"gradient pair ({wit.ktilde + 1}, {wit.ltilde + 1})")
@@ -205,9 +229,8 @@ def _report_witness(report, out, sys_, wit, args):
         report.add(f"dilation delta = {_fmt(wit.delta)}")
         report.add(f"form value on the split pair: {wit.value:.12g} "
                    f"(threshold {wit.threshold:.12g})")
-        res = args.grid or 16
         grid = np.linspace(wit.x0 - 1.5 * wit.delta, wit.x0 + 1.5 * wit.delta,
-                           res + 1, axis=0)
+                           samples + 1, axis=0)
         rows = []
         pts = tensor_points(grid.T)
         phi_vals = wit.pair.phi(pts)
@@ -229,9 +252,10 @@ def _report_witness(report, out, sys_, wit, args):
 
 def cmd_probe(args, report):
     sys_, name = _load_system(args)
-    x0 = np.asarray(args.point if args.point else
-                    [(a + b) / 2 for a, b in sys_.box], dtype=float)
+    x0 = _point_for(sys_, args)
     kt, lt = (args.kl if args.kl else (1, 1))
+    if not (1 <= kt <= sys_.d and 1 <= lt <= sys_.d):
+        raise ConfigError(f"--kl {kt} {lt}: indices must lie in 1..{sys_.d}")
     res = probe_system(sys_, x0, kt - 1, lt - 1)
     rows = []
     for dd, est in res.history:
@@ -257,6 +281,7 @@ def cmd_probe(args, report):
 
 
 def cmd_witness(args, report):
+    samples = _witness_samples(args)
     sys_, name = _load_system(args)
     verdict = decide_decoupling(sys_)
     report.add(f"system: {name}")
@@ -265,14 +290,13 @@ def cmd_witness(args, report):
         report.record("decision", verdict.decision)
         return
     report.add("verdict: NOT-POSITIVE")
-    _report_witness(report, Path(args.out), sys_, verdict.witness, args)
+    _report_witness(report, Path(args.out), sys_, verdict.witness, samples)
     report.record("decision", verdict.decision)
 
 
 def cmd_analyze(args, report):
     sys_, name = _load_system(args)
-    x0 = np.asarray(args.point if args.point else
-                    [(a + b) / 2 for a, b in sys_.box], dtype=float)
+    x0 = _point_for(sys_, args)
     report.add(f"system: {name}; coefficient analysis at "
                f"x0 = {np.array2string(x0, precision=6)}")
     for k in range(sys_.d):

@@ -248,16 +248,14 @@ class GridSampledField(MatrixField):
         return tuple((b - a) / n for (a, b), n in zip(self.box, self.ncells))
 
     def cell_index(self, x):
-        """Index tuple of the cell containing x, or of index arrays for (n, d)
-        points: ceil(t) - 1 clipped to the grid at t = (x_i - a_i) / h_i, so
-        points on a shared face go to the lower cell."""
+        """Index tuple of the cell containing x (Python ints), or of index
+        arrays for (n, d) points: ceil(t) - 1 clipped to the grid at
+        t = (x_i - a_i) / h_i, so points on a shared face go to the lower cell."""
         x = _check_point_in_box(x, self.box)
-        if x.ndim == 2:
-            lo, hi = np.array(self.box).T
-            t = np.ceil((x - lo) / (hi - lo) * self.ncells).astype(int) - 1
-            return tuple(np.clip(t, 0, np.array(self.ncells) - 1).T)
-        return tuple(min(max(math.ceil((xi - a) / (b - a) * n) - 1, 0), n - 1)
-                     for xi, (a, b), n in zip(x.tolist(), self.box, self.ncells))
+        lo, hi = np.array(self.box).T
+        t = np.ceil((np.atleast_2d(x) - lo) / (hi - lo) * self.ncells).astype(int) - 1
+        t = np.clip(t, 0, np.array(self.ncells) - 1)
+        return tuple(t.T) if x.ndim == 2 else tuple(t[0].tolist())
 
     def cell_centers(self):
         return tensor_points([a + (np.arange(n) + 0.5) * (b - a) / n

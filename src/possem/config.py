@@ -123,6 +123,14 @@ def build_system(text):
         from . import catalog
 
         name, line = top["catalog"]
+        for key, (value, key_line) in top.items():
+            if key not in ("catalog", "seed", "bc"):
+                raise ConfigError(f"{key} = {value} would be ignored: a catalog config "
+                                  f"takes only catalog, seed and bc", key_line)
+        if tables:
+            (k, l), table = next(iter(tables.items()))
+            raise ConfigError(f"[coeff {k + 1} {l + 1}] would be ignored: a catalog "
+                              f"config takes no coefficient sections", table["line"])
         seed = _get_scalar(top, "seed", int, required=False)
         seeded = catalog.needs_seed(name)
         if seed is None and seeded:

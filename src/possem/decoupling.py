@@ -195,30 +195,22 @@ def _indicator(m, B):
 
 
 def _localize(sys, x0, pair, delta0, accept, what):
-    """Halve the dilation of ``pair`` at x0 from delta0 until ``accept(F,
-    delta)`` returns a value for the form matrix F of the dilated pair;
-    return (dilated pair, delta, value).  Supports that leave the box or
-    straddle coefficient cells are skipped."""
-    if delta0 is None:
-        delta0 = default_delta_max(sys.box, x0)
-    delta = float(delta0)
-    last_err = None
+    """Halve the dilation of ``pair`` at x0 until ``accept(F, delta)``
+    returns a value for the form matrix F of the dilated pair; return
+    (dilated pair, delta, value).  The search starts at ``system_delta_max``,
+    or at delta0 capped by it, so every support stays inside the box and
+    inside one cell of every coefficient, as the probes' do."""
+    delta = float(system_delta_max(sys, x0))
+    if delta0 is not None:
+        delta = min(delta, float(delta0))
     for _ in range(MAX_HALVINGS):
-        if delta <= boundary_distance(sys.box, x0):
-            dil = pair.dilated(x0, delta)
-            try:
-                F = form_matrix(sys, dil.phi, dil.psi)
-            except UnsupportedContract as exc:
-                last_err = exc
-            else:
-                value = accept(F, delta)
-                if value is not None:
-                    return dil, delta, value
+        dil = pair.dilated(x0, delta)
+        value = accept(form_matrix(sys, dil.phi, dil.psi), delta)
+        if value is not None:
+            return dil, delta, value
         delta *= 0.5
     raise WitnessNotLocalized(
-        f"no dilation certified a {what} at {x0} within {MAX_HALVINGS} halvings"
-        + (f" ({last_err})" if last_err else "")
-    )
+        f"no dilation certified a {what} at {x0} within {MAX_HALVINGS} halvings")
 
 
 def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):

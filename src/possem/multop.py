@@ -67,13 +67,13 @@ def find_witness(Q, tol=None):
     if tol is None:
         tol = default_mult_tol(Q)
     m = Q.shape[0]
-    for i in range(m):
-        for j in range(m):
-            if i != j and abs(Q[i, j]) > tol:
-                f = np.zeros(m)
-                f[j] = 1.0
-                return MultWitness(f, (i,), complex(Q[i, j]))
-    return None
+    hits = np.argwhere((np.abs(Q) > tol) & ~np.eye(m, dtype=bool))
+    if not len(hits):
+        return None
+    i, j = hits[0]
+    f = np.zeros(m)
+    f[j] = 1.0
+    return MultWitness(f, (i,), complex(Q[i, j]))
 
 
 def diag_projection(Q):

@@ -8,6 +8,7 @@ the coefficient tensors; evaluation is the only floating-point operation.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 
 class MultiPoly:
@@ -110,16 +111,7 @@ class MultiPoly:
 
     def partial(self, axis):
         """Partial derivative along the given axis."""
-        n = self.coeffs.shape[axis]
-        if n == 1:
-            return MultiPoly.constant(0.0, self.d)
-        sl = [slice(None)] * self.d
-        sl[axis] = slice(1, None)
-        c = self.coeffs[tuple(sl)].copy()
-        weights = np.arange(1, n).reshape(
-            [-1 if i == axis else 1 for i in range(self.d)]
-        )
-        return MultiPoly(c * weights)
+        return MultiPoly(polyder(self.coeffs, axis=axis))
 
     @property
     def real(self):
@@ -134,22 +126,12 @@ class MultiPoly:
     def __call__(self, x):
         """Evaluate at a point (length-d) or an array of points (..., d)."""
         pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[-1] != self.d:
+        if pts.shape[-1:] != (self.d,):
             raise ValueError("point dimension mismatch")
-        flat = pts.reshape(-1, self.d)
-        t = self.coeffs
-        for axis in range(self.d):
-            n = t.shape[0] if axis == 0 else t.shape[1]
-            v = flat[:, axis][:, None] ** np.arange(n)[None, :]
-            if axis == 0:
-                t = np.einsum("pa,a...->p...", v, t)
-            else:
-                t = np.einsum("pa,pa...->p...", v, t)
-        vals = t.reshape(pts.shape[:-1])
-        return complex(vals[0]) if single else vals
+        vals = polyval(pts[..., 0], self.coeffs, tensor=True)
+        for axis in range(1, self.d):
+            vals = polyval(pts[..., axis], vals, tensor=False)
+        return complex(vals) if pts.ndim == 1 else vals
 
     def bound_on_box(self, box):
         """Upper bound for ``|p(x)|`` over the closed box (coefficient-norm bound)."""

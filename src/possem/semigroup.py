@@ -148,12 +148,6 @@ def positivity_scan(gen, times=None, tol=None):
                             gen_off, gen_imag, verdict, tuple(per_time))
 
 
-def channel_components(u, m):
-    """Split a node-major, channel-minor vector into its m channel parts."""
-    u = np.asarray(u)
-    return [u[ch::m] for ch in range(m)]
-
-
 def factorization_residual(dform, scalar_dforms, t, u):
     """Relative gap between the block propagator and the channelwise scalar
     propagators: || exp(-tA) u - stack_n exp(-tA_n) u_n || / ||u||.
@@ -173,11 +167,10 @@ def factorization_residual(dform, scalar_dforms, t, u):
     u = np.asarray(u, dtype=complex)
     gen = GeneratorOperator.from_discrete_form(dform)
     full = expm_apply(gen, t, u)
-    parts = channel_components(u, m)
     out = np.zeros_like(full)
-    for ch, (sf, un) in enumerate(zip(scalar_dforms, parts)):
+    for ch, sf in enumerate(scalar_dforms):
         gn = GeneratorOperator.from_discrete_form(sf)
-        out[ch::m] = expm_apply(gn, t, un)
+        out[ch::m] = expm_apply(gn, t, u[ch::m])
     denom = float(np.linalg.norm(u))
     if denom == 0.0:
         return 0.0

@@ -192,6 +192,31 @@ def test_config_mistakes_exit_2(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+ARGUMENT_MISTAKES = [
+    ("probe --catalog ex1_3 --kl 3 1", "--kl 3 1: indices must lie in 1..2"),
+    ("probe --catalog ex1_3 --kl 0 1", "--kl 0 1: indices must lie in 1..2"),
+    ("probe --catalog ex1_3 --point 0.5", "--point needs 2 coordinates, got 1"),
+    ("analyze --catalog ex1_3 --point 0.5", "--point needs 2 coordinates, got 1"),
+    ("assemble --catalog ex1_3 --grid 0", "--grid 0: need >= 1 cell per dimension"),
+    ("positivity --catalog ex1_3 --grid 0", "--grid 0: need >= 1 cell per dimension"),
+    ("decouple --catalog witness_W --grid 0", "--grid 0: need >= 1 sample per axis"),
+    ("witness --catalog witness_W --grid 0", "--grid 0: need >= 1 sample per axis"),
+    ("decouple --catalog witness_W --grid -3", "--grid -3: need >= 1 sample per axis"),
+    ("positivity --catalog scalar_heat --grid 1",
+     "--grid 1: zero-trace grid needs >= 2 cells per dimension"),
+    ("positivity --catalog scalar_heat --times -1", "--times must be positive, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ARGUMENT_MISTAKES,
+                         ids=[argv for argv, _ in ARGUMENT_MISTAKES])
+def test_argument_mistakes_exit_2(tmp_path, capsys, argv, message):
+    assert run(argv.split(), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
 def readme_commands():
     """The ``possem ...`` lines of README's "Command line" block, as argv."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -66,6 +66,18 @@ def test_catalog_delegation():
     assert sys_.m == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("catalog = ex1_3\nmu = 99\nd = 3\n[coeff 1 1]\nkind = mystery\n",
+     "line 2: mu = 99 would be ignored"),
+    ("catalog = ex1_3\nbc = free\nd = 3\n", "line 3: d = 3 would be ignored"),
+    ("catalog = rand_coupled(3)\n\n[coeff 1 1]\nkind = mystery\n",
+     r"line 3: \[coeff 1 1\] would be ignored"),
+], ids=["mu", "d", "coeff-section"])
+def test_catalog_config_rejects_what_it_would_ignore(text, message):
+    with pytest.raises(ConfigError, match=message):
+        build_system(text)
+
+
 def test_missing_key_reported():
     with pytest.raises(ConfigError, match="box"):
         build_system("d = 2\nm = 1\n")

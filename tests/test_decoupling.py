@@ -18,6 +18,7 @@ from possem.decoupling import (
     form_criterion_sample,
     lattice_pair_value,
     probe_system,
+    system_delta_max,
 )
 from possem.errors import ContractViolation, GeometryError, UnsupportedContract
 from possem.polynomials import MultiPoly
@@ -223,6 +224,23 @@ def test_decision_via_probe_on_grid_sampled_cells(coupled):
     value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
     assert value == pytest.approx(w.value)
     assert value >= w.threshold * (1 - 1e-9)
+
+
+def test_witness_dilation_capped_like_the_probes():
+    # x0 lies 0.05 from the cell face x_1 = 0.75: the witness search starts at
+    # system_delta_max (0.025), and a larger delta0 is capped, not trusted
+    sys_ = four_cell_system(True)
+    x0 = np.array([0.8, 0.875])
+    Q = sys_.symmetrized(0, 1, x0)
+    cap = system_delta_max(sys_, x0)
+    for delta0 in (None, 0.2):
+        w = construct_witness(sys_, x0, 0, 1, Q, delta0=delta0)
+        assert w.delta <= cap
+        value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+        assert value == pytest.approx(w.value)
+        assert value >= w.threshold * (1 - 1e-9)
+    with pytest.raises(GeometryError):      # on the cell face x_1 = 0.75
+        construct_witness(sys_, np.array([0.75, 0.875]), 0, 1, Q)
 
 
 def grid_polynomial_system():

@@ -38,8 +38,6 @@ from .decoupling import (
     decide_decoupling,
     extract_offdiag_2d,
     extract_scalar_systems,
-    form_criterion_sample,
-    lattice_pair_value,
     probe,
     probe_system,
 )
@@ -70,6 +68,7 @@ from .semigroup import (
     expm_apply,
     factorization_residual,
     positivity_scan,
+    sign_witness,
 )
 from .tents import (
     PiecewiseLinear1D,

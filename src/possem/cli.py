@@ -112,13 +112,20 @@ def _witness_samples(args):
     return args.grid
 
 
-def _point_for(sys_, args):
-    """--point, or the centre of the box."""
+def _point_for(sys_, args, open_box=False):
+    """--point, or the centre of the box; the point must lie in the closed
+    box, or with ``open_box`` strictly inside it."""
     if args.point is None:
         return np.array([(a + b) / 2 for a, b in sys_.box])
     if len(args.point) != sys_.d:
         raise ConfigError(f"--point needs {sys_.d} coordinates, got {len(args.point)}")
-    return np.asarray(args.point, dtype=float)
+    x = np.asarray(args.point, dtype=float)
+    lo, hi = np.array(sys_.box, dtype=float).T
+    if not np.all(((lo < x) & (x < hi)) if open_box else ((lo <= x) & (x <= hi))):
+        raise ConfigError(f"--point {' '.join(f'{v:g}' for v in x)}: must lie "
+                          f"{'strictly inside' if open_box else 'in'} the box "
+                          + " x ".join(f"[{a:g}, {b:g}]" for a, b in sys_.box))
+    return x
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -179,13 +186,16 @@ def cmd_positivity(args, report):
     report.add(f"times: {', '.join(_fmt(t) for t in rep.times)}")
     report.add(f"minimum propagator entry (real part): {rep.min_entry:.12g}")
     report.add(f"max propagator entry imaginary part: {rep.max_imag_entry:.12g}")
-    report.add(f"generator max positive off-diagonal: {rep.generator_offdiag_max:.12g}")
+    w = rep.witness
+    report.add("generator sign witness: " + (
+        f"{w[0]} entry ({w[1] + 1}, {w[2] + 1}) = {w[3]:.12g}" if w else "none"))
     report.add(f"verdict: {rep.verdict}")
     if rep.offender:
         t, val, i, j = rep.offender
         report.add(f"offender: t = {_fmt(t)}, entry ({i + 1}, {j + 1}) = {val:.12g}")
     report.record("verdict", rep.verdict)
     report.record("min_entry", rep.min_entry)
+    report.record("witness", rep.witness)
 
 
 def cmd_decouple(args, report):
@@ -252,7 +262,7 @@ def _report_witness(report, out, sys_, wit, samples):
 
 def cmd_probe(args, report):
     sys_, name = _load_system(args)
-    x0 = _point_for(sys_, args)
+    x0 = _point_for(sys_, args, open_box=True)
     kt, lt = (args.kl if args.kl else (1, 1))
     if not (1 <= kt <= sys_.d and 1 <= lt <= sys_.d):
         raise ConfigError(f"--kl {kt} {lt}: indices must lie in 1..{sys_.d}")

@@ -119,14 +119,16 @@ def build_system(text):
     bc = _get_scalar(top, "bc", str, required=False, default="dirichlet")
     if bc not in ("dirichlet", "free"):
         raise ConfigError(f"bc must be 'dirichlet' or 'free', got {bc!r}", top["bc"][1])
+    kind, keys = (("a catalog", ("catalog", "seed", "bc")) if "catalog" in top
+                  else ("an inline", ("d", "m", "box", "bc", "mu")))
+    for key, (value, key_line) in top.items():
+        if key not in keys:
+            raise ConfigError(f"{key} = {value} would be ignored: {kind} config takes "
+                              f"only {', '.join(keys)}", key_line)
     if "catalog" in top:
         from . import catalog
 
         name, line = top["catalog"]
-        for key, (value, key_line) in top.items():
-            if key not in ("catalog", "seed", "bc"):
-                raise ConfigError(f"{key} = {value} would be ignored: a catalog config "
-                                  f"takes only catalog, seed and bc", key_line)
         if tables:
             (k, l), table = next(iter(tables.items()))
             raise ConfigError(f"[coeff {k + 1} {l + 1}] would be ignored: a catalog "

@@ -426,30 +426,3 @@ def extract_offdiag_2d(sys, tol=1e-10):
     syms = sys.symmetrized(0, 1, sys.interior_tensor_points(3))
     sym_const = bool(np.abs(syms - syms[0]).max(initial=0.0) <= tol * max(1.0, sys.bound()))
     return OffdiagReport(avg, sym_avg, anti_avg, sym_const)
-
-
-def lattice_pair_value(dform, u):
-    """Re (u-)* K (u+) for one real state split entrywise per node/channel."""
-    u = np.asarray(u, dtype=float)
-    up = np.maximum(u, 0.0)
-    um = np.maximum(-u, 0.0)
-    return float(np.real(um @ (dform.K @ up)))
-
-
-def form_criterion_sample(dform, count, seed):
-    """Max of Re (u-)* K (u+) over random real states split entrywise.
-
-    For a channel-decoupled real stiffness with nonpositive off-diagonal
-    entries this is always <= 0; a positive value is discrete-level evidence
-    against positivity.
-    """
-    if not dform.is_real():
-        raise UnsupportedContract(
-            "the lattice criterion applies to real (realified) systems"
-        )
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(count):
-        u = rng.standard_normal(dform.ndof)
-        worst = max(worst, lattice_pair_value(dform, u))
-    return worst

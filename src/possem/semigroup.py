@@ -2,10 +2,12 @@
 
 The propagator exp(-t A) with A = Mass^-1 K is computed by
 ``scipy.linalg.expm`` (scaling and squaring with Pade approximants, Al-Mohy
-and Higham 2009).  The positivity scan reports a three-valued verdict: a
-reproducible negative entry, a generator-level sign certificate that is
-sufficient for nonnegativity at every t, or plain sampled nonnegativity at
-the tested times.
+and Higham 2009).  With the lumped (positive diagonal) mass, exp(-t A) >= 0
+for every t > 0 exactly when A is real with nonpositive off-diagonal
+entries; ``sign_witness`` reads that criterion from A or from K, and an
+entry A_ij > 0 is the lattice witness u+ = e_j, u- = e_i (Berman and
+Plemmons, *Nonnegative Matrices*).  The positivity scan decides from the
+witness alone and reports the propagator's extremes at the requested times.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import ContractViolation, NumericalError
 
@@ -54,16 +57,6 @@ class GeneratorOperator:
     def norm1(self):
         return float(np.max(np.abs(self.A).sum(axis=0), initial=0.0))
 
-    def max_positive_offdiag(self):
-        R = self.A.real.copy()
-        np.fill_diagonal(R, -np.inf)
-        return float(R.max(initial=-np.inf))
-
-    def max_imag(self):
-        if not np.iscomplexobj(self.A):
-            return 0.0
-        return float(np.abs(self.A.imag).max(initial=0.0))
-
     def propagator(self, t):
         """exp(-t A)."""
         E = scipy.linalg.expm(-float(t) * self.A)
@@ -80,9 +73,26 @@ def expm_apply(gen, t, u):
     return gen.propagator(t) @ u
 
 
-def default_times(gen):
-    scale = max(gen.norm1, 1e-30)
-    return tuple(t / scale for t in (1e-2, 1e-1, 1.0))
+def sign_witness(A):
+    """Why exp(-t A) is not entrywise nonnegative for all t > 0, or None.
+
+    ``('lattice', i, j, Re A_ij)`` for the largest off-diagonal real part,
+    else ``('nonreal', i, j, Im A_ij)`` for the largest |imaginary part|, each
+    counted only above the rounding tolerance 1e-12 * max(1, max |A|).  A
+    dense or sparse A; the mass is a positive diagonal, so K gives the same
+    signs.  Ties within ``OFFENDER_BAND`` go to the smallest (i, j).
+    """
+    coo = scipy.sparse.coo_matrix(A)
+    scale = max(1.0, float(np.abs(coo.data).max(initial=0.0)))
+    for kind, vals in (("lattice", np.where(coo.row != coo.col, coo.data.real, -np.inf)),
+                       ("nonreal", np.abs(coo.data.imag))):
+        top = float(vals.max(initial=-np.inf))
+        if top > 1e-12 * scale:
+            tied = np.flatnonzero(vals >= top - OFFENDER_BAND * scale)
+            k = tied[np.lexsort((coo.col[tied], coo.row[tied]))[0]]
+            value = coo.data[k].real if kind == "lattice" else coo.data[k].imag
+            return kind, int(coo.row[k]), int(coo.col[k]), float(value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -91,32 +101,35 @@ class PositivityReport:
     min_entry: float            # most negative real part over all entries/times
     max_imag_entry: float
     offender: tuple             # (t, value, row, col) or None
-    generator_offdiag_max: float
-    generator_imag_max: float
-    verdict: str                # NEGATIVE-FOUND | SIGN-PATTERN-OK | SAMPLED-NONNEGATIVE
+    witness: tuple              # sign_witness of the generator, or None
+    verdict: str                # SIGN-PATTERN-OK | NEGATIVE-FOUND | NONREAL-FOUND
     per_time: tuple             # (min real part, max |imag part|) at each time
 
     @property
     def positive(self):
-        return self.verdict != "NEGATIVE-FOUND"
+        return self.verdict == "SIGN-PATTERN-OK"
 
 
 def positivity_scan(gen, times=None, tol=None):
-    """Scan exp(-t A) over the given times for negative entries.
+    """Decide entrywise nonnegativity of exp(-t A), t > 0, from the sign
+    pattern of A, and report the propagator's extremes at the given times.
 
-    Verdicts: NEGATIVE-FOUND with a reproducible offender; SIGN-PATTERN-OK
-    when additionally A is real with nonpositive off-diagonal entries (a
-    sufficient certificate for entrywise nonnegativity at all t); otherwise
-    SAMPLED-NONNEGATIVE for the tested times only.  The offender is taken
-    at the first time whose minimum entry is below the tolerance: the
-    smallest (row, col) among the entries within ``OFFENDER_BAND`` times
-    the largest |entry| of that minimum.
+    Verdicts: SIGN-PATTERN-OK when ``sign_witness`` finds nothing;
+    NEGATIVE-FOUND with a reproducible offender when a tested time shows a
+    negative entry or a lattice witness A_ij > 0 exists; NONREAL-FOUND
+    otherwise; without a witness a negative sampled entry is rounding.  The
+    offender is taken at the first time whose minimum entry is below the
+    tolerance: the smallest (row, col) among the entries within
+    ``OFFENDER_BAND`` times the largest |entry| of that minimum.  When no
+    tested time shows one, it is the witness entry at t = A_ij / (2 ||A||_1^2),
+    where |(A^k)_ij| <= ||A||_1^k bounds the Taylor remainder below t A_ij / 2.
     """
     if times is None:
-        times = default_times(gen)
+        times = tuple(t / max(gen.norm1, 1e-30) for t in (1e-2, 1e-1, 1.0))
     times = tuple(float(t) for t in times)
     if not times or any(t <= 0 for t in times):
         raise ValueError("times must be nonempty and positive")
+    witness = sign_witness(gen.A)
     per_time = []
     offender = None
     for t in times:
@@ -127,25 +140,23 @@ def positivity_scan(gen, times=None, tol=None):
         val = float(re.min())
         imag = float(np.abs(E.imag).max(initial=0.0)) if np.iscomplexobj(E) else 0.0
         per_time.append((val, imag))
-        if val < -t_tol and offender is None:
+        if val < -t_tol and offender is None and witness is not None:
             # the smallest (row, col) among the entries tied with the
             # minimum, so that summation order cannot move the offender
             tied = re <= val + OFFENDER_BAND * scale
             i, j = np.unravel_index(np.argmax(tied), re.shape)
             offender = (t, float(re[i, j]), int(i), int(j))
-    gen_off = gen.max_positive_offdiag()
-    gen_imag = gen.max_imag()
-    scaleA = max(1.0, float(np.abs(gen.A).max(initial=0.0)))
-    if offender is not None:
-        verdict = "NEGATIVE-FOUND"
-    elif gen_off <= 1e-12 * scaleA and gen_imag <= 1e-12 * scaleA:
-        verdict = "SIGN-PATTERN-OK"
-    else:
-        verdict = "SAMPLED-NONNEGATIVE"
+    if offender is None and witness and witness[0] == "lattice":
+        _, i, j, a = witness
+        t = a / (2.0 * gen.norm1 ** 2)
+        col = scipy.sparse.linalg.expm_multiply(-t * gen.A, np.eye(1, gen.ndof, j)[0])
+        offender = (t, float(col[i].real), i, j)
+    verdict = ("SIGN-PATTERN-OK" if witness is None
+               else "NEGATIVE-FOUND" if offender else "NONREAL-FOUND")
     min_entry = min(val for val, _ in per_time)
     max_imag = max(imag for _, imag in per_time)
     return PositivityReport(times, min_entry, max_imag, offender,
-                            gen_off, gen_imag, verdict, tuple(per_time))
+                            witness, verdict, tuple(per_time))
 
 
 def factorization_residual(dform, scalar_dforms, t, u):

@@ -183,8 +183,10 @@ INLINE_D2 = "d = 2\nm = 1\nbox = 0 1 0 1\nmu = 0\n"
     (INLINE_D2 + "bc = neumann\n", "line 5: bc must be"),
     (INLINE_D2 + "[coeff 1 1]\nkind = constant\n[coeff 3 1]\nkind = constant\n",
      "line 7: coefficient (3, 1) out of range for d = 2"),
+    (INLINE_D2 + "mue = 3\n", "line 5: mue = 3 would be ignored: an inline config"),
+    (INLINE_D2 + "seed = 4\n", "line 5: seed = 4 would be ignored: an inline config"),
 ], ids=["unseeded", "ignored-seed", "seed-on-named-seed", "bc-catalog", "bc-inline",
-        "coeff-out-of-range"])
+        "coeff-out-of-range", "unknown-inline-key", "seed-inline"])
 def test_config_mistakes_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "system.cfg"
     cfg.write_text(text)
@@ -197,6 +199,11 @@ ARGUMENT_MISTAKES = [
     ("probe --catalog ex1_3 --kl 0 1", "--kl 0 1: indices must lie in 1..2"),
     ("probe --catalog ex1_3 --point 0.5", "--point needs 2 coordinates, got 1"),
     ("analyze --catalog ex1_3 --point 0.5", "--point needs 2 coordinates, got 1"),
+    ("probe --catalog ex1_3 --point 9 0",
+     "--point 9 0: must lie strictly inside the box [-4, 4] x [-4, 4]"),
+    ("probe --catalog ex1_3 --point 4 0",
+     "--point 4 0: must lie strictly inside the box [-4, 4] x [-4, 4]"),
+    ("analyze --catalog ex1_3 --point 9 0", "--point 9 0: must lie in the box [-4, 4] x [-4, 4]"),
     ("assemble --catalog ex1_3 --grid 0", "--grid 0: need >= 1 cell per dimension"),
     ("positivity --catalog ex1_3 --grid 0", "--grid 0: need >= 1 cell per dimension"),
     ("decouple --catalog witness_W --grid 0", "--grid 0: need >= 1 sample per axis"),

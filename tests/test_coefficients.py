@@ -283,3 +283,22 @@ def test_system_validation():
         EllipticSystem(((0, 1),), 1, ((two,),), "dirichlet", 1.0)
     with pytest.raises(ValueError, match="bc"):
         EllipticSystem(((0, 1),), 1, ((one,),), "neumann", 1.0)
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="coercivity is checked on 5^d sample points, and the "
+                          "quintic dip of C_11 vanishes on all of them")
+def test_coercivity_counterexample_fails():
+    # C_11 = 1 + 2000 prod_{i=1..5} (x_1 - i/6) reads 1 on the sample grid,
+    # but its Hermitian part drops to 0.156 < mu = 0.5 at x_1 = 0.75
+    x = MultiPoly.variable(0, 2)
+    dip = MultiPoly.constant(2000.0, 2)
+    for i in range(1, 6):
+        dip = dip * (x - i / 6)
+    c11 = PolynomialField(((MultiPoly.constant(1.0, 2) + dip,),), 2)
+    one = ConstantField(np.ones((1, 1)))
+    zero = ConstantField(np.zeros((1, 1)))
+    sys_ = EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 1, ((c11, zero), (zero, one)),
+                          "dirichlet", 0.5)
+    assert float(c11.eval(np.array([0.75, 0.5]))[0, 0].real) < 0.5
+    assert check_ellipticity(sys_).passed is False

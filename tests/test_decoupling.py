@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +19,6 @@ from possem.decoupling import (
     decide_decoupling,
     extract_offdiag_2d,
     extract_scalar_systems,
-    form_criterion_sample,
-    lattice_pair_value,
     probe_system,
     system_delta_max,
 )
@@ -388,20 +390,6 @@ def test_extract_offdiag_2d_needs_free_bc():
         extract_offdiag_2d(sys_)
 
 
-def test_form_criterion_scalar_heat():
-    sys_ = catalog.get("scalar_heat").build()
-    dform = assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet"))
-    scale = np.abs(dform.K.data).max()
-    assert form_criterion_sample(dform, 50, seed=0) <= 1e-10 * scale
-
-
-def test_form_criterion_nonnegative_state():
-    sys_ = catalog.get("scalar_heat").build()
-    dform = assemble(sys_, Grid(sys_.box, (6, 6), "dirichlet"))
-    u = np.abs(np.random.default_rng(1).standard_normal(dform.ndof))
-    assert lattice_pair_value(dform, u) == 0.0
-
-
 def test_form_criterion_witness_state_positive():
     # nodal interpolation of the certified witness pair keeps the positive
     # form value once tents are grid aligned: delta = 1, h = 0.25
@@ -416,7 +404,7 @@ def test_form_criterion_witness_state_positive():
     minus = w.pair.psi(pts)
     for ch in range(sys_.m):
         state[ch::sys_.m] = plus * w.f[ch] - minus * w.indicator[ch]
-    val = lattice_pair_value(dform, state)
+    val = np.maximum(-state, 0.0) @ (dform.K @ np.maximum(state, 0.0)).real
     assert val == pytest.approx(4.0, abs=1e-10)
 
 
@@ -457,3 +445,23 @@ def test_probe_flags_divergent_evaluator():
                 np.array([0.5, 0.5]), 0, 0)
     assert not res.converged
     assert calls["n"] == len(res.deltas)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="the direct path probes 3^d points, and the cubic "
+                          "channel coupling vanishes on all of them")
+def test_soundness_counterexample_not_positive():
+    import possem
+
+    sys_ = _perfbench_workloads().soundness_counterexample(possem)
+    verdict = decide_decoupling(sys_)
+    assert verdict.decision == "not-positive"
+    assert verdict.witness.value >= verdict.witness.threshold

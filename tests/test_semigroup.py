@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from possem import catalog
 from possem.assembly import Grid, assemble
 from possem.coefficients import ConstantField, EllipticSystem
-from possem.decoupling import extract_scalar_systems
+from possem.decoupling import decide_decoupling, extract_scalar_systems
 from possem.errors import ContractViolation, NumericalError
 from possem.semigroup import (
     GeneratorOperator,
     expm_apply,
     factorization_residual,
     positivity_scan,
+    sign_witness,
 )
 
 
@@ -119,6 +121,85 @@ def test_positivity_scan_coupled_complex_pair():
                           times=(0.01, 0.1, 1.0))
     assert rep.verdict != "NEGATIVE-FOUND"
     assert rep.min_entry >= -1e-12
+
+
+def test_positivity_scan_lattice_witness_below_sampled_times():
+    # the positive off-diagonal entry is too small for any default time to
+    # show a negative entry; the offender comes from the witness itself
+    gen = GeneratorOperator(np.array([[1.0, 1e-9], [0.0, 1.0]]))
+    rep = positivity_scan(gen)
+    assert rep.verdict == "NEGATIVE-FOUND" and not rep.positive
+    assert rep.witness == ("lattice", 0, 1, 1e-9)
+    t, val, i, j = rep.offender
+    assert (i, j) == (0, 1) and val < 0
+    ref = scipy.linalg.expm(-t * gen.A)[0, 1]
+    assert ref < 0 and abs(val - ref) <= 1e-8
+
+
+def _scalar_system(c11, c22, c12=0.0):
+    """Scalar system with constant coefficients on the unit square, zero trace."""
+    coeffs = tuple(tuple(ConstantField(np.array([[c]], dtype=complex)) for c in row)
+                   for row in ((c11, c12), (c12, c22)))
+    return EllipticSystem(((0, 1), (0, 1)), 1, coeffs, "dirichlet", 0.05)
+
+
+def test_positivity_scan_nonreal_scalar():
+    sys_ = _scalar_system(1 + 0.1j, 1 + 0.1j)
+    dform = assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet"))
+    rep = positivity_scan(GeneratorOperator.from_discrete_form(dform))
+    assert rep.verdict == "NONREAL-FOUND" and not rep.positive
+    assert rep.offender is None
+    assert rep.witness[0] == "nonreal"
+
+
+def test_sign_witness_scalar_heat():
+    sys_ = catalog.get("scalar_heat").build()
+    dform = assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet"))
+    assert sign_witness(dform.K) is None
+    assert sign_witness(GeneratorOperator.from_discrete_form(dform).A) is None
+
+
+@pytest.mark.parametrize("name, bc", [("witness_W", "dirichlet"), ("ex1_3", "free")])
+def test_sign_witness_same_on_stiffness_and_generator(name, bc):
+    # K and A = Mass^-1 K share their signs; on these grids the largest
+    # positive off-diagonal entry also sits at the same place
+    sys_ = catalog.get(name).build(bc=bc)
+    dform = assemble(sys_, Grid(sys_.box, (8, 8), bc))
+    from_K = sign_witness(dform.K)
+    from_A = sign_witness(GeneratorOperator.from_discrete_form(dform).A)
+    assert from_K[0] == "lattice" and from_K[:3] == from_A[:3]
+
+
+def test_sign_witness_is_a_lattice_pair():
+    # a positive K_ij makes u+ = e_j, u- = e_i a nonnegative, disjointly
+    # supported pair with Re (u-)^T K u+ = K_ij > 0
+    sys_ = catalog.get("witness_W").build()
+    dform = assemble(sys_, Grid(sys_.box, (6, 6), "dirichlet"))
+    kind, i, j, value = sign_witness(dform.K)
+    assert kind == "lattice" and i != j and value > 0
+    plus, minus = np.eye(dform.ndof)[[j, i]]
+    assert float(np.real(minus @ (dform.K @ plus))) == value
+    K = dform.K.toarray().real
+    np.fill_diagonal(K, -np.inf)
+    assert value == K.max()
+
+
+def test_q1_diagonal_neighbour_gap():
+    # a real scalar system with a mixed term: positive semigroup, but the
+    # Q1 entry b/2 - (c11 + c22)/6 between diagonal neighbours turns
+    # positive once |b| > 2/3, on every square grid
+    sys_ = _scalar_system(1.0, 1.0, 0.9)
+    assert decide_decoupling(sys_).decision == "positive-decoupled"
+    grid = Grid(sys_.box, (8, 8), "dirichlet")
+    dform = assemble(sys_, grid)
+    kind, i, j, value = sign_witness(dform.K)
+    nodes = np.ravel_multi_index(([0, 1], [1, 0]), grid.shape)
+    assert kind == "lattice" and (i, j) == tuple(nodes)
+    assert value == pytest.approx(0.9 / 2 - 1 / 3, abs=1e-12)
+    rep = positivity_scan(GeneratorOperator.from_discrete_form(dform))
+    assert rep.verdict == "NEGATIVE-FOUND"
+    below = assemble(_scalar_system(1.0, 1.0, 0.66), grid)
+    assert sign_witness(below.K) is None
 
 
 def test_positivity_scan_validates_times():

@@ -25,8 +25,8 @@ DEFAULT_MAX_TOTAL_DEGREE = 6
 def _as_box(box):
     out = tuple((float(a), float(b)) for a, b in box)
     for a, b in out:
-        if not b > a:
-            raise ValueError("box intervals must have positive length")
+        if not -math.inf < a < b < math.inf:
+            raise ValueError("box intervals must be finite with positive length")
     return out
 
 
@@ -421,39 +421,25 @@ def refinement_cuts(sys):
 
 def _refined_cell_points(sys, offsets):
     """Tensor points at the given relative offsets in every cell of the
-    common refinement, or None when no coefficient is grid-sampled."""
-    refinement = refinement_cuts(sys)
-    if refinement is None:
-        return None
+    common refinement of the grid-sampled coefficients' cells; the box is the
+    single cell when no coefficient is grid-sampled."""
     axes = []
-    for (a, b), (cuts, fine) in zip(sys.box, refinement):
-        pts = cuts[:-1, None] + np.asarray(offsets)[None, :] * np.diff(cuts)[:, None]
+    whole = [(np.arange(2), 1)] * sys.d
+    for (a, b), (cuts, fine) in zip(sys.box, refinement_cuts(sys) or whole):
+        pts = cuts[:-1, None] + np.asarray(offsets) * (cuts[1:] - cuts[:-1])[:, None]
         axes.append(a + pts.ravel() * (b - a) / fine)
     return tensor_points(axes)
 
 
-def grid_cell_centers(sys):
-    """Cell centers of the common refinement of the cells of every
-    grid-sampled coefficient, or None when none is: they see every cell value
-    of every field, and with a single cell grid equal its ``cell_centers()``."""
-    return _refined_cell_points(sys, (0.5,))
-
-
 def default_ellipticity_points(sys):
-    """Sample points for the coercivity check: a single center point when all
-    coefficients are constant, grid cell centers for sampled fields, and an
-    interior tensor grid otherwise."""
-    kinds = {sys.coeffs[k][l].kind for k in range(sys.d) for l in range(sys.d)}
-    pts = []
-    if kinds == {"constant"}:
-        center = np.array([(a + b) / 2 for a, b in sys.box])
-        return center[None, :]
-    if "polynomial" in kinds or "constant" in kinds:
-        pts.append(sys.interior_tensor_points(5))
-    centers = grid_cell_centers(sys)
-    if centers is not None:
-        pts.append(centers)
-    return np.unique(np.concatenate(pts, axis=0), axis=0)
+    """Sample points for the coercivity check: the cell centers of grid-sampled
+    fields (the box center when there are none), joined by an interior 5^d
+    tensor grid when a polynomial, or a constant beside a grid, is present."""
+    kinds = {fld.kind for row in sys.coeffs for fld in row}
+    pts = _refined_cell_points(sys, (0.5,))
+    if "polynomial" in kinds or kinds == {"constant", "grid"}:
+        pts = np.unique(np.concatenate([pts, sys.interior_tensor_points(5)]), axis=0)
+    return pts
 
 
 def check_ellipticity(sys, sample_points=None, tol=None):

@@ -29,7 +29,7 @@ import re
 
 import numpy as np
 
-from .coefficients import ConstantField, EllipticSystem, PolynomialField
+from .coefficients import DEFAULT_MAX_TOTAL_DEGREE, ConstantField, EllipticSystem, PolynomialField
 from .errors import ConfigError
 from .polynomials import MultiPoly
 
@@ -41,9 +41,12 @@ def _parse_complex(text, line):
     if not m:
         raise ConfigError(f"expected a [re, im] pair, got {text!r}", line)
     try:
-        return complex(float(m.group(1)), float(m.group(2)))
+        z = complex(float(m.group(1)), float(m.group(2)))
     except ValueError as exc:
         raise ConfigError(f"bad number in pair {text!r}", line) from exc
+    if not np.isfinite(z):
+        raise ConfigError(f"non-finite number in pair {text!r}", line)
+    return z
 
 
 def parse_config(text):
@@ -149,6 +152,9 @@ def build_system(text):
 
     d = _get_scalar(top, "d", int)
     m = _get_scalar(top, "m", int)
+    for key, n in (("d", d), ("m", m)):
+        if n < 1:
+            raise ConfigError(f"{key} must be at least 1, got {n}", top[key][1])
     box_text, box_line = top.get("box", (None, None))
     if box_text is None:
         raise ConfigError("missing required key 'box'")
@@ -160,6 +166,8 @@ def build_system(text):
         raise ConfigError(f"box needs {2 * d} numbers for d = {d}", box_line)
     box = tuple((nums[2 * i], nums[2 * i + 1]) for i in range(d))
     mu = _get_scalar(top, "mu", float, required=False, default=0.0)
+    if not np.isfinite(mu):
+        raise ConfigError(f"mu must be finite, got {mu}", top["mu"][1])
     for (k, l), table in tables.items():
         if not (0 <= k < d and 0 <= l < d):
             raise ConfigError(f"coefficient ({k + 1}, {l + 1}) out of range for d = {d}",
@@ -189,8 +197,9 @@ def build_system(text):
                 for i, j, exps, coef, line in table["terms"]:
                     if not (0 <= i < m and 0 <= j < m):
                         raise ConfigError(f"term index ({i + 1}, {j + 1}) out of range", line)
-                    if len(exps) != d:
-                        raise ConfigError(f"need {d} exponents", line)
+                    if len(exps) != d or min(exps) < 0 or sum(exps) > DEFAULT_MAX_TOTAL_DEGREE:
+                        raise ConfigError(f"need {d} exponents >= 0 of sum at most "
+                                          f"{DEFAULT_MAX_TOTAL_DEGREE}", line)
                     terms.setdefault((i, j), []).append((exps, coef))
                 zero = MultiPoly.constant(0.0, d)
                 entries = tuple(
@@ -202,7 +211,10 @@ def build_system(text):
             else:
                 raise ConfigError(f"unknown coefficient kind {kind!r}", kind_line)
         coeffs.append(tuple(row))
-    return EllipticSystem(box, m, tuple(coeffs), bc, mu), {}
+    try:
+        return EllipticSystem(box, m, tuple(coeffs), bc, mu), {}
+    except ValueError as exc:
+        raise ConfigError(str(exc), box_line) from exc
 
 
 def dump_system(sys):

@@ -289,13 +289,15 @@ class Verdict:
 
 
 def default_probe_points(sys):
-    """Interior tensor points at relative offsets 1/4, 1/2, 3/4 of the box, or
-    of every refined cell of grid-sampled coefficients (only the cell centers
-    when no coefficient is a polynomial); no point lies on a cell face."""
-    kinds = {fld.kind for row in sys.coeffs for fld in row}
-    if "grid" not in kinds:
-        return sys.interior_tensor_points(3)
-    return _refined_cell_points(sys, (0.25, 0.5, 0.75) if "polynomial" in kinds else (0.5,))
+    """(p+1)^d interior tensor points at relative offsets j / (p+2), j = 1..p+1,
+    of the box, or of every cell of the common refinement of grid-sampled
+    coefficients; p is the largest per-axis exponent of a non-grid term.  A
+    tensor grid of p+1 nodes per axis is unisolvent for per-axis degree <= p,
+    so a symmetrized coefficient vanishes at these points only if it vanishes
+    on every cell.  No point lies on a cell face."""
+    p = max((max(exps) for row in sys.coeffs for fld in row if fld.kind != "grid"
+             for exps, _ in fld.monomials(sys.d, sys.box)), default=0)
+    return _refined_cell_points(sys, np.arange(1, p + 2) / (p + 2))
 
 
 def extract_scalar_systems(sys):
@@ -341,10 +343,10 @@ def _first_failure(sys, points, tol, via_probe):
     return None
 
 
-def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
-                      require_elliptic=True):
+def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     """Decide positivity of the semigroup by testing every symmetrized
-    coefficient for real diagonality at every probe point.
+    coefficient for real diagonality at every ``default_probe_points``,
+    to within ``default_decision_tol``.
 
     On success the scalar systems are extracted and their uniform bound and
     pointwise coercivity are checked: with ``require_elliptic`` a failed
@@ -359,11 +361,8 @@ def decide_decoupling(sys, probe_points=None, tol=None, via_probe=False,
                 f"system fails its declared coercivity: lambda_min = "
                 f"{report.lambda_min:.6g} < mu = {sys.mu}"
             )
-    if probe_points is None:
-        probe_points = default_probe_points(sys)
-    probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if tol is None:
-        tol = default_decision_tol(sys)
+    probe_points = default_probe_points(sys)
+    tol = default_decision_tol(sys)
 
     M = sys.bound()
     first_failure = _first_failure(sys, probe_points, tol, via_probe)
@@ -423,6 +422,6 @@ def extract_offdiag_2d(sys, tol=1e-10):
     sym_avg = (sys.coefficient(0, 1).average(sys.box)
                + sys.coefficient(1, 0).average(sys.box))
     anti_avg = avg - sym_avg / 2.0
-    syms = sys.symmetrized(0, 1, sys.interior_tensor_points(3))
+    syms = sys.symmetrized(0, 1, default_probe_points(sys))
     sym_const = bool(np.abs(syms - syms[0]).max(initial=0.0) <= tol * max(1.0, sys.bound()))
     return OffdiagReport(avg, sym_avg, anti_avg, sym_const)

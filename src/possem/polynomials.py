@@ -51,6 +51,8 @@ class MultiPoly:
         for exps, _ in terms:
             if len(exps) != d:
                 raise ValueError("exponent tuple length mismatch")
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {tuple(exps)}")
             for i, e in enumerate(exps):
                 shape[i] = max(shape[i], int(e) + 1)
         c = np.zeros(shape, dtype=complex)

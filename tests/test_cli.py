@@ -185,8 +185,20 @@ INLINE_D2 = "d = 2\nm = 1\nbox = 0 1 0 1\nmu = 0\n"
      "line 7: coefficient (3, 1) out of range for d = 2"),
     (INLINE_D2 + "mue = 3\n", "line 5: mue = 3 would be ignored: an inline config"),
     (INLINE_D2 + "seed = 4\n", "line 5: seed = 4 would be ignored: an inline config"),
+    (INLINE_D2 + "[coeff 1 1]\nkind = polynomial\nterm 1 1 = -1 0 : [1, 0]\n",
+     "line 7: need 2 exponents >= 0 of sum at most 6"),
+    (INLINE_D2 + "[coeff 1 1]\nkind = polynomial\nterm 1 1 = 4 3 : [1, 0]\n",
+     "line 7: need 2 exponents >= 0 of sum at most 6"),
+    ("d = 2\nm = 0\nbox = 0 1 0 1\n", "line 2: m must be at least 1, got 0"),
+    ("d = 2\nm = -1\nbox = 0 1 0 1\n", "line 2: m must be at least 1, got -1"),
+    ("d = 2\nm = 1\nbox = 1 0 0 1\n",
+     "line 3: box intervals must be finite with positive length"),
+    (INLINE_D2 + "[coeff 1 1]\nkind = constant\nentry 1 1 = [inf, 0]\n",
+     "line 7: non-finite number in pair '[inf, 0]'"),
+    ("d = 2\nm = 1\nbox = 0 1 0 1\nmu = nan\n", "line 4: mu must be finite, got nan"),
 ], ids=["unseeded", "ignored-seed", "seed-on-named-seed", "bc-catalog", "bc-inline",
-        "coeff-out-of-range", "unknown-inline-key", "seed-inline"])
+        "coeff-out-of-range", "unknown-inline-key", "seed-inline", "negative-exponent",
+        "past-degree-cap", "m-zero", "m-negative", "reversed-box", "inf-entry", "nan-mu"])
 def test_config_mistakes_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "system.cfg"
     cfg.write_text(text)

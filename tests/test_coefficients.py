@@ -10,7 +10,6 @@ from possem.coefficients import (
     check_ellipticity,
     default_ellipticity_points,
     eval_coefficient,
-    grid_cell_centers,
     realify_field,
     realify_matrix,
 )
@@ -92,20 +91,6 @@ def test_grid_cell_index_of_point_array():
     for bad in ([[0.5, 0.5], [1.5, 0.5]], [[0.5, -1.5]], [[0.5, 0.5, 0.5]]):
         with pytest.raises(DomainError):
             fld.cell_index(np.array(bad))
-
-
-def test_grid_cell_centers_common_refinement():
-    box = ((0.0, 1.0), (0.0, 2.0))
-    two = GridSampledField(box, np.zeros((2, 1, 1, 1)))
-    three = GridSampledField(box, np.zeros((3, 1, 1, 1)))
-    zero = ConstantField(np.zeros((1, 1)))
-    alone = EllipticSystem(box, 1, ((two, zero), (zero, two)))
-    assert np.array_equal(grid_cell_centers(alone), two.cell_centers())
-    mixed = EllipticSystem(box, 1, ((two, zero), (zero, three)))
-    # cuts at 0, 1/3, 1/2, 2/3, 1 along the first axis; one cell along the second
-    assert np.allclose(grid_cell_centers(mixed),
-                       [[1 / 6, 1.0], [5 / 12, 1.0], [7 / 12, 1.0], [5 / 6, 1.0]])
-    assert grid_cell_centers(EllipticSystem(box, 1, ((zero, zero), (zero, zero)))) is None
 
 
 def test_ellipticity_scalar_heat():

@@ -17,6 +17,7 @@ from possem.decoupling import (
     NonrealWitness,
     construct_witness,
     decide_decoupling,
+    default_probe_points,
     extract_offdiag_2d,
     extract_scalar_systems,
     probe_system,
@@ -159,8 +160,7 @@ def test_decision_via_probe_matches_direct():
     for name in ("ex1_3", "witness_W"):
         sys_ = catalog.get(name).build()
         direct = decide_decoupling(sys_)
-        probed = decide_decoupling(sys_, via_probe=True,
-                                   probe_points=sys_.interior_tensor_points(1))
+        probed = decide_decoupling(sys_, via_probe=True)
         assert direct.decision == probed.decision
 
 
@@ -375,6 +375,19 @@ def test_extract_offdiag_2d_symmetric_system():
     assert np.abs(rep.average - R).max() <= 1e-10
 
 
+def test_extract_offdiag_2d_sees_polynomial_symmetrized_part():
+    # C_12 = C_21 = (x - 1/4)(x - 1/2)(x - 3/4) I vanishes on the 3 x 3 grid
+    # at 1/4, 1/2, 3/4 but not on the 4 x 4 grid its cubic degree asks for
+    x = MultiPoly.variable(0, 2)
+    q = (x - 0.25) * (x - 0.5) * (x - 0.75)
+    zero = MultiPoly.constant(0.0, 2)
+    c12 = PolynomialField(((q, zero), (zero, q)), 2)
+    diag = ConstantField(3.0 * np.eye(2))
+    sys_ = EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 2,
+                          ((diag, c12), (c12, diag)), "free", 1.0)
+    assert not extract_offdiag_2d(sys_).symmetrized_constant
+
+
 def test_extract_offdiag_2d_zero_form():
     one = ConstantField(np.eye(1, dtype=complex))
     zero = ConstantField(np.zeros((1, 1), dtype=complex))
@@ -455,9 +468,6 @@ def _perfbench_workloads():
     return module
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="the direct path probes 3^d points, and the cubic "
-                          "channel coupling vanishes on all of them")
 def test_soundness_counterexample_not_positive():
     import possem
 
@@ -465,3 +475,68 @@ def test_soundness_counterexample_not_positive():
     verdict = decide_decoupling(sys_)
     assert verdict.decision == "not-positive"
     assert verdict.witness.value >= verdict.witness.threshold
+
+
+def test_soundness_counterexample_not_positive_via_probe():
+    import possem
+
+    sys_ = _perfbench_workloads().soundness_counterexample(possem)
+    verdict = decide_decoupling(sys_, via_probe=True)
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value >= w.threshold * (1 - 1e-9)
+
+
+def hidden_coupling_system(p, layout):
+    """Channel coupling 20 (x_1 - 1/4)(x_1 - 1/2)(x_1 - 3/4) x_1**(p - 3) in
+    C_11 over the diagonal 3I, on the unit square or cube.  It has per-axis
+    degree p and vanishes wherever x_1 is 1/4, 1/2 or 3/4.  With layout
+    'grid' the system also holds C_22 = 3I on 1 x 2 cells, so each cell
+    spans all of x_1 and 3 points per axis and cell miss the coupling too."""
+    d = 3 if layout == "3d" else 2
+    x = MultiPoly.variable(0, d)
+    c = 20 * (x - 0.25) * (x - 0.5) * (x - 0.75)
+    for _ in range(p - 3):
+        c = c * x
+    three = MultiPoly.constant(3.0, d)
+    zero = ConstantField(np.zeros((2, 2)))
+    rows = [[zero] * d for _ in range(d)]
+    for k in range(d):
+        rows[k][k] = ConstantField(3.0 * np.eye(2))
+    rows[0][0] = PolynomialField(((three, c), (c, three)), d)
+    box = ((0.0, 1.0),) * d
+    if layout == "grid":
+        rows[1][1] = GridSampledField(box, np.broadcast_to(3.0 * np.eye(2), (1, 2, 2, 2)))
+    return EllipticSystem(box, 2, rows, "dirichlet", 1.0)
+
+
+@pytest.mark.parametrize("layout", ["2d", "3d", "grid"])
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_decision_sees_coupling_hidden_from_three_points_per_axis(p, layout):
+    sys_ = hidden_coupling_system(p, layout)
+    cells = 2 if layout == "grid" else 1
+    assert len(default_probe_points(sys_)) == cells * (p + 1) ** sys_.d
+    verdict = decide_decoupling(sys_)
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == pytest.approx(w.value)
+    assert value >= w.threshold * (1 - 1e-9)
+
+
+def test_default_probe_points_common_refinement():
+    # grid-only systems read every cell centre of the common refinement of
+    # the fields' cells; with nothing grid-sampled the box is the one cell
+    box = ((0.0, 1.0), (0.0, 2.0))
+    two = GridSampledField(box, np.zeros((2, 1, 1, 1)))
+    three = GridSampledField(box, np.zeros((3, 1, 1, 1)))
+    zero = ConstantField(np.zeros((1, 1)))
+    alone = EllipticSystem(box, 1, ((two, zero), (zero, two)))
+    assert np.array_equal(default_probe_points(alone), two.cell_centers())
+    mixed = EllipticSystem(box, 1, ((two, zero), (zero, three)))
+    # cuts at 0, 1/3, 1/2, 2/3, 1 along the first axis; one cell along the second
+    assert np.allclose(default_probe_points(mixed),
+                       [[1 / 6, 1.0], [5 / 12, 1.0], [7 / 12, 1.0], [5 / 6, 1.0]])
+    constant = EllipticSystem(box, 1, ((zero, zero), (zero, zero)))
+    assert np.array_equal(default_probe_points(constant), [[0.5, 1.0]])

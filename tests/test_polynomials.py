@@ -65,3 +65,9 @@ def test_real_and_imag_parts():
     pt = np.array([1.0, 0.0])
     assert p.real(pt) == pytest.approx(2.0)
     assert p.imag(pt) == pytest.approx(3.0)
+
+
+def test_from_terms_rejects_negative_exponents():
+    # numpy would read the index -1 as the last slot, here the constant term
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly.from_terms([((-1, 0), 1.0)], 2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,12 +116,27 @@ def _axis_bands(grid, axis, top):
 
 @dataclass(frozen=True)
 class DiscreteForm:
-    """Assembled stiffness and lumped mass on a grid, channel-minor layout."""
+    """Assembled stiffness and lumped mass on a grid, channel-minor layout.
+
+    The arrays of K and the mass are made read-only, so a value derived from
+    them can be kept with the form (``memo``) and freed with it.
+    """
 
     K: sp.csr_matrix
     mass: np.ndarray        # per node; dof mass = repeat(mass, m)
     grid: Grid
     m: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.K.data, self.K.indices, self.K.indptr, self.mass):
+            arr.flags.writeable = False
+
+    def memo(self, key, compute):
+        """``compute()``, evaluated on the first request for ``key`` only."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def ndof(self):

@@ -181,7 +181,10 @@ def build_system(text):
             if table is None:
                 row.append(ConstantField(np.zeros((m, m), dtype=complex)))
                 continue
-            kind, kind_line = table.get("kind", (None, table["line"]))
+            if "kind" not in table:
+                raise ConfigError(f"[coeff {k + 1} {l + 1}] has no 'kind =' line "
+                                  "(constant or polynomial)", table["line"])
+            kind, kind_line = table["kind"]
             if kind == "constant":
                 if table["terms"]:
                     raise ConfigError("constant tables take 'entry' lines only",

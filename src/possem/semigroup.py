@@ -159,29 +159,37 @@ def positivity_scan(gen, times=None, tol=None):
                             witness, verdict, tuple(per_time))
 
 
+def _propagator(dform, t):
+    """exp(-t A) of a discrete form, t > 0, computed once per form and time."""
+    if t <= 0:
+        raise ValueError("time must be positive")
+    gen = dform.memo("generator", lambda: GeneratorOperator.from_discrete_form(dform))
+    return dform.memo(("propagator", float(t)), lambda: gen.propagator(t))
+
+
 def factorization_residual(dform, scalar_dforms, t, u):
     """Relative gap between the block propagator and the channelwise scalar
     propagators: || exp(-tA) u - stack_n exp(-tA_n) u_n || / ||u||.
 
     Requires the assembled block stiffness to be channel-decoupled; a
     coupling entry above ``BLOCK_TOL * ||K||`` raises ContractViolation.
+    The check and each propagator are kept with their forms, so a later
+    state at the same time costs 1 + m matrix-vector products.
     """
     m = dform.m
     if len(scalar_dforms) != m:
         raise ValueError(f"need {m} scalar systems")
-    scale = float(np.abs(dform.K.data).max(initial=0.0))
-    coupling = dform.channel_coupling_max()
+    scale, coupling = dform.memo("channel coupling", lambda: (
+        float(np.abs(dform.K.data).max(initial=0.0)), dform.channel_coupling_max()))
     if coupling > BLOCK_TOL * max(scale, 1.0):
         raise ContractViolation(
             f"stiffness couples channels (max coupling {coupling:.3e})"
         )
     u = np.asarray(u, dtype=complex)
-    gen = GeneratorOperator.from_discrete_form(dform)
-    full = expm_apply(gen, t, u)
+    full = _propagator(dform, t) @ u
     out = np.zeros_like(full)
     for ch, sf in enumerate(scalar_dforms):
-        gn = GeneratorOperator.from_discrete_form(sf)
-        out[ch::m] = expm_apply(gn, t, u[ch::m])
+        out[ch::m] = _propagator(sf, t) @ u[ch::m]
     denom = float(np.linalg.norm(u))
     if denom == 0.0:
         return 0.0

@@ -71,6 +71,14 @@ def test_decoupled_system_has_block_structure():
     assert dform.channel_coupling_max() == 0.0
 
 
+def test_discrete_form_arrays_are_read_only():
+    sys_ = catalog.get("ex1_3").build(bc="dirichlet")
+    dform = assemble(sys_, Grid(sys_.box, (4, 4), "dirichlet"))
+    for arr in (dform.K.data, dform.K.indices, dform.K.indptr, dform.mass):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
 def test_nullform_assembles_to_zero():
     sys_ = catalog.get("ex3_5_nullform").build()
     g = Grid(sys_.box, (4, 4, 4), "free")

@@ -100,6 +100,12 @@ def test_unknown_kind():
         build_system(text)
 
 
+def test_missing_kind():
+    text = "d = 1\nm = 1\nbox = 0 1\n[coeff 1 1]\nentry 1 1 = [1, 0]\n"
+    with pytest.raises(ConfigError, match=r"line 4: \[coeff 1 1\] has no 'kind =' line"):
+        build_system(text)
+
+
 def test_entry_out_of_range():
     text = "d = 1\nm = 1\nbox = 0 1\n[coeff 1 1]\nkind = constant\nentry 2 1 = [1, 0]\n"
     with pytest.raises(ConfigError, match="out of range"):

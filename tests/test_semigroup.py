@@ -268,6 +268,38 @@ def test_factorization_rejects_coupled_input():
         factorization_residual(dform, forms, 0.1, u)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.1])
+def test_factorization_rejects_nonpositive_time(t):
+    sys_ = catalog.get("scalar_heat").build()
+    g = Grid(sys_.box, (4, 4), "dirichlet")
+    dform = assemble(sys_, g)
+    forms = [assemble(s, g) for s in extract_scalar_systems(sys_)]
+    u = np.ones(dform.ndof)
+    factorization_residual(dform, forms, 0.1, u)
+    for _ in range(2):      # a refused time is neither kept nor skipped
+        with pytest.raises(ValueError, match="time must be positive"):
+            factorization_residual(dform, forms, t, u)
+
+
+def test_factorization_reuses_one_exponential_per_form_and_time(monkeypatch):
+    sys_ = catalog.get("rand_decoupled(3)").build(bc="dirichlet")
+    g = Grid(sys_.box, (5, 5), "dirichlet")
+    scalars = extract_scalar_systems(sys_)
+    rng = np.random.default_rng(5)
+    states = [(t, rng.standard_normal(g.N * sys_.m))
+              for t in (0.01, 0.1, 1.0) for _ in range(2)]
+    fresh = [factorization_residual(assemble(sys_, g), [assemble(s, g) for s in scalars], t, u)
+             for t, u in states]
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    dform = assemble(sys_, g)
+    forms = [assemble(s, g) for s in scalars]
+    reused = [factorization_residual(dform, forms, t, u) for t, u in states]
+    assert sys_.m == 2 and len(calls) == 3 * (1 + sys_.m)
+    assert reused == fresh and max(fresh) > 0.0
+
+
 def _without_mixed_terms(sys_):
     """Zero the k != l coefficients; the certificate targets pure-diffusion
     sign patterns (mixed derivatives can flip discrete off-diagonal signs)."""

@@ -153,12 +153,6 @@ class DiscreteForm:
         scale = np.abs(data.real).max()
         return np.abs(data.imag).max() <= tol * max(1.0, scale)
 
-    def generator_matrix(self):
-        """Dense A = Mass^-1 K."""
-        A = self.K.toarray()
-        A /= self.dof_mass[:, None]
-        return A
-
     def channel_coupling_max(self):
         """Largest |K| entry coupling two different channels."""
         coo = self.K.tocoo()

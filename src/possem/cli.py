@@ -184,6 +184,8 @@ def cmd_positivity(args, report):
               ["t", "min_entry_real", "max_entry_imag"], rows)
     report.add(f"system: {name} on {grid.n} cells ({grid.bc})")
     report.add(f"times: {', '.join(_fmt(t) for t in rep.times)}")
+    report.add("propagator: " + ("spectral (self-adjoint generator)"
+                                 if gen.method == "spectral" else "expm"))
     report.add(f"minimum propagator entry (real part): {rep.min_entry:.12g}")
     report.add(f"max propagator entry imaginary part: {rep.max_imag_entry:.12g}")
     w = rep.witness
@@ -193,6 +195,7 @@ def cmd_positivity(args, report):
     if rep.offender:
         t, val, i, j = rep.offender
         report.add(f"offender: t = {_fmt(t)}, entry ({i + 1}, {j + 1}) = {val:.12g}")
+    report.record("propagator", gen.method)
     report.record("verdict", rep.verdict)
     report.record("min_entry", rep.min_entry)
     report.record("witness", rep.witness)

@@ -1,12 +1,21 @@
 """Semigroup engine: matrix exponentials, positivity scans, factorization.
 
-The propagator exp(-t A) with A = Mass^-1 K is computed by
-``scipy.linalg.expm`` (scaling and squaring with Pade approximants, Al-Mohy
-and Higham 2009).  With the lumped (positive diagonal) mass, exp(-t A) >= 0
-for every t > 0 exactly when A is real with nonpositive off-diagonal
-entries; ``sign_witness`` reads that criterion from A or from K, and an
-entry A_ij > 0 is the lattice witness u+ = e_j, u- = e_i (Berman and
-Plemmons, *Nonnegative Matrices*).  The positivity scan decides from the
+The propagator exp(-t A) with A = Mass^-1 K has two paths.  When K is
+Hermitian (to the rounding tolerance 1e-12 * max(1, max |K|)), A is similar to
+the Hermitian S = Mass^-1/2 K Mass^-1/2, and one ``eigh`` S = V diag(lam) V^H
+gives exp(-t A) = W diag(exp(-t lam)) W^-1 with W = Mass^-1/2 V and
+W^-1 = V^H Mass^1/2 at every time: a propagator is one matrix product and a
+state two matrix-vector products.  This is backward stable for normal
+matrices (Moler and Van Loan, *Nineteen dubious ways to compute the
+exponential of a matrix, twenty-five years later*, SIAM Rev. 2003).  Any
+other generator goes to ``scipy.linalg.expm`` (scaling and squaring with Pade
+approximants, Al-Mohy and Higham 2009).
+
+With the lumped (positive diagonal) mass, exp(-t A) >= 0 for every t > 0
+exactly when A is real with nonpositive off-diagonal entries;
+``sign_witness`` reads that criterion from A or from K, and an entry
+A_ij > 0 is the lattice witness u+ = e_j, u- = e_i (Berman and Plemmons,
+*Nonnegative Matrices*).  The positivity scan decides from the
 witness alone and reports the propagator's extremes at the requested times.
 """
 
@@ -30,9 +39,15 @@ OFFENDER_BAND = 1e-12
 
 @dataclass
 class GeneratorOperator:
-    """Generator A = Mass^-1 K and its propagators exp(-t A)."""
+    """Generator A = Mass^-1 K and its propagators exp(-t A).
+
+    ``spectral`` holds ``(lam, W, W_inv)`` with A = W diag(lam) W_inv when the
+    generator is self-adjoint in the mass inner product; None otherwise.  A
+    and the factors are read-only, so one generator can be shared.
+    """
 
     A: np.ndarray
+    spectral: tuple | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A)
@@ -40,14 +55,28 @@ class GeneratorOperator:
             raise ValueError("generator must be square")
         if not np.all(np.isfinite(A)):
             raise NumericalError("non-finite entries in the generator")
-        self.A = A
+        self.A = _read_only(A)
+        if self.spectral is not None:
+            self.spectral = tuple(_read_only(np.asarray(f)) for f in self.spectral)
 
     @classmethod
     def from_discrete_form(cls, dform):
-        A = dform.generator_matrix()
-        if dform.is_real():
-            A = A.real
-        return cls(A)
+        """The form's generator, built once and kept with the form."""
+        return dform.memo("generator", lambda: cls._of_form(dform))
+
+    @classmethod
+    def _of_form(cls, dform):
+        real = dform.is_real()
+        A = dform.K.toarray()
+        K = A.real if real else A
+        spectral = None     # K Hermitian: A is similar to S = Mass^-1/2 K Mass^-1/2
+        if np.abs(K - K.conj().T).max(initial=0.0) <= 1e-12 * max(
+                1.0, float(np.abs(K).max(initial=0.0))):
+            root = np.sqrt(dform.dof_mass)
+            lam, V = np.linalg.eigh(K / np.outer(root, root))
+            spectral = (lam, V / root[:, None], V.conj().T * root)
+        A /= dform.dof_mass[:, None]
+        return cls(A.real if real else A, spectral)
 
     @property
     def ndof(self):
@@ -57,20 +86,55 @@ class GeneratorOperator:
     def norm1(self):
         return float(np.max(np.abs(self.A).sum(axis=0), initial=0.0))
 
+    @property
+    def method(self):
+        """How propagators are computed: 'spectral' or 'expm'."""
+        return "expm" if self.spectral is None else "spectral"
+
     def propagator(self, t):
         """exp(-t A)."""
-        E = scipy.linalg.expm(-float(t) * self.A)
-        if not np.all(np.isfinite(E)):
-            raise NumericalError("matrix exponential overflowed")
-        return E
+        if self.spectral is None:
+            E = scipy.linalg.expm(-float(t) * self.A)
+        else:
+            lam, W, W_inv = self.spectral
+            E = (W * np.exp(-float(t) * lam)) @ W_inv
+        return _finite(E)
+
+    def apply(self, t, u):
+        """exp(-t A) u: two matrix-vector products with the spectral factors,
+        or the dense exponential times u."""
+        u = np.asarray(u)
+        if self.spectral is None:
+            return self.propagator(t) @ u
+        lam, W, W_inv = self.spectral
+        cols = u.reshape(len(lam), -1)
+        split = np.iscomplexobj(u) and not np.iscomplexobj(W)
+        if split:       # real factors take the real and imaginary parts as real columns
+            cols = np.hstack([cols.real, cols.imag])
+        out = W @ (np.exp(-float(t) * lam)[:, None] * (W_inv @ cols))
+        if split:
+            half = out.shape[1] // 2
+            out = out[:, :half] + 1j * out[:, half:]
+        return _finite(out.reshape(u.shape))
+
+
+def _read_only(arr):
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _finite(E):
+    if not np.all(np.isfinite(E)):
+        raise NumericalError("matrix exponential overflowed")
+    return E
 
 
 def expm_apply(gen, t, u):
     """Apply the propagator exp(-t A) to a state vector, t > 0."""
     if t <= 0:
         raise ValueError("time must be positive")
-    u = np.asarray(u)
-    return gen.propagator(t) @ u
+    return gen.apply(t, u)
 
 
 def sign_witness(A):
@@ -159,12 +223,15 @@ def positivity_scan(gen, times=None, tol=None):
                             witness, verdict, tuple(per_time))
 
 
-def _propagator(dform, t):
-    """exp(-t A) of a discrete form, t > 0, computed once per form and time."""
+def _apply(dform, t, u):
+    """exp(-t A) u on a discrete form, t > 0: by the generator's spectral
+    factors, or by a dense exponential computed once per form and time."""
     if t <= 0:
         raise ValueError("time must be positive")
-    gen = dform.memo("generator", lambda: GeneratorOperator.from_discrete_form(dform))
-    return dform.memo(("propagator", float(t)), lambda: gen.propagator(t))
+    gen = GeneratorOperator.from_discrete_form(dform)
+    if gen.spectral is not None:
+        return gen.apply(t, u)
+    return dform.memo(("propagator", float(t)), lambda: gen.propagator(t)) @ u
 
 
 def factorization_residual(dform, scalar_dforms, t, u):
@@ -173,8 +240,10 @@ def factorization_residual(dform, scalar_dforms, t, u):
 
     Requires the assembled block stiffness to be channel-decoupled; a
     coupling entry above ``BLOCK_TOL * ||K||`` raises ContractViolation.
-    The check and each propagator are kept with their forms, so a later
-    state at the same time costs 1 + m matrix-vector products.
+    The check and each generator are kept with their forms; a self-adjoint
+    generator applies its spectral factors, any other keeps one dense
+    propagator per time, so a further state costs 2 (1 + m) or 1 + m
+    matrix-vector products.
     """
     m = dform.m
     if len(scalar_dforms) != m:
@@ -186,10 +255,10 @@ def factorization_residual(dform, scalar_dforms, t, u):
             f"stiffness couples channels (max coupling {coupling:.3e})"
         )
     u = np.asarray(u, dtype=complex)
-    full = _propagator(dform, t) @ u
+    full = _apply(dform, t, u)
     out = np.zeros_like(full)
     for ch, sf in enumerate(scalar_dforms):
-        out[ch::m] = _propagator(sf, t) @ u[ch::m]
+        out[ch::m] = _apply(sf, t, u[ch::m])
     denom = float(np.linalg.norm(u))
     if denom == 0.0:
         return 0.0

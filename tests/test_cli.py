@@ -1,3 +1,4 @@
+import json
 import shlex
 from pathlib import Path
 
@@ -44,9 +45,21 @@ def test_positivity_subcommand(tmp_path):
     assert code == 0
     report = (tmp_path / "report.txt").read_text()
     assert "SIGN-PATTERN-OK" in report
+    assert "propagator: spectral (self-adjoint generator)\n" in report
     lines = (tmp_path / "positivity.csv").read_text().splitlines()
     assert lines[0] == "t,min_entry_real,max_entry_imag"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("name, bc, method", [("scalar_heat", "dirichlet", "spectral"),
+                                              ("ex1_3", "free", "expm")])
+def test_positivity_names_the_propagator_path(tmp_path, name, bc, method):
+    code = run(["positivity", "--catalog", name, "--grid", "4", "--bc", bc, "--json"], tmp_path)
+    assert code == 0
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["propagator"] == method
+    line = "spectral (self-adjoint generator)" if method == "spectral" else "expm"
+    assert f"propagator: {line}\n" in (tmp_path / "report.txt").read_text()
 
 
 def test_check_elliptic(tmp_path):
@@ -110,7 +123,6 @@ def test_seeded_catalog_and_determinism(tmp_path):
 def test_json_mirror(tmp_path):
     code = run(["decouple", "--catalog", "ex1_3", "--json"], tmp_path)
     assert code == 0
-    import json
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["decision"] == "positive-decoupled"
 

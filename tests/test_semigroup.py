@@ -4,9 +4,10 @@ import scipy.linalg
 
 from possem import catalog
 from possem.assembly import Grid, assemble
-from possem.coefficients import ConstantField, EllipticSystem
+from possem.coefficients import ConstantField, EllipticSystem, PolynomialField
 from possem.decoupling import decide_decoupling, extract_scalar_systems
 from possem.errors import ContractViolation, NumericalError
+from possem.polynomials import MultiPoly
 from possem.semigroup import (
     GeneratorOperator,
     expm_apply,
@@ -281,23 +282,108 @@ def test_factorization_rejects_nonpositive_time(t):
             factorization_residual(dform, forms, t, u)
 
 
-def test_factorization_reuses_one_exponential_per_form_and_time(monkeypatch):
-    sys_ = catalog.get("rand_decoupled(3)").build(bc="dirichlet")
-    g = Grid(sys_.box, (5, 5), "dirichlet")
+def _counting(monkeypatch, module, name):
+    """Record the argument shapes of every call to ``module.name``."""
+    calls = []
+    raw = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda a, *args: calls.append(a.shape) or raw(a, *args))
+    return calls
+
+
+def _reuse_case(sys_, n=5):
+    """Residuals of 6 states at 3 times on fresh forms each, and the forms and
+    states to repeat them on one set of forms."""
+    g = Grid(sys_.box, (n, n), "dirichlet")
     scalars = extract_scalar_systems(sys_)
     rng = np.random.default_rng(5)
     states = [(t, rng.standard_normal(g.N * sys_.m))
               for t in (0.01, 0.1, 1.0) for _ in range(2)]
     fresh = [factorization_residual(assemble(sys_, g), [assemble(s, g) for s in scalars], t, u)
              for t, u in states]
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
-    dform = assemble(sys_, g)
-    forms = [assemble(s, g) for s in scalars]
+    return fresh, assemble(sys_, g), [assemble(s, g) for s in scalars], states
+
+
+def test_factorization_reuses_one_decomposition_per_form(monkeypatch):
+    sys_ = catalog.get("rand_decoupled(3)").build(bc="dirichlet")
+    fresh, dform, forms, states = _reuse_case(sys_)
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    expms = _counting(monkeypatch, scipy.linalg, "expm")
     reused = [factorization_residual(dform, forms, t, u) for t, u in states]
-    assert sys_.m == 2 and len(calls) == 3 * (1 + sys_.m)
+    assert sys_.m == 2 and len(eighs) == 1 + sys_.m and not expms
     assert reused == fresh and max(fresh) > 0.0
+    positivity_scan(GeneratorOperator.from_discrete_form(dform))
+    assert len(eighs) == 1 + sys_.m and not expms
+
+
+def _sheared_scalar(d=2):
+    """Real scalar system with C_12 = 0.3 x1 and C_21 = 0: a first-order
+    term makes K non-symmetric."""
+    x1 = MultiPoly.variable(0, d)
+    one, zero = MultiPoly.constant(1.0, d), MultiPoly.constant(0.0, d)
+    coeffs = tuple(tuple(PolynomialField(((p,),), d) for p in row)
+                   for row in ((one, 0.3 * x1), (zero, one)))
+    return EllipticSystem(((0, 1), (0, 1)), 1, coeffs, "dirichlet", 0.5)
+
+
+def test_factorization_reuses_one_exponential_per_form_and_time(monkeypatch):
+    # a non-self-adjoint generator keeps one dense exponential per form and time
+    sys_ = _sheared_scalar()
+    fresh, dform, forms, states = _reuse_case(sys_)
+    expms = _counting(monkeypatch, scipy.linalg, "expm")
+    reused = [factorization_residual(dform, forms, t, u) for t, u in states]
+    assert GeneratorOperator.from_discrete_form(dform).method == "expm"
+    assert len(expms) == 3 * (1 + sys_.m)
+    assert reused == fresh
+
+
+SPECTRAL_FORMS = [("scalar_heat", "dirichlet", 2, 8), ("scalar_heat", "free", 2, 8),
+                  ("ex1_3", "dirichlet", 2, 8), ("rand_decoupled(3)", "dirichlet", 2, 8),
+                  ("ex5_5", "dirichlet", 3, 6)]
+
+
+@pytest.mark.parametrize("name, bc, d, n", SPECTRAL_FORMS)
+def test_spectral_propagator_matches_expm(name, bc, d, n):
+    # ex5_5's K is symmetric only up to ulp residues
+    sys_ = catalog.get(name).build(bc=bc)
+    gen = GeneratorOperator.from_discrete_form(assemble(sys_, Grid(sys_.box, (n,) * d, bc)))
+    assert gen.method == "spectral"
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(gen.ndof) + 1j * rng.standard_normal(gen.ndof)
+    for t in positivity_scan(gen).times + (0.01, 0.1, 1.0):
+        ref = scipy.linalg.expm(-t * gen.A)
+        assert np.abs(gen.propagator(t) - ref).max() <= 1e-13 * np.abs(ref).max()
+        for v in (u.real, u, np.stack([u, u.imag], axis=1)):
+            assert np.abs(gen.apply(t, v) - ref @ v).max() <= 1e-13 * np.abs(ref @ v).max()
+
+
+@pytest.mark.parametrize("name, bc", [("witness_W", "dirichlet"), ("ex1_3", "free"), (None, None)])
+def test_expm_path_is_unchanged(name, bc):
+    if name is None:
+        gen = GeneratorOperator(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    else:
+        sys_ = catalog.get(name).build(bc=bc)
+        dform = assemble(sys_, Grid(sys_.box, (8, 8), bc))
+        gen = GeneratorOperator.from_discrete_form(dform)
+        A = dform.K.toarray()
+        A /= dform.dof_mass[:, None]
+        assert np.array_equal(gen.A, A.real if dform.is_real() else A)
+    assert gen.method == "expm" and gen.spectral is None
+    for t in (0.01, 0.1, 1.0):
+        assert np.array_equal(gen.propagator(t), scipy.linalg.expm(-t * gen.A))
+
+
+def test_memoized_generator_is_read_only():
+    sys_ = catalog.get("scalar_heat").build()
+    dform = assemble(sys_, Grid(sys_.box, (4, 4), "dirichlet"))
+    gen = GeneratorOperator.from_discrete_form(dform)
+    assert GeneratorOperator.from_discrete_form(dform) is gen
+    for arr in (gen.A,) + gen.spectral:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    plain = np.eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        GeneratorOperator(plain).A[0, 0] = 2.0
+    plain[0, 0] = 2.0       # the caller's array stays writable
 
 
 def _without_mixed_terms(sys_):

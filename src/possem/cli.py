@@ -176,16 +176,16 @@ def cmd_positivity(args, report):
     sys_, name = _load_system(args)
     grid = _grid_for(sys_, args)
     dform = assemble(sys_, grid)
-    gen = GeneratorOperator.from_discrete_form(dform)
-    rep = positivity_scan(gen, times=times)
+    rep = positivity_scan(GeneratorOperator.from_discrete_form(dform), times=times)
     rows = [[_fmt(t), _fmt(re_min), _fmt(im_max)]
             for t, (re_min, im_max) in zip(rep.times, rep.per_time)]
     write_csv(Path(args.out) / "positivity.csv",
               ["t", "min_entry_real", "max_entry_imag"], rows)
     report.add(f"system: {name} on {grid.n} cells ({grid.bc})")
     report.add(f"times: {', '.join(_fmt(t) for t in rep.times)}")
-    report.add("propagator: " + ("spectral (self-adjoint generator)"
-                                 if gen.method == "spectral" else "expm"))
+    report.add("propagator: " + {"spectral": "spectral (self-adjoint generator)",
+                                 "expm_multiply": "expm_multiply (sparse generator)"}
+               .get(rep.propagator, rep.propagator))
     report.add(f"minimum propagator entry (real part): {rep.min_entry:.12g}")
     report.add(f"max propagator entry imaginary part: {rep.max_imag_entry:.12g}")
     w = rep.witness
@@ -195,7 +195,7 @@ def cmd_positivity(args, report):
     if rep.offender:
         t, val, i, j = rep.offender
         report.add(f"offender: t = {_fmt(t)}, entry ({i + 1}, {j + 1}) = {val:.12g}")
-    report.record("propagator", gen.method)
+    report.record("propagator", rep.propagator)
     report.record("verdict", rep.verdict)
     report.record("min_entry", rep.min_entry)
     report.record("witness", rep.witness)

@@ -11,6 +11,15 @@ exponential of a matrix, twenty-five years later*, SIAM Rev. 2003).  Any
 other generator goes to ``scipy.linalg.expm`` (scaling and squaring with Pade
 approximants, Al-Mohy and Higham 2009).
 
+The positivity scan has a third path for a non-self-adjoint generator: one
+chain E(t_k) = exp(-(t_k - t_{k-1}) A) E(t_{k-1}), E(0) = I, over the sorted
+times by ``scipy.sparse.linalg.expm_multiply`` on the generator's CSR (Al-Mohy
+and Higham, *Computing the action of the matrix exponential*, SIAM J. Sci.
+Comput. 2011).  Its truncated Taylor series costs sparse products only, and
+the N columns of E share one choice of degree and scaling per step, so it is
+taken when CHAIN_COST * nnz(A) * max(1, ||t_max A||_1) <= N^2, the flops of
+the chain against those of a dense exponential per time.
+
 With the lumped (positive diagonal) mass, exp(-t A) >= 0 for every t > 0
 exactly when A is real with nonpositive off-diagonal entries;
 ``sign_witness`` reads that criterion from A or from K, and an entry
@@ -32,6 +41,11 @@ from .errors import ContractViolation, NumericalError
 #: Relative channel coupling above which ``factorization_residual`` refuses.
 BLOCK_TOL = 1e-10
 
+#: The scan's sparse chain costs about CHAIN_COST * nnz(A) * max(1, ||t_max A||_1)
+#: per column of E where a dense exponential per time costs N^2 (fitted to
+#: timings of both on 2D and 3D forms of 162 to 1250 dofs, one BLAS thread).
+CHAIN_COST = 25
+
 #: Rounding band of the offender: entries within this fraction of the
 #: largest |entry| above the minimum count as tied with it.
 OFFENDER_BAND = 1e-12
@@ -42,12 +56,15 @@ class GeneratorOperator:
     """Generator A = Mass^-1 K and its propagators exp(-t A).
 
     ``spectral`` holds ``(lam, W, W_inv)`` with A = W diag(lam) W_inv when the
-    generator is self-adjoint in the mass inner product; None otherwise.  A
-    and the factors are read-only, so one generator can be shared.
+    generator is self-adjoint in the mass inner product; None otherwise.
+    ``csr`` holds the same entries as A in CSR form (built from A when not
+    given).  A, the factors and the CSR arrays are read-only, so one
+    generator can be shared.
     """
 
     A: np.ndarray
     spectral: tuple | None = None
+    csr: scipy.sparse.csr_matrix | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A)
@@ -58,6 +75,10 @@ class GeneratorOperator:
         self.A = _read_only(A)
         if self.spectral is not None:
             self.spectral = tuple(_read_only(np.asarray(f)) for f in self.spectral)
+        if self.csr is None:
+            self.csr = scipy.sparse.csr_matrix(A)
+        for arr in (self.csr.data, self.csr.indices, self.csr.indptr):
+            arr.flags.writeable = False
 
     @classmethod
     def from_discrete_form(cls, dform):
@@ -67,16 +88,22 @@ class GeneratorOperator:
     @classmethod
     def _of_form(cls, dform):
         real = dform.is_real()
+        mass = dform.dof_mass
         A = dform.K.toarray()
         K = A.real if real else A
         spectral = None     # K Hermitian: A is similar to S = Mass^-1/2 K Mass^-1/2
         if np.abs(K - K.conj().T).max(initial=0.0) <= 1e-12 * max(
                 1.0, float(np.abs(K).max(initial=0.0))):
-            root = np.sqrt(dform.dof_mass)
+            root = np.sqrt(mass)
             lam, V = np.linalg.eigh(K / np.outer(root, root))
             spectral = (lam, V / root[:, None], V.conj().T * root)
-        A /= dform.dof_mass[:, None]
-        return cls(A.real if real else A, spectral)
+        A /= mass[:, None]
+        # the same complex division per stored entry, so the CSR equals A bit for bit
+        data = dform.K.data / np.repeat(mass, np.diff(dform.K.indptr))
+        if real:    # contiguous real copies, not views holding the complex bytes
+            A, data = A.real.copy(), data.real.copy()
+        csr = scipy.sparse.csr_matrix((data, dform.K.indices, dform.K.indptr), shape=A.shape)
+        return cls(A, spectral, csr)
 
     @property
     def ndof(self):
@@ -168,10 +195,46 @@ class PositivityReport:
     witness: tuple              # sign_witness of the generator, or None
     verdict: str                # SIGN-PATTERN-OK | NEGATIVE-FOUND | NONREAL-FOUND
     per_time: tuple             # (min real part, max |imag part|) at each time
+    propagator: str             # spectral | expm | expm_multiply
 
     @property
     def positive(self):
         return self.verdict == "SIGN-PATTERN-OK"
+
+
+def _scan_propagators(gen, times, norm1):
+    """The path and the pairs (t, exp(-t A)) at the sorted distinct times:
+    the generator's own propagators, or one sparse chain when its cost rule
+    (CHAIN_COST) says that is cheaper than a dense exponential per time."""
+    times = sorted(set(times))
+    if gen.spectral is None and (CHAIN_COST * gen.csr.nnz * max(1.0, times[-1] * norm1)
+                                 <= gen.ndof ** 2):
+        return "expm_multiply", _chain(gen.csr, times)
+    return gen.method, ((t, gen.propagator(t)) for t in times)
+
+
+def _chain(A, times):
+    E, prev = np.eye(A.shape[0], dtype=A.dtype), 0.0
+    for t in times:
+        E = _finite(scipy.sparse.linalg.expm_multiply(-(t - prev) * A, E))
+        prev = t
+        yield t, E
+
+
+def _extremes(E, tol):
+    """Min real part, max |imag part| and the offender (value, row, col) of
+    one propagator, the offender None unless the minimum is below tolerance."""
+    scale = float(np.abs(E).max(initial=0.0))
+    re = E.real
+    val = float(re.min())
+    imag = float(np.abs(E.imag).max(initial=0.0)) if np.iscomplexobj(E) else 0.0
+    if val >= -((1e-9 * scale) if tol is None else tol):
+        return val, imag, None
+    # the smallest (row, col) among the entries tied with the minimum, so
+    # that summation order cannot move the offender
+    tied = re <= val + OFFENDER_BAND * scale
+    i, j = np.unravel_index(np.argmax(tied), re.shape)
+    return val, imag, (float(re[i, j]), int(i), int(j))
 
 
 def positivity_scan(gen, times=None, tol=None):
@@ -182,45 +245,38 @@ def positivity_scan(gen, times=None, tol=None):
     NEGATIVE-FOUND with a reproducible offender when a tested time shows a
     negative entry or a lattice witness A_ij > 0 exists; NONREAL-FOUND
     otherwise; without a witness a negative sampled entry is rounding.  The
-    offender is taken at the first time whose minimum entry is below the
-    tolerance: the smallest (row, col) among the entries within
-    ``OFFENDER_BAND`` times the largest |entry| of that minimum.  When no
-    tested time shows one, it is the witness entry at t = A_ij / (2 ||A||_1^2),
-    where |(A^k)_ij| <= ||A||_1^k bounds the Taylor remainder below t A_ij / 2.
+    offender is taken at the first time, in the caller's order, whose minimum
+    entry is below the tolerance: the smallest (row, col) among the entries
+    within ``OFFENDER_BAND`` times the largest |entry| of that minimum.  When
+    no tested time shows one, it is the witness entry at
+    t = A_ij / (2 ||A||_1^2), where |(A^k)_ij| <= ||A||_1^k bounds the Taylor
+    remainder below t A_ij / 2.  Each distinct time's propagator is computed
+    once, by the path that ``propagator`` names.
     """
+    norm1 = gen.norm1
     if times is None:
-        times = tuple(t / max(gen.norm1, 1e-30) for t in (1e-2, 1e-1, 1.0))
+        times = tuple(t / max(norm1, 1e-30) for t in (1e-2, 1e-1, 1.0))
     times = tuple(float(t) for t in times)
     if not times or any(t <= 0 for t in times):
         raise ValueError("times must be nonempty and positive")
-    witness = sign_witness(gen.A)
-    per_time = []
+    witness = sign_witness(gen.csr)
+    method, propagators = _scan_propagators(gen, times, norm1)
+    stats = {t: _extremes(E, tol) for t, E in propagators}
+    per_time = tuple(stats[t][:2] for t in times)
     offender = None
-    for t in times:
-        E = gen.propagator(t)
-        scale = float(np.abs(E).max(initial=0.0))
-        t_tol = (1e-9 * scale) if tol is None else tol
-        re = E.real
-        val = float(re.min())
-        imag = float(np.abs(E.imag).max(initial=0.0)) if np.iscomplexobj(E) else 0.0
-        per_time.append((val, imag))
-        if val < -t_tol and offender is None and witness is not None:
-            # the smallest (row, col) among the entries tied with the
-            # minimum, so that summation order cannot move the offender
-            tied = re <= val + OFFENDER_BAND * scale
-            i, j = np.unravel_index(np.argmax(tied), re.shape)
-            offender = (t, float(re[i, j]), int(i), int(j))
+    if witness is not None:
+        offender = next(((t,) + stats[t][2] for t in times if stats[t][2]), None)
     if offender is None and witness and witness[0] == "lattice":
         _, i, j, a = witness
-        t = a / (2.0 * gen.norm1 ** 2)
-        col = scipy.sparse.linalg.expm_multiply(-t * gen.A, np.eye(1, gen.ndof, j)[0])
+        t = a / (2.0 * norm1 ** 2)
+        col = scipy.sparse.linalg.expm_multiply(-t * gen.csr, np.eye(1, gen.ndof, j)[0])
         offender = (t, float(col[i].real), i, j)
     verdict = ("SIGN-PATTERN-OK" if witness is None
                else "NEGATIVE-FOUND" if offender else "NONREAL-FOUND")
     min_entry = min(val for val, _ in per_time)
     max_imag = max(imag for _, imag in per_time)
     return PositivityReport(times, min_entry, max_imag, offender,
-                            witness, verdict, tuple(per_time))
+                            witness, verdict, per_time, method)
 
 
 def _apply(dform, t, u):

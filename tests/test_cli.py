@@ -51,15 +51,21 @@ def test_positivity_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+PROPAGATOR_LINES = {"spectral": "spectral (self-adjoint generator)", "expm": "expm",
+                    "expm_multiply": "expm_multiply (sparse generator)"}
+
+
 @pytest.mark.parametrize("name, bc, method", [("scalar_heat", "dirichlet", "spectral"),
-                                              ("ex1_3", "free", "expm")])
+                                              ("ex1_3", "free", "expm"),
+                                              ("ex1_3", "free", "expm_multiply")])
 def test_positivity_names_the_propagator_path(tmp_path, name, bc, method):
-    code = run(["positivity", "--catalog", name, "--grid", "4", "--bc", bc, "--json"], tmp_path)
+    # ex1_3 free takes the sparse chain at 12^2 and a dense expm at 4^2
+    grid = "12" if method == "expm_multiply" else "4"
+    code = run(["positivity", "--catalog", name, "--grid", grid, "--bc", bc, "--json"], tmp_path)
     assert code == 0
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["propagator"] == method
-    line = "spectral (self-adjoint generator)" if method == "spectral" else "expm"
-    assert f"propagator: {line}\n" in (tmp_path / "report.txt").read_text()
+    assert f"propagator: {PROPAGATOR_LINES[method]}\n" in (tmp_path / "report.txt").read_text()
 
 
 def test_check_elliptic(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from possem import catalog
+from possem import catalog, semigroup
 from possem.assembly import Grid, assemble
 from possem.coefficients import ConstantField, EllipticSystem, PolynomialField
 from possem.decoupling import decide_decoupling, extract_scalar_systems
@@ -367,6 +367,7 @@ def test_expm_path_is_unchanged(name, bc):
         A = dform.K.toarray()
         A /= dform.dof_mass[:, None]
         assert np.array_equal(gen.A, A.real if dform.is_real() else A)
+    assert np.array_equal(gen.csr.toarray(), gen.A) and gen.csr.dtype == gen.A.dtype
     assert gen.method == "expm" and gen.spectral is None
     for t in (0.01, 0.1, 1.0):
         assert np.array_equal(gen.propagator(t), scipy.linalg.expm(-t * gen.A))
@@ -377,13 +378,79 @@ def test_memoized_generator_is_read_only():
     dform = assemble(sys_, Grid(sys_.box, (4, 4), "dirichlet"))
     gen = GeneratorOperator.from_discrete_form(dform)
     assert GeneratorOperator.from_discrete_form(dform) is gen
-    for arr in (gen.A,) + gen.spectral:
+    for arr in (gen.A, gen.csr.data, gen.csr.indices) + gen.spectral:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     plain = np.eye(2)
     with pytest.raises(ValueError, match="read-only"):
         GeneratorOperator(plain).A[0, 0] = 2.0
     plain[0, 0] = 2.0       # the caller's array stays writable
+
+
+@pytest.mark.parametrize("name, bc", [("witness_W", "dirichlet"), ("scalar_heat", "dirichlet")])
+def test_real_generator_is_contiguous(name, bc):
+    # a real generator holds its own bytes, not the real view of a complex array
+    sys_ = catalog.get(name).build(bc=bc)
+    gen = GeneratorOperator.from_discrete_form(assemble(sys_, Grid(sys_.box, (8, 8), bc)))
+    for arr in (gen.A, gen.csr.data):
+        owner = arr if arr.base is None else arr.base
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert owner.nbytes == arr.nbytes
+
+
+def _form_generator(name, bc, d, n):
+    kw = {"d": d} if name.startswith("rand_") else {}
+    sys_ = catalog.get(name).build(bc=bc, **kw)
+    return GeneratorOperator.from_discrete_form(assemble(sys_, Grid(sys_.box, (n,) * d, bc)))
+
+
+def _assert_same_scan(rep, ref):
+    assert (rep.verdict, rep.witness, rep.times) == (ref.verdict, ref.witness, ref.times)
+    (t, value, i, j), (t_ref, value_ref, i_ref, j_ref) = rep.offender, ref.offender
+    assert (t, i, j) == (t_ref, i_ref, j_ref) and value == pytest.approx(value_ref, rel=1e-13)
+    for got, want in zip(rep.per_time, ref.per_time):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name, bc, d, n", [("ex1_3", "free", 2, 12),
+                                            ("rand_coupled(3)", "dirichlet", 2, 16),
+                                            ("rand_coupled(3)", "dirichlet", 3, 8)])
+def test_sparse_scan_matches_expm(monkeypatch, name, bc, d, n):
+    # one chain of expm_multiply over the sorted times, against a dense
+    # exponential per time (the cost rule switched off)
+    gen = _form_generator(name, bc, d, n)
+    expms = _counting(monkeypatch, scipy.linalg, "expm")
+    rep = positivity_scan(gen)
+    assert rep.propagator == "expm_multiply" and not expms
+    monkeypatch.setattr(semigroup, "CHAIN_COST", np.inf)
+    ref = positivity_scan(gen)
+    assert ref.propagator == "expm" and len(expms) == 3
+    _assert_same_scan(rep, ref)
+
+
+def test_sparse_scan_keeps_the_callers_time_order(monkeypatch):
+    gen = _form_generator("ex1_3", "free", 2, 12)
+    times = (1e-3, 1e-4, 1e-3)
+    rep = positivity_scan(gen, times=times)
+    assert rep.propagator == "expm_multiply" and rep.times == times
+    assert rep.per_time[0] == rep.per_time[2]
+    assert rep.per_time[:2] == positivity_scan(gen, times=(1e-4, 1e-3)).per_time[::-1]
+    # both times show a negative entry; the offender is at the caller's first
+    assert rep.per_time[1][0] < 0 and rep.offender[0] == 1e-3
+    monkeypatch.setattr(semigroup, "CHAIN_COST", np.inf)
+    _assert_same_scan(rep, positivity_scan(gen, times=times))
+
+
+@pytest.mark.parametrize("n, times", [(8, None), (12, (1.0,))])
+def test_dense_side_of_the_cost_rule_keeps_expm(n, times):
+    # a small form, or a large ||t A||_1 (103.5 here), keeps one dense
+    # exponential per time, bit for bit
+    gen = _form_generator("ex1_3", "free", 2, n)
+    rep = positivity_scan(gen, times=times)
+    assert rep.propagator == "expm"
+    for t, got in zip(rep.times, rep.per_time):
+        E = scipy.linalg.expm(-t * gen.A)
+        assert got == (float(E.real.min()), float(np.abs(E.imag).max()))
 
 
 def _without_mixed_terms(sys_):

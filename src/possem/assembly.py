@@ -164,8 +164,9 @@ class DiscreteForm:
 
 def _term_arrays(terms, d):
     """exps, dk, dl (T, d) and C (T, m, m) of the terms; CapacityError past e + 2 - dk - dl."""
-    k, l, exps, C = (np.array(v) for v in zip(*terms))
-    dk, dl = np.eye(d, dtype=int)[[k, l]]
+    k, l, exps, C = zip(*terms)
+    exps, C = np.array(exps), np.array(C)
+    dk, dl = np.eye(d, dtype=int)[np.array((k, l))]
     check_capacity(int((exps - dk - dl).max()) + 2)
     return exps, dk, dl, C
 
@@ -262,35 +263,47 @@ def assemble(sys, grid):
     return DiscreteForm(_stencil_csr(S, grid), grid.mass_weights(), grid, m)
 
 
-def form_matrix(sys, phi, psi):
+def form_matrix(sys, phi, psi, deltas=None):
     """Exact channel matrix ``F[i, j] = a(phi e_j, psi e_i)`` of the
     continuous form on two scalar tensor test functions that share a center
-    and dilation; no grid is involved.
+    and dilation; no grid is involved.  With ``deltas`` the pair is
+    re-dilated about its center to each of them and the result is the
+    (S, m, m) stack of their matrices; the single pair is the one-dilation
+    case.
 
     On the intersection of the supports and the box every coefficient is a
     sum of monomial terms ``x**e * C_e``.  ``tents.moment_tables`` gives one
-    (2, 2, top + 1) table per axis, ``int x**e phi_axis^(a) psi_axis^(b)``
-    over the box for every derivative pattern (a, b), and one contraction
-    sums ``C_e prod_axis table[axis, l == axis, k == axis, e_axis]`` over
-    every term of every (k, l).  Grid-sampled coefficients raise
-    UnsupportedContract unless that intersection lies inside a single
-    coefficient cell.
+    (2, 2, top + 1) table per dilation and axis, ``int x**e phi_axis^(a)
+    psi_axis^(b)`` over the box for every derivative pattern (a, b); the
+    weights ``prod_axis table[axis, l == axis, k == axis, e_axis]`` of every
+    term of every (k, l) and dilation times the terms ``C_e`` are one matrix
+    product.  The terms are read on the hull of the dilations'
+    intersections (the largest one when the supports are nested, as a tent
+    pair's are), so grid-sampled coefficients raise UnsupportedContract
+    unless every dilation's intersection lies inside a single coefficient
+    cell.
     """
     d, m = sys.d, sys.m
-    region = []
-    for (a1, b1), (a2, b2), (a, b) in zip(phi.support_box(), psi.support_box(), sys.box):
-        lo, hi = max(a1, a2, a), min(b1, b2, b)
-        if hi <= lo:
-            return np.zeros((m, m), dtype=complex)
-        region.append((lo, hi))
-    terms = [(k, l, e, C) for k in range(d) for l in range(d)
-             for e, C in sys.coefficient(k, l).monomials(d, region)]
-    if not terms:
-        return np.zeros((m, m), dtype=complex)
-    exps, dpsi, dphi, C = _term_arrays(terms, d)    # psi along k, phi along l
-    tables = moment_tables((phi, psi), int(exps.max()), sys.box)
-    weights = tables[np.arange(d), dphi, dpsi, exps].prod(axis=1)
-    return phi.scale * psi.scale * np.einsum("t,tij->ij", weights, C)
+    stack = (phi.delta,) if deltas is None else tuple(float(dd) for dd in deltas)
+    ref = [(max(f.support[0], g.support[0]), min(f.support[1], g.support[1]))
+           for f, g in zip(phi.factors, psi.factors)]
+    region = None       # hull of the nonempty intersections
+    for dd in stack:
+        span = [(max(c + dd * lo, a), min(c + dd * hi, b))
+                for c, (lo, hi), (a, b) in zip(phi.center, ref, sys.box)]
+        if all(hi > lo for lo, hi in span):
+            region = span if region is None else [
+                (min(lo, lo2), max(hi, hi2)) for (lo, hi), (lo2, hi2) in zip(region, span)]
+    out = np.zeros((len(stack), m, m), dtype=complex)
+    if region is not None:
+        terms = [(k, l, e, C) for k in range(d) for l in range(d)
+                 for e, C in sys.coefficient(k, l).monomials(d, region)]
+        if terms:
+            exps, dpsi, dphi, C = _term_arrays(terms, d)    # psi along k, phi along l
+            tables = moment_tables((phi, psi), int(exps.max()), sys.box, stack)
+            weights = tables[:, np.arange(d), dphi, dpsi, exps].prod(axis=-1)    # (S, T)
+            out = phi.scale * psi.scale * np.einsum("st,tij->sij", weights, C)
+    return out[0] if deltas is None else out
 
 
 def form_value(sys, u, v):

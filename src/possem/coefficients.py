@@ -436,6 +436,9 @@ def default_ellipticity_points(sys):
     fields (the box center when there are none), joined by an interior 5^d
     tensor grid when a polynomial, or a constant beside a grid, is present."""
     kinds = {fld.kind for row in sys.coeffs for fld in row}
+    if "polynomial" in kinds and "grid" not in kinds:
+        # the 5^d grid already holds the box center, in np.unique's row order
+        return sys.interior_tensor_points(5)
     pts = _refined_cell_points(sys, (0.5,))
     if "polynomial" in kinds or kinds == {"constant", "grid"}:
         pts = np.unique(np.concatenate([pts, sys.interior_tensor_points(5)]), axis=0)

@@ -11,8 +11,8 @@ constructs a certified witness pair with a(u+, u-) > 0 on the negative side.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -89,18 +89,9 @@ class ProbeResult:
     converged: bool
 
 
-def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
-    """Recover C_kl(x0) + C_lk(x0) from the form by dilated tent pairs.
-
-    ``form_eval(phi, psi)`` returns the m x m channel matrix of the form on
-    a pair of scalar tensor test functions, ``F[i, j] = a(phi e_j, psi e_i)``
-    (``assembly.form_matrix`` for a system).  The pair uses tau = 1 off the
-    diagonal and tau = 2 on it, so the scaled matrix delta**(2-d) * F of the
-    pair dilated by delta converges to the full symmetrized matrix.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if deltas is None:
-        deltas = delta_schedule(default_delta_max(box, x0))
+def _checked_schedule(box, x0, deltas):
+    """The dilations as floats; GeometryError unless each keeps the probe's
+    support inside the box."""
     deltas = tuple(float(dd) for dd in deltas)
     dist = boundary_distance(box, x0)
     for dd in deltas:
@@ -108,13 +99,21 @@ def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
             raise GeometryError(
                 f"dilation {dd} does not keep the support inside the box"
             )
-    tau = 2.0 if ktilde == ltilde else 1.0
-    pair = build_test_pair(tau, ktilde, ltilde, d)
-    history = []
-    for dd in deltas:
-        dil = pair.dilated(x0, dd)
-        F = np.asarray(form_eval(dil.phi, dil.psi), dtype=complex)
-        history.append((dd, dd ** (2 - d) * F))
+    return deltas
+
+
+@functools.cache
+def _probe_pair(d, ktilde, ltilde):
+    """The reference tent pair of a probe, built and verified once per
+    target (pairs are immutable): tau = 2 on the diagonal, 1 off it."""
+    return build_test_pair(2.0 if ktilde == ltilde else 1.0, ktilde, ltilde, d)
+
+
+def _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson):
+    """ProbeResult of the channel matrices F of the pair at each dilation:
+    the history of delta**(2-d) * F, its convergence and its estimate."""
+    history = [(dd, dd ** (2 - d) * np.asarray(F, dtype=complex))
+               for dd, F in zip(deltas, matrices)]
     diffs = [float(np.abs(history[s][1] - history[s - 1][1]).max())
              for s in range(1, len(history))]
     scale = max(1.0, float(np.abs(history[-1][1]).max()))
@@ -132,13 +131,37 @@ def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
                        extrapolated, converged)
 
 
+def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
+    """Recover C_kl(x0) + C_lk(x0) from the form by dilated tent pairs.
+
+    ``form_eval(phi, psi)`` returns the m x m channel matrix of the form on
+    a pair of scalar tensor test functions, ``F[i, j] = a(phi e_j, psi e_i)``;
+    it is called once per dilation, so any callable serves.  The pair uses
+    tau = 1 off the diagonal and tau = 2 on it, so the scaled matrix
+    delta**(2-d) * F of the pair dilated by delta converges to the full
+    symmetrized matrix.  ``probe_system`` reads a system's form for every
+    dilation at once.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if deltas is None:
+        deltas = delta_schedule(default_delta_max(box, x0))
+    deltas = _checked_schedule(box, x0, deltas)
+    pair = _probe_pair(d, ktilde, ltilde)
+    matrices = [form_eval(dil.phi, dil.psi) for dil in (pair.dilated(x0, dd) for dd in deltas)]
+    return _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson)
+
+
 def probe_system(sys, x0, ktilde, ltilde, deltas=None, richardson=True):
-    """``probe`` on a system's form; the default schedule starts at
+    """``probe`` on a system's form, every dilation from one ``form_matrix``
+    call over the schedule; the default schedule starts at
     ``system_delta_max``."""
+    x0 = np.asarray(x0, dtype=float)
     if deltas is None:
         deltas = delta_schedule(system_delta_max(sys, x0))
-    return probe(partial(form_matrix, sys), sys.d, sys.box, x0,
-                 ktilde, ltilde, deltas=deltas, richardson=richardson)
+    deltas = _checked_schedule(sys.box, x0, deltas)
+    pair = _probe_pair(sys.d, ktilde, ltilde).dilated(x0, deltas[0])
+    matrices = form_matrix(sys, pair.phi, pair.psi, deltas)
+    return _probe_result(x0, ktilde, ltilde, deltas, matrices, sys.d, richardson)
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -253,8 +276,7 @@ def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
     target = float(Q.imag[row, col])
     if target == 0.0:
         raise ValueError("symmetrized matrix is real; no nonreal witness")
-    tau = 2.0 if ktilde == ltilde else 1.0
-    pair = build_test_pair(tau, ktilde, ltilde, d)
+    pair = _probe_pair(d, ktilde, ltilde)
 
     def accept(F, delta):
         value = float(F[row, col].imag)

@@ -50,6 +50,10 @@ CHAIN_COST = 25
 #: largest |entry| above the minimum count as tied with it.
 OFFENDER_BAND = 1e-12
 
+#: Seed of numpy's global RNG while a scan runs ``expm_multiply``, whose
+#: 1-norm estimate (``onenormest``) resamples columns with np.random.randint.
+NORM_ESTIMATE_SEED = 0
+
 
 @dataclass
 class GeneratorOperator:
@@ -213,10 +217,22 @@ def _scan_propagators(gen, times, norm1):
     return gen.method, ((t, gen.propagator(t)) for t in times)
 
 
+def _expm_multiply(A, B):
+    """``scipy.sparse.linalg.expm_multiply(A, B)`` under numpy's global RNG
+    seeded with NORM_ESTIMATE_SEED, the caller's state restored after: the
+    result does not depend on that state, and the call does not move it."""
+    state = np.random.get_state()
+    np.random.seed(NORM_ESTIMATE_SEED)
+    try:
+        return scipy.sparse.linalg.expm_multiply(A, B)
+    finally:
+        np.random.set_state(state)
+
+
 def _chain(A, times):
     E, prev = np.eye(A.shape[0], dtype=A.dtype), 0.0
     for t in times:
-        E = _finite(scipy.sparse.linalg.expm_multiply(-(t - prev) * A, E))
+        E = _finite(_expm_multiply(-(t - prev) * A, E))
         prev = t
         yield t, E
 
@@ -251,7 +267,9 @@ def positivity_scan(gen, times=None, tol=None):
     no tested time shows one, it is the witness entry at
     t = A_ij / (2 ||A||_1^2), where |(A^k)_ij| <= ||A||_1^k bounds the Taylor
     remainder below t A_ij / 2.  Each distinct time's propagator is computed
-    once, by the path that ``propagator`` names.
+    once, by the path that ``propagator`` names.  Each ``expm_multiply``
+    call runs under a fixed seed of numpy's global RNG, whose state it
+    restores, so the report does not depend on the caller's draws.
     """
     norm1 = gen.norm1
     if times is None:
@@ -269,7 +287,7 @@ def positivity_scan(gen, times=None, tol=None):
     if offender is None and witness and witness[0] == "lattice":
         _, i, j, a = witness
         t = a / (2.0 * norm1 ** 2)
-        col = scipy.sparse.linalg.expm_multiply(-t * gen.csr, np.eye(1, gen.ndof, j)[0])
+        col = _expm_multiply(-t * gen.csr, np.eye(1, gen.ndof, j)[0])
         offender = (t, float(col[i].real), i, j)
     verdict = ("SIGN-PATTERN-OK" if witness is None
                else "NEGATIVE-FOUND" if offender else "NONREAL-FOUND")

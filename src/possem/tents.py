@@ -15,7 +15,9 @@ keyed by the factors' values keeps them.  The binomial shift ``int x**e ... dx
 = delta**(1 - #derivs) sum_j C(e, j) center**(e - j) delta**j m_j`` turns
 them into the moments of every dilation and center: one path behind
 ``moment_tables`` (the exact integrals, the pair self-check, ``form_matrix``)
-and ``hat_moments`` (the stiffness bands and cell corner matrices).
+and ``hat_moments`` (the stiffness bands and cell corner matrices).  The
+shift runs over a stack at once: every node of a grid axis, or every
+dilation of one pair, whose nested supports share their reference moments.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class PiecewiseLinear1D:
 
     breakpoints: np.ndarray
     values: np.ndarray
+    support: tuple = field(init=False, repr=False)     # (first, last breakpoint)
     _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,6 +78,7 @@ class PiecewiseLinear1D:
         bp.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "support", (float(bp[0]), float(bp[-1])))
         object.__setattr__(self, "_key", (bp.tobytes(), vals.tobytes()))
 
     def __eq__(self, other):
@@ -86,10 +90,6 @@ class PiecewiseLinear1D:
     @classmethod
     def zero(cls):
         return cls([0.0, 1.0], [0.0, 0.0])
-
-    @property
-    def support(self):
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     def __call__(self, t):
         return np.interp(t, self.breakpoints, self.values, left=0.0, right=0.0)
@@ -193,13 +193,16 @@ def _reference_moments(factors, lo, hi):
 def binomial_shift(refs, centers, delta, top, derivs):
     """Reference moments ``refs[c, ..., j]`` carried to ``x = center + delta
     t``, one center per c: ``delta**(1 - derivs) sum_j C(e, j) center**(e - j)
-    delta**j refs[c, ..., j]`` for e = 0..top, derivs counting the slopes."""
+    delta**j refs[c, ..., j]`` for e = 0..top, derivs counting the slopes.
+    ``delta`` is one dilation for all c (the nodes of a grid axis) or one
+    per c (the axes of a stack of dilations)."""
     e = np.arange(top + 1)
+    delta = np.asarray(delta, dtype=float)
     # shift[c, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e
     shift = (_BINOMIAL[:top + 1, :top + 1] * np.asarray(centers, dtype=float)[:, None, None]
-             ** np.maximum(e[:, None] - e, 0) * delta ** e)
+             ** np.maximum(e[:, None] - e, 0) * delta[..., None, None] ** e)
     # delta**(1 - derivs): dx = delta dt and each slope brings 1 / delta
-    deriv_scale = delta ** (1.0 - derivs)[..., None]
+    deriv_scale = delta.reshape(delta.shape + (1,) * (refs.ndim - 1)) ** (1.0 - derivs)[..., None]
     return deriv_scale * np.einsum("c...j,cej->c...e", refs[..., :top + 1], shift)
 
 
@@ -222,7 +225,16 @@ def hat_moments():
     return out
 
 
-def moment_tables(fns, top, box=None):
+@functools.cache
+def _slope_counts(n):
+    """Read-only array (2,)*n: how many of n functions each derivative
+    pattern differentiates."""
+    counts = np.indices((2,) * n).sum(axis=0)
+    counts.flags.writeable = False
+    return counts
+
+
+def moment_tables(fns, top, box=None, deltas=None):
     """Per-axis moments of tensor test functions that share one center and
     dilation (ValueError otherwise), their scales left out.
 
@@ -230,10 +242,14 @@ def moment_tables(fns, top, box=None):
     function: ``tables[axis, a_1, ..., a_n, e]`` is the integral over the
     line (or the box's interval) of ``x**e prod_i f_i^(a_i)`` in the
     axis's coordinate, where f_i is the axis factor of ``fns[i]`` and
-    a_i = 1 differentiates it.  All axes come from the memoized reference
-    moments by one binomial shift ``x = center + delta t``.  An entry is
-    exact when e plus the number of undifferentiated factors is at most
-    CAPACITY; callers check that with ``check_capacity``.
+    a_i = 1 differentiates it.  With ``deltas`` the functions are re-dilated
+    about their center to each of them and the tables are stacked, one
+    (d, 2, ..., 2, top + 1) table per dilation.  Every table comes from the
+    memoized reference moments, looked up once per axis and clipped interval
+    (a dilation whose support the box does not clip shares the entry of the
+    others), and one binomial shift ``x = center + delta t`` over the stack.
+    An entry is exact when e plus the number of undifferentiated factors is
+    at most CAPACITY; callers check that with ``check_capacity``.
     """
     first = fns[0]
     if any(fn.d != first.d for fn in fns):
@@ -243,18 +259,24 @@ def moment_tables(fns, top, box=None):
         raise ValueError("tensor functions must share their center and dilation")
     if box is not None and len(box) != first.d:
         raise ValueError("box dimension mismatch")
-    delta, n = first.delta, len(fns)
-    refs = np.zeros((first.d,) + (2,) * n + (top + 1,))
+    stack = (first.delta,) if deltas is None else tuple(float(dd) for dd in deltas)
+    n, d = len(fns), first.d
+    # one row per dilation and axis, dilation-major
+    refs = np.zeros((len(stack) * d,) + (2,) * n + (top + 1,))
     for axis, center in enumerate(first.center):
         factors = tuple(fn.factors[axis] for fn in fns)
         lo = max(f.support[0] for f in factors)
         hi = min(f.support[1] for f in factors)
-        if box is not None:
-            lo = max(lo, (box[axis][0] - center) / delta)
-            hi = min(hi, (box[axis][1] - center) / delta)
-        if hi > lo:
-            refs[axis] = _reference_moments(factors, float(lo), float(hi))[..., :top + 1]
-    return binomial_shift(refs, first.center, delta, top, np.indices((2,) * n).sum(axis=0))
+        for s, delta in enumerate(stack):
+            a, b = lo, hi
+            if box is not None:
+                a = max(a, (box[axis][0] - center) / delta)
+                b = min(b, (box[axis][1] - center) / delta)
+            if b > a:
+                refs[s * d + axis] = _reference_moments(factors, float(a), float(b))[..., :top + 1]
+    tables = binomial_shift(refs, tuple(first.center) * len(stack),
+                            [delta for delta in stack for _ in range(d)], top, _slope_counts(n))
+    return tables if deltas is None else tables.reshape((len(stack), d) + tables.shape[1:])
 
 
 def tensor_product_integral(terms, weight=None, box=None):

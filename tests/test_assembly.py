@@ -538,6 +538,44 @@ def test_form_matrix_matches_per_kl_oracle(kind, d):
         assert cases == ({1, 3, 5} if d == 1 else {1, 2, 3, 4, 5})
 
 
+#: Dilations of a stacked evaluation: at the "clipped" placement the box cuts
+#: the supports of the two largest and not those of the others.
+STACK_DELTAS = (0.2, 0.1, 0.04, 0.02, 0.01)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "grid", "mixed"])
+def test_form_matrix_stack_matches_one_call_per_dilation(kind, d):
+    sys_ = seeded_system(kind, d, 2, "free", seed=7 * d)
+    for placement, x0 in FORM_PLACEMENTS.items():
+        for tau, kt, lt in [(2.0, 0, 0), (1.0, 0, 1), (-0.7, 1, 1), (-0.7, 0, d - 1)]:
+            pair = build_test_pair(tau, kt, lt, d)
+            stack = form_matrix(sys_, pair.phi.dilated(x0[:d], 1.0),
+                                pair.psi.dilated(x0[:d], 1.0), STACK_DELTAS)
+            assert stack.shape == (len(STACK_DELTAS), 2, 2)
+            for delta, F in zip(STACK_DELTAS, stack):
+                dil = pair.dilated(x0[:d], delta)
+                ref = form_matrix(sys_, dil.phi, dil.psi)
+                clipped = any(lo < a for fn in (dil.phi, dil.psi)
+                              for (lo, _), (a, _) in zip(fn.support_box(), sys_.box))
+                assert clipped == (placement == "clipped" and delta > 0.05)
+                assert np.abs(ref).max() > 0
+                assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max(), (placement, delta)
+
+
+def test_form_matrix_stack_rejects_a_dilation_across_cells():
+    # the largest dilation at the "inside" placement reaches the next cell
+    # along axis 0 of the 3 x 2 x 2 cells; the smaller ones do not
+    sys_ = seeded_system("grid", 3, 2, "free", seed=1)
+    x0 = FORM_PLACEMENTS["inside"]
+    pair = build_test_pair(1.0, 0, 1, 3).dilated(x0, 1.0)
+    with pytest.raises(UnsupportedContract):
+        form_matrix(sys_, pair.phi, pair.psi, (0.3,) + STACK_DELTAS)
+    with pytest.raises(UnsupportedContract):
+        form_matrix(sys_, pair.phi.dilated(x0, 0.3), pair.psi.dilated(x0, 0.3))
+    assert form_matrix(sys_, pair.phi, pair.psi, STACK_DELTAS).shape == (len(STACK_DELTAS), 2, 2)
+
+
 def test_form_matrix_capacity():
     # C_11 = x_2**14: in the (1, 1) term neither factor along axis 2 is
     # differentiated, so the integrand has degree 16 > 15; x_1**14 there

@@ -123,6 +123,26 @@ def test_ellipticity_symmetric_coupling():
     assert rep.passed
 
 
+def test_ellipticity_points_of_polynomial_systems_match_the_union():
+    # without grid-sampled fields the 5^d grid is returned as it is: it
+    # equals the deduplicated union with the box center, row for row
+    from possem.coefficients import _refined_cell_points
+
+    box = ((-0.5, 1.0), (0.25, 2.0), (-2.0, -1.0))
+    x = MultiPoly.variable(0, 3)
+    poly = PolynomialField(((0.5 * x * x + MultiPoly.constant(1.0, 3),),), 3)
+    one = ConstantField(np.eye(1))
+    zero = ConstantField(np.zeros((1, 1)))
+    stretched = EllipticSystem(box, 1, tuple(
+        tuple((poly if k == 0 else one) if k == l else zero for l in range(3))
+        for k in range(3)), "free", 0.5)
+    for sys_ in (catalog.get("rand_coupled(3)").build(d=3), stretched):
+        union = np.unique(np.concatenate([_refined_cell_points(sys_, (0.5,)),
+                                          sys_.interior_tensor_points(5)]), axis=0)
+        pts = default_ellipticity_points(sys_)
+        assert pts.shape == (125, 3) and np.array_equal(pts, union)
+
+
 def test_ellipticity_per_point_matches_oracle():
     # one stacked eigvalsh over all points against the per-point oracle
     box = ((0.0, 1.0), (0.0, 2.0))

@@ -1,12 +1,13 @@
 import importlib.util
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from possem import catalog
-from possem.assembly import Grid, assemble, form_value
+from possem.assembly import Grid, assemble, form_matrix, form_value
 from possem.coefficients import (
     ConstantField,
     EllipticSystem,
@@ -443,6 +444,36 @@ def test_probe_consistency_random_points():
         est = probe_system(sys_const, x0, 0, 1).estimate
         ref = sys_const.symmetrized(0, 1, x0)
         assert np.abs(est - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name, steps", [("ex1_3", None), ("rand_coupled(2)", 12),
+                                         ("ex5_5", 3), ("witness_W", 1)])
+def test_probe_system_reads_every_dilation_in_one_call(monkeypatch, name, steps):
+    # one stacked form_matrix call per probe, whatever the schedule's length,
+    # with the history of one form_matrix call per dilation through probe
+    import possem.decoupling as decoupling
+    from possem.decoupling import default_delta_max, probe
+
+    sys_ = catalog.get(name).build()
+    x0 = np.array([a + 0.41 * (b - a) for a, b in sys_.box])
+    deltas = None if steps is None else tuple(
+        0.5 * default_delta_max(sys_.box, x0) * 2.0 ** -j for j in range(steps))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return form_matrix(*args)
+
+    monkeypatch.setattr(decoupling, "form_matrix", counting)
+    for k, l in [(0, 0), (0, 1)]:
+        calls.clear()
+        res = probe_system(sys_, x0, k, l, deltas=deltas)
+        assert len(calls) == 1 and len(calls[0][-1]) == len(res.deltas)
+        ref = probe(partial(form_matrix, sys_), sys_.d, sys_.box, x0, k, l, deltas=res.deltas)
+        for (dd, got), (dd_ref, want) in zip(res.history, ref.history):
+            assert dd == dd_ref
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+        assert res.converged == ref.converged
 
 
 def test_probe_flags_divergent_evaluator():

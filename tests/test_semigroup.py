@@ -441,6 +441,27 @@ def test_sparse_scan_keeps_the_callers_time_order(monkeypatch):
     _assert_same_scan(rep, positivity_scan(gen, times=times))
 
 
+def test_scan_leaves_the_global_rng_alone():
+    # the chain's 1-norm estimate resamples columns from numpy's global RNG
+    # on this form; the scan draws them under its own seed and restores the
+    # caller's state, so the report does not depend on that state either
+    gen = _form_generator("ex1_3", "free", 2, 16)
+    saved = np.random.get_state()
+    try:
+        reports = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            reports.append(positivity_scan(gen))
+            after = np.random.get_state()
+            assert after[0] == before[0] and np.array_equal(after[1], before[1])
+            assert after[2:] == before[2:]
+    finally:
+        np.random.set_state(saved)
+    assert reports[0].propagator == "expm_multiply"
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("n, times", [(8, None), (12, (1.0,))])
 def test_dense_side_of_the_cost_rule_keeps_expm(n, times):
     # a small form, or a large ||t A||_1 (103.5 here), keeps one dense

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import GridSampledField, _as_box, tensor_points
+from .coefficients import _as_box, tensor_points
 from .errors import NumericalError, UnsupportedContract
 from .tents import (
     PiecewiseLinear1D,
@@ -162,24 +162,25 @@ class DiscreteForm:
         return float(np.abs(coo.data[mask]).max())
 
 
-def _term_arrays(terms, d):
-    """exps, dk, dl (T, d) and C (T, m, m) of the terms; CapacityError past e + 2 - dk - dl."""
-    k, l, exps, C = zip(*terms)
-    exps, C = np.array(exps), np.array(C)
-    dk, dl = np.eye(d, dtype=int)[np.array((k, l))]
+def _derivative_orders(k, l, exps):
+    """dk, dl (T, d): the one-hot derivative orders of the terms along k and
+    l; CapacityError past e + 2 - dk - dl."""
+    dk, dl = np.eye(exps.shape[1], dtype=int)[np.array((k, l))]
     check_capacity(int((exps - dk - dl).max()) + 2)
-    return exps, dk, dl, C
+    return dk, dl
 
 
 def _term_stencil(grid, terms, m):
-    """Stencil-block array (*nodes, i, *offsets, j) of the monomial terms
-    (k, l, exponents, C): ``sum_t C_t[i, j] prod_axis band_t(node, offset)``
-    with one contraction over the terms t."""
+    """Stencil-block array (*nodes, i, *offsets, j) of the monomial terms,
+    arrays (k, l, exponents, C) as in ``CoefficientTable.terms``:
+    ``sum_t C_t[i, j] prod_axis band_t(node, offset)`` with one contraction
+    over the terms t."""
     d = grid.d
     S = np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
-    if not terms:
+    k, l, exps, C = terms
+    if not len(C):
         return S
-    exps, dk, dl, C = _term_arrays(terms, d)
+    dk, dl = _derivative_orders(k, l, exps)
     stacks = [_axis_bands(grid, ax, exps[:, ax].max())[exps[:, ax], dk[:, ax], dl[:, ax]]
               for ax in range(d)]                            # (T, n_axis, 3)
     if not all(np.isfinite(a).all() for a in (*stacks, C)):
@@ -248,19 +249,10 @@ def assemble(sys, grid):
     """
     if _as_box(sys.box) != grid.box:
         raise ValueError("grid box must equal the system box")
-    d, m = sys.d, sys.m
-    terms, sampled = [], []
-    for k in range(d):
-        for l in range(d):
-            fld = sys.coefficient(k, l)
-            if isinstance(fld, GridSampledField):
-                sampled.append((fld, k, l))
-            else:
-                terms += [(k, l, e, C) for e, C in fld.monomials(d, grid.box)]
-    S = _term_stencil(grid, terms, m)
-    for fld, k, l in sampled:
+    S = _term_stencil(grid, sys.table.terms, sys.m)
+    for k, l, fld in sys.table.sampled:
         _add_sampled(S, grid, fld, k, l)
-    return DiscreteForm(_stencil_csr(S, grid), grid.mass_weights(), grid, m)
+    return DiscreteForm(_stencil_csr(S, grid), grid.mass_weights(), grid, sys.m)
 
 
 def form_matrix(sys, phi, psi, deltas=None):
@@ -296,10 +288,15 @@ def form_matrix(sys, phi, psi, deltas=None):
                 (min(lo, lo2), max(hi, hi2)) for (lo, hi), (lo2, hi2) in zip(region, span)]
     out = np.zeros((len(stack), m, m), dtype=complex)
     if region is not None:
-        terms = [(k, l, e, C) for k in range(d) for l in range(d)
-                 for e, C in sys.coefficient(k, l).monomials(d, region)]
-        if terms:
-            exps, dpsi, dphi, C = _term_arrays(terms, d)    # psi along k, phi along l
+        k, l, exps, C = sys.table.terms
+        sampled = sys.table.sampled
+        if sampled:     # each grid-sampled field's constant on the region
+            k = np.concatenate([k, [kk for kk, _, _ in sampled]])
+            l = np.concatenate([l, [ll for _, ll, _ in sampled]])
+            exps = np.concatenate([exps, np.zeros((len(sampled), d), dtype=int)])
+            C = np.concatenate([C, [fld.monomials(d, region)[0][1] for _, _, fld in sampled]])
+        if len(C):
+            dpsi, dphi = _derivative_orders(k, l, exps)     # psi along k, phi along l
             tables = moment_tables((phi, psi), int(exps.max()), sys.box, stack)
             weights = tables[:, np.arange(d), dphi, dpsi, exps].prod(axis=-1)    # (S, T)
             out = phi.scale * psi.scale * np.einsum("st,tij->sij", weights, C)
@@ -325,7 +322,8 @@ def commutation_residual(grid, B, u, v, k, l):
     u, v = (np.asarray(w, dtype=complex).ravel() for w in (u, v))
 
     def pairing(kk, ll):
-        S = _term_stencil(grid, [(kk, ll, (0,) * grid.d, B)], B.shape[0])
+        S = _term_stencil(grid, ([kk], [ll], np.zeros((1, grid.d), dtype=int), B[None]),
+                          B.shape[0])
         return np.vdot(v, _stencil_csr(S, grid) @ u)
 
     return float(abs(pairing(k, l) - pairing(l, k)))

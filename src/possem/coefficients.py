@@ -5,6 +5,14 @@ Three storable kinds are supported: constant matrices, matrices of
 multivariate polynomial entries, and piecewise-constant matrices sampled on a
 uniform cell grid.  An elliptic system bundles a d x d array of such fields
 with a box, a boundary-condition tag, and a declared ellipticity constant.
+
+Every pointwise read of a system goes through its ``CoefficientTable``: the
+distinct exponents of its constant and polynomial terms with their
+coefficients in the (d m) x (d m) block layout, built once from the fields'
+``monomials``.  The block matrices at n points are one (n, T) power matrix
+times the table, plus one cell lookup per grid-sampled field; the
+symmetrized coefficients, the coercivity check, the uniform bound, the
+exact form and the assembler read the same table.
 """
 
 from __future__ import annotations
@@ -49,31 +57,60 @@ def _check_point_in_box(x, box):
     return x
 
 
+def _term_arrays(terms, d, m):
+    """The exponents (T, d) and coefficients (T, m, m) of a list of
+    ``(exponents, m x m matrix)`` terms."""
+    return (np.array([e for e, _ in terms], dtype=int).reshape(-1, d),
+            np.array([C for _, C in terms], dtype=complex).reshape(-1, m, m))
+
+
+def _monomial_sum(pts, exps, coefs):
+    """``sum_t prod_i x_i**exps[t, i] * coefs[t]`` at (n, d) points: one
+    real (n, T) power matrix times the (T, ...) coefficients, read as real
+    and imaginary parts side by side."""
+    shape = coefs.shape[1:]
+    flat = np.ascontiguousarray(coefs).view(float).reshape(len(coefs), 2 * math.prod(shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.prod(pts[:, None, :] ** exps, axis=-1) @ flat
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite coefficient value")
+    return out.view(complex).reshape((len(pts),) + shape)
+
+
+def _entrywise_bound(exps, coefs, box):
+    """``sum_t |coefs[t]| prod_i max(|a_i|, |b_i|)**exps[t, i]``, summed in
+    term order (a cumulative sum, not a pairwise one), so the bound of a
+    field is the same float whichever table it is read from."""
+    radius = [max(abs(lo), abs(hi)) for lo, hi in box]
+    w = np.array([math.prod([r ** e for r, e in zip(radius, row)]) for row in exps.tolist()])
+    if not len(w):
+        return np.zeros(coefs.shape[1:])
+    return np.cumsum(np.abs(coefs) * w[:, None, None], axis=0)[-1]
+
+
 class MatrixField:
     """Common surface of the three coefficient kinds.
 
     Every kind is a polynomial on a small enough sub-box: a constant, a
     polynomial, or the value of one grid cell.  ``monomials`` exposes that
-    polynomial as ``(exponents, m x m matrix)`` terms, which is all the form
-    evaluator and the assembler need to know about a field.
+    polynomial as ``(exponents, m x m matrix)`` terms.  A system reads its
+    fields' terms once, into its ``CoefficientTable``, and every pointwise
+    value, bound, form entry and stiffness block is read from that table;
+    a field's own ``eval`` is the one-field case of the same product.
     """
 
     kind = "abstract"
 
     def eval(self, x):
         """C(x): an m x m matrix at a point, an (n, m, m) stack at (n, d)
-        points.  The monomial terms are summed over all points at once; the
+        points, from one product of the monomial powers with the terms.  The
         constant and polynomial terms do not depend on the region, so the
         points' bounding box is passed (the grid kind reads its cells)."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         region = list(zip(pts.min(axis=0), pts.max(axis=0)))
-        out = np.zeros((len(pts), self.m, self.m), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for exps, C in self.monomials(pts.shape[1], region):
-                out += np.prod(pts ** np.array(exps), axis=1)[:, None, None] * C
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("non-finite coefficient value")
+        d = pts.shape[1]
+        out = _monomial_sum(pts, *_term_arrays(self.monomials(d, region), d, self.m))
         return out if x.ndim == 2 else out[0]
 
     def monomials(self, d, region):
@@ -178,13 +215,15 @@ class PolynomialField(MatrixField):
 
     @cached_property
     def _monomials(self):
-        by_exponent = {}
-        for i in range(self.m):
-            for j in range(self.m):
-                for exps, coef in self.entries[i][j].terms():
-                    C = by_exponent.setdefault(exps, np.zeros((self.m, self.m), dtype=complex))
-                    C[i, j] += coef
-        return sorted(by_exponent.items())
+        # the entries' coefficient tensors side by side, (*exponent, i, j);
+        # argwhere lists the exponents of nonzero terms in ascending order
+        shape = np.max([p.coeffs.shape for row in self.entries for p in row], axis=0)
+        stack = np.zeros((*shape, self.m, self.m), dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, p in enumerate(row):
+                stack[tuple(slice(0, n) for n in p.coeffs.shape) + (i, j)] += p.coeffs
+        exps = np.argwhere(stack.any(axis=(-2, -1)))
+        return list(zip(map(tuple, exps.tolist()), stack[tuple(exps.T)]))
 
     def monomials(self, d, region):
         if d != self.d:
@@ -193,11 +232,8 @@ class PolynomialField(MatrixField):
 
     def bound(self, box):
         """2-norm of the entrywise bounds sum_e |C_e| prod_i max(|a_i|, |b_i|)**e_i."""
-        b = np.zeros((self.m, self.m))
-        for exps, C in self._monomials:
-            b += np.abs(C) * math.prod([max(abs(lo), abs(hi)) ** e
-                                        for (lo, hi), e in zip(box, exps)])
-        return float(np.linalg.norm(b, 2))
+        entrywise = _entrywise_bound(*_term_arrays(self._monomials, self.d, self.m), box)
+        return float(np.linalg.norm(entrywise, 2))
 
     def realified(self):
         return PolynomialField(
@@ -313,6 +349,30 @@ def realify_field(fld):
 
 
 @dataclass(frozen=True)
+class CoefficientTable:
+    """A system's constant and polynomial terms, read once from its fields'
+    ``monomials`` over the box.
+
+    ``exps`` (T, d) holds the distinct exponents in ascending order and
+    ``blocks`` (T, d m, d m) their coefficients in the layout of
+    ``EllipticSystem.block_matrix``: C_kl(x) is block (k, l) of
+    ``sum_t x**exps[t] * blocks[t]``, except for the grid-sampled fields,
+    listed as (k, l, field) in ``sampled``, whose blocks are zero.  ``terms``
+    holds the same terms one by one in (k, l, exponent) order, as arrays
+    k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m).
+    """
+
+    exps: np.ndarray
+    blocks: np.ndarray
+    terms: tuple
+    sampled: tuple
+
+    def __post_init__(self):
+        for arr in (self.exps, self.blocks, *self.terms):
+            arr.flags.writeable = False     # one table is shared by every reader
+
+
+@dataclass(frozen=True)
 class EllipticSystem:
     """Second-order divergence-form system with matrix coefficients."""
 
@@ -351,25 +411,63 @@ class EllipticSystem:
     def eval_coefficient(self, k, l, x):
         return eval_coefficient(self.coeffs[k][l], x, box=self.box)
 
+    @cached_property
+    def table(self):
+        """The ``CoefficientTable`` of the system, built on first use."""
+        d, m = self.d, self.m
+        fields = [(k, l, fld) for k, row in enumerate(self.coeffs) for l, fld in enumerate(row)]
+        terms = [(k, l, e, C) for k, l, fld in fields if fld.kind != "grid"
+                 for e, C in fld.monomials(d, self.box)]
+        k, l = (np.array([t[i] for t in terms], dtype=int) for i in (0, 1))
+        exps, C = _term_arrays([t[2:] for t in terms], d, m)
+        distinct = sorted({t[2] for t in terms})
+        row = {e: i for i, e in enumerate(distinct)}
+        blocks = np.zeros((len(distinct), d, m, d, m), dtype=complex)
+        blocks[[row[t[2]] for t in terms], k, :, l, :] = C
+        return CoefficientTable(np.array(distinct, dtype=int).reshape(-1, d),
+                                blocks.reshape(-1, d * m, d * m), (k, l, exps, C),
+                                tuple(f for f in fields if f[2].kind == "grid"))
+
     def bound(self):
         """Uniform coefficient bound M over all (k, l) and the whole box."""
         return self._bound
 
     @cached_property
     def _bound(self):
-        return max(fld.bound(self.box) for row in self.coeffs for fld in row)
+        # the largest ``fld.bound(box)``, to the bit: a polynomial field's
+        # entrywise bounds are its blocks of the table's, and the 2-norms
+        # are taken in one stack per dtype (polynomial: real, others: complex)
+        m, tab = self.m, self.table
+        entrywise = _entrywise_bound(tab.exps, tab.blocks, self.box)
+        real, cplx = [], []
+        for k, row in enumerate(self.coeffs):
+            for l, fld in enumerate(row):
+                if fld.kind == "polynomial":
+                    real.append(entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m])
+                elif fld.kind == "constant":
+                    cplx.append(fld.matrix[None])
+                else:
+                    cplx.append(fld.values.reshape(-1, m, m))
+        return max(float(np.linalg.norm(np.concatenate(s), 2, axis=(1, 2)).max())
+                   for s in (real, cplx) if s)
 
     def block_matrix(self, x):
         """The (m d) x (m d) matrix with blocks C_kl(x) at a point, or the
-        (n, m d, m d) stack of them at (n, d) points."""
+        (n, m d, m d) stack of them at (n, d) points: the table's monomial
+        sum, plus each grid-sampled field's cell values."""
         x = _check_point_in_box(x, self.box)
-        return np.block([[fld.eval(x) for fld in row] for row in self.coeffs])
+        pts, m, tab = np.atleast_2d(x), self.m, self.table
+        out = _monomial_sum(pts, tab.exps, tab.blocks)
+        for k, l, fld in tab.sampled:
+            out[:, k * m:(k + 1) * m, l * m:(l + 1) * m] += fld.values[fld.cell_index(pts)]
+        return out if x.ndim == 2 else out[0]
 
     def symmetrized(self, k, l, x):
         """C_kl(x) + C_lk(x), the combination the form determines, at a point
-        or stacked over (n, d) points."""
-        x = _check_point_in_box(x, self.box)
-        return self.coeffs[k][l].eval(x) + self.coeffs[l][k].eval(x)
+        or stacked over (n, d) points, from one ``block_matrix`` read."""
+        B = self.block_matrix(x)
+        B = B.reshape(B.shape[:-2] + (self.d, self.m, self.d, self.m))
+        return B[..., k, :, l, :] + B[..., l, :, k, :]
 
     def realified(self):
         return EllipticSystem(

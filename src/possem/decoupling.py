@@ -313,12 +313,11 @@ class Verdict:
 def default_probe_points(sys):
     """(p+1)^d interior tensor points at relative offsets j / (p+2), j = 1..p+1,
     of the box, or of every cell of the common refinement of grid-sampled
-    coefficients; p is the largest per-axis exponent of a non-grid term.  A
+    coefficients; p is the largest exponent in the system's table.  A
     tensor grid of p+1 nodes per axis is unisolvent for per-axis degree <= p,
     so a symmetrized coefficient vanishes at these points only if it vanishes
     on every cell.  No point lies on a cell face."""
-    p = max((max(exps) for row in sys.coeffs for fld in row if fld.kind != "grid"
-             for exps, _ in fld.monomials(sys.d, sys.box)), default=0)
+    p = int(sys.table.exps.max(initial=0))
     return _refined_cell_points(sys, np.arange(1, p + 2) / (p + 2))
 
 
@@ -337,9 +336,9 @@ def extract_scalar_systems(sys):
 def _first_failure(sys, points, tol, via_probe):
     """First (x0, k, l, Q, diagonal, real) in scan order (points
     lexicographic, then k <= l) whose symmetrized coefficient Q is not real
-    diagonal, or None.  The direct path reads each (k, l) once over all
-    points; ``via_probe`` probes one point and pair at a time and stops at
-    the first failure."""
+    diagonal, or None.  The direct path reads the block matrices once at
+    all points and forms every C_kl + C_lk from them; ``via_probe`` probes
+    one point and pair at a time and stops at the first failure."""
     pairs = [(k, l) for k in range(sys.d) for l in range(k, sys.d)]
 
     def probed():
@@ -353,8 +352,13 @@ def _first_failure(sys, points, tol, via_probe):
                     )
                 yield x0[None], [(k, l)], res.estimate[None, None]
 
-    reads = probed() if via_probe else [
-        (points, pairs, np.stack([sys.symmetrized(k, l, points) for k, l in pairs], axis=1))]
+    def direct():
+        B = sys.block_matrix(points).reshape(len(points), sys.d, sys.m, sys.d, sys.m)
+        B = B.transpose(0, 1, 3, 2, 4)          # (point, k, l, i, j)
+        ks, ls = np.array(pairs).T
+        yield points, pairs, B[:, ks, ls] + B[:, ls, ks]
+
+    reads = probed() if via_probe else direct()
     for pts, kls, Q in reads:
         diagonal = is_multiplication(Q, tol)
         real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol

@@ -269,6 +269,45 @@ def test_monomial_reads_match_entrywise_polynomials(m, d):
         assert np.abs(fld.eval(xs) - refs).max() <= 1e-13 * max(1.0, np.abs(refs).max())
 
 
+def table_systems():
+    """Every catalog entry, seeded rand_* systems with m = 4 and with d = 3,
+    a cell-sampled system and a constant beside a grid."""
+    out = [catalog.get(name).build() for name in catalog.names()
+           if not catalog.needs_seed(name)]
+    for base in ("rand_decoupled", "rand_coupled"):
+        for seed in (0, 7):
+            out += [catalog.get(f"{base}({seed})").build(**kw)
+                    for kw in ({}, {"m": 4}, {"d": 3}, {"m": 3, "d": 3})]
+    box = ((0.0, 1.0), (-1.0, 2.0))
+    rng = np.random.default_rng(17)
+    cells = GridSampledField(box, rng.standard_normal((3, 2, 2, 2))
+                             + 1j * rng.standard_normal((3, 2, 2, 2)))
+    coarse = GridSampledField(box, 3 * np.eye(2) + rng.uniform(-1, 1, (2, 1, 2, 2)))
+    out.append(EllipticSystem(box, 2, ((coarse, cells), (cells, coarse))))
+    const = ConstantField(np.array([[2.0, 0.5j], [0.0, 1.5 - 1j]]))
+    out.append(EllipticSystem(box, 2, ((const, cells), (ConstantField(np.zeros((2, 2))), const))))
+    return out
+
+
+def test_block_matrix_reads_the_table_like_per_field_eval():
+    # one power matrix times the system's table, plus the cell lookups,
+    # against the block matrix glued from each field's own eval
+    rng = np.random.default_rng(5)
+    for sys_ in table_systems():
+        lo, hi = np.array(sys_.box).T
+        pts = np.concatenate([rng.uniform(lo, hi, size=(20, sys_.d)), [lo, hi]])
+        ref = np.block([[fld.eval(pts) for fld in row] for row in sys_.coeffs])
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(sys_.block_matrix(pts) - ref).max() <= 1e-14 * scale
+        assert np.abs(sys_.block_matrix(pts[3]) - ref[3]).max() <= 1e-14 * scale
+
+
+def test_system_bound_is_the_largest_field_bound():
+    # the bound sets every decision tolerance, so it is kept to the bit
+    for sys_ in table_systems():
+        assert sys_.bound() == max(fld.bound(sys_.box) for row in sys_.coeffs for fld in row)
+
+
 def test_symmetrized_examples():
     sys_ = catalog.get("ex1_3").build()
     x = np.array([1.0, -1.0])

@@ -16,8 +16,10 @@ from possem.coefficients import (
 )
 from possem.decoupling import (
     NonrealWitness,
+    _first_failure,
     construct_witness,
     decide_decoupling,
+    default_decision_tol,
     default_probe_points,
     extract_offdiag_2d,
     extract_scalar_systems,
@@ -25,6 +27,7 @@ from possem.decoupling import (
     system_delta_max,
 )
 from possem.errors import ContractViolation, GeometryError, UnsupportedContract
+from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
 
 
@@ -155,6 +158,44 @@ def test_decision_witness_system():
     assert w.value >= w.threshold * (1 - 1e-9)
     # disjoint channel supports: f vanishes on B
     assert np.all(w.f * w.indicator == 0.0)
+
+
+@pytest.mark.parametrize("build", [catalog.get("ex1_3").build, catalog.get("ex5_5").build,
+                                   partial(catalog.embedded_nullform, "dirichlet"),
+                                   catalog.get("ex3_5_nullform").build])
+def test_symmetrized_offdiagonal_cancels_exactly(build):
+    # the degree-sized zero test needs C_kl + C_lk to cancel to 0.0, not
+    # to rounding level, wherever the coupling is antisymmetric
+    sys_ = build()
+    pts = default_probe_points(sys_)
+    off = ~np.eye(sys_.m, dtype=bool)
+    for k in range(sys_.d):
+        for l in range(k, sys_.d):
+            assert np.all(sys_.symmetrized(k, l, pts)[:, off] == 0.0)
+
+
+def per_pair_first_failure(sys_, points, tol):
+    for x0 in points:
+        for k in range(sys_.d):
+            for l in range(k, sys_.d):
+                Q = sys_.symmetrized(k, l, x0)
+                if not (is_multiplication(Q, tol) and np.abs(Q.imag).max() <= tol):
+                    return x0, k, l
+    return None
+
+
+@pytest.mark.parametrize("base", ["rand_coupled", "rand_decoupled"])
+@pytest.mark.parametrize("m, d", [(2, 2), (4, 2), (2, 3), (4, 3)])
+def test_direct_first_failure_matches_a_per_pair_loop(base, m, d):
+    for seed in (2, 11, 40):
+        sys_ = catalog.get(f"{base}({seed})").build(m=m, d=d)
+        points = default_probe_points(sys_)
+        tol = default_decision_tol(sys_)
+        ref = per_pair_first_failure(sys_, points, tol)
+        got = _first_failure(sys_, points, tol, via_probe=False)
+        assert (ref is None) == (base == "rand_decoupled") == (got is None)
+        if ref is not None:
+            assert np.array_equal(got[0], ref[0]) and got[1:3] == ref[1:]
 
 
 def test_decision_via_probe_matches_direct():

@@ -464,10 +464,11 @@ class EllipticSystem:
 
     def symmetrized(self, k, l, x):
         """C_kl(x) + C_lk(x), the combination the form determines, at a point
-        or stacked over (n, d) points, from one ``block_matrix`` read."""
+        or stacked over (n, d) points, from one ``block_matrix`` read; for
+        index arrays k and l, the (..., len(k), m, m) sums of every pair."""
         B = self.block_matrix(x)
-        B = B.reshape(B.shape[:-2] + (self.d, self.m, self.d, self.m))
-        return B[..., k, :, l, :] + B[..., l, :, k, :]
+        B = B.reshape(B.shape[:-2] + (self.d, self.m, self.d, self.m)).swapaxes(-3, -2)
+        return B[..., k, l, :, :] + B[..., l, k, :, :]
 
     def realified(self):
         return EllipticSystem(

@@ -352,13 +352,8 @@ def _first_failure(sys, points, tol, via_probe):
                     )
                 yield x0[None], [(k, l)], res.estimate[None, None]
 
-    def direct():
-        B = sys.block_matrix(points).reshape(len(points), sys.d, sys.m, sys.d, sys.m)
-        B = B.transpose(0, 1, 3, 2, 4)          # (point, k, l, i, j)
-        ks, ls = np.array(pairs).T
-        yield points, pairs, B[:, ks, ls] + B[:, ls, ks]
-
-    reads = probed() if via_probe else direct()
+    reads = probed() if via_probe else [
+        (points, pairs, sys.symmetrized(*np.array(pairs).T, points))]
     for pts, kls, Q in reads:
         diagonal = is_multiplication(Q, tol)
         real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol

@@ -93,12 +93,9 @@ class GeneratorOperator:
     def _of_form(cls, dform):
         real = dform.is_real()
         mass = dform.dof_mass
-        K = dform.K.real if real else dform.K
-        hermitian = abs(K - K.conj().T).max() <= 1e-12 * max(
-            1.0, float(np.abs(K.data).max(initial=0.0)))
         A = dform.K.toarray()
         spectral = None     # K Hermitian: A is similar to S = Mass^-1/2 K Mass^-1/2
-        if hermitian:
+        if dform.is_hermitian():
             root = np.sqrt(mass)
             lam, V = np.linalg.eigh((A.real if real else A) / np.outer(root, root))
             spectral = (lam, V / root[:, None], V.conj().T * root)

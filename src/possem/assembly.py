@@ -161,8 +161,9 @@ class DiscreteForm:
         ``_stencil_csr``), so the row-major keys of its entries ascend."""
         K, n = self.K, self.K.shape[0]
         data = K.data.real if self.is_real() else K.data
-        rows = np.repeat(np.arange(n), np.diff(K.indptr))
-        keys, keys_t = rows * n + K.indices, K.indices * n + rows
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(K.indptr))
+        cols = K.indices.astype(np.int64)       # n**2 passes int32 at n > 46340
+        keys, keys_t = rows * n + cols, cols * n + rows
         at = np.minimum(np.searchsorted(keys, keys_t), len(keys) - 1)
         partner = np.where(keys[at] == keys_t, data[at], 0.0)
         return bool(np.abs(data - partner.conj()).max(initial=0.0)

@@ -162,7 +162,8 @@ def test_decision_witness_system():
 
 @pytest.mark.parametrize("build", [catalog.get("ex1_3").build, catalog.get("ex5_5").build,
                                    partial(catalog.embedded_nullform, "dirichlet"),
-                                   catalog.get("ex3_5_nullform").build])
+                                   catalog.get("ex3_5_nullform").build],
+                         ids=["ex1_3", "ex5_5", "embedded_nullform", "ex3_5_nullform"])
 def test_symmetrized_offdiagonal_cancels_exactly(build):
     # the degree-sized zero test needs C_kl + C_lk to cancel to 0.0, not
     # to rounding level, wherever the coupling is antisymmetric

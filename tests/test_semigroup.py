@@ -394,6 +394,15 @@ def test_hermitian_test_on_sparse_K_matches_dense():
     assert {mt for _, _, mt in seen} == {"spectral", "expm"}
 
 
+def test_hermitian_test_keys_past_int32():
+    # 257**2 dofs: the row-major entry keys pass 2**31, so they are int64
+    sys_ = catalog.get("scalar_heat").build(bc="free")
+    dform = assemble(sys_, Grid(sys_.box, (256, 256), "free"))
+    assert dform.ndof ** 2 > 2 ** 31 and dform.is_hermitian()
+    skewed = sys_.with_coefficient(0, 1, ConstantField(np.array([[0.5]])))
+    assert not assemble(skewed, Grid(sys_.box, (256, 256), "free")).is_hermitian()
+
+
 def test_memoized_generator_is_read_only():
     sys_ = catalog.get("scalar_heat").build()
     dform = assemble(sys_, Grid(sys_.box, (4, 4), "dirichlet"))

@@ -153,22 +153,6 @@ class DiscreteForm:
         scale = np.abs(data.real).max()
         return np.abs(data.imag).max() <= tol * max(1.0, scale)
 
-    def is_hermitian(self, tol=1e-12):
-        """Whether max |K - K^H| <= tol * max(1, max |K|), on the real part
-        when ``is_real``.  Read from the CSR arrays: every stored entry
-        against its transposed partner (zero when that is not stored), which
-        reaches every nonzero entry of K - K^H.  K is canonical (see
-        ``_stencil_csr``), so the row-major keys of its entries ascend."""
-        K, n = self.K, self.K.shape[0]
-        data = K.data.real if self.is_real() else K.data
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(K.indptr))
-        cols = K.indices.astype(np.int64)       # n**2 passes int32 at n > 46340
-        keys, keys_t = rows * n + cols, cols * n + rows
-        at = np.minimum(np.searchsorted(keys, keys_t), len(keys) - 1)
-        partner = np.where(keys[at] == keys_t, data[at], 0.0)
-        return bool(np.abs(data - partner.conj()).max(initial=0.0)
-                    <= tol * max(1.0, float(np.abs(data).max(initial=0.0))))
-
     def channel_coupling_max(self):
         """Largest |K| entry coupling two different channels."""
         coo = self.K.tocoo()

@@ -94,10 +94,12 @@ class GeneratorOperator:
         real = dform.is_real()
         mass = dform.dof_mass
         A = dform.K.toarray()
+        K = A.real if real else A
         spectral = None     # K Hermitian: A is similar to S = Mass^-1/2 K Mass^-1/2
-        if dform.is_hermitian():
+        if np.abs(K - K.conj().T).max(initial=0.0) <= 1e-12 * max(
+                1.0, float(np.abs(K).max(initial=0.0))):
             root = np.sqrt(mass)
-            lam, V = np.linalg.eigh((A.real if real else A) / np.outer(root, root))
+            lam, V = np.linalg.eigh(K / np.outer(root, root))
             spectral = (lam, V / root[:, None], V.conj().T * root)
         A /= mass[:, None]
         # the same complex division per stored entry, so the CSR equals A bit for bit

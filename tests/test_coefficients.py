@@ -13,6 +13,7 @@ from possem.coefficients import (
     realify_field,
     realify_matrix,
 )
+from possem.decoupling import extract_scalar_systems
 from possem.errors import DomainError, NumericalError
 from possem.polynomials import MultiPoly
 
@@ -306,6 +307,25 @@ def test_system_bound_is_the_largest_field_bound():
     # the bound sets every decision tolerance, so it is kept to the bit
     for sys_ in table_systems():
         assert sys_.bound() == max(fld.bound(sys_.box) for row in sys_.coeffs for fld in row)
+
+
+def test_system_bound_bits_are_pinned():
+    # float.hex of bound() as the per-field, per-term loops gave it before
+    # the table: a change of summation order moves a last bit of these
+    def built(name, **kw):
+        return catalog.get(name).build(**kw)
+
+    cases = [(built("ex1_3"), "0x1.8000000000000p+2"),
+             (built("ex5_5"), "0x1.8000000000000p+2"),
+             (built("ex3_5_nullform"), "0x1.0000000000000p+2"),
+             (built("rand_coupled(0)", m=4), "0x1.4cccccccccccdp+0"),
+             (built("rand_decoupled(7)", d=3), "0x1.4cccccccccccep+0"),
+             (built("rand_coupled(7)", m=3, d=3), "0x1.4cccccccccccep+0")]
+    cases += zip(extract_scalar_systems(built("rand_decoupled(7)", m=4)),
+                 ["0x1.4ccccccccccccp+0", "0x1.4ccccccccccccp+0",
+                  "0x1.4cccccccccccdp+0", "0x1.4ccccccccccccp+0"])
+    cases += zip(table_systems()[-2:], ["0x1.e0c12b663bbc3p+1", "0x1.da20f19716df4p+1"])
+    assert [float.hex(s.bound()) for s, _ in cases] == [bits for _, bits in cases]
 
 
 def test_symmetrized_examples():

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -373,34 +371,6 @@ def test_expm_path_is_unchanged(name, bc):
     assert gen.method == "expm" and gen.spectral is None
     for t in (0.01, 0.1, 1.0):
         assert np.array_equal(gen.propagator(t), scipy.linalg.expm(-t * gen.A))
-
-
-def test_hermitian_test_on_sparse_K_matches_dense():
-    # the path is chosen from the sparse K; the dense test is the reference
-    seen = set()
-    names = [n for n in catalog.names() if not catalog.needs_seed(n)] + [
-        "rand_decoupled(3)", "rand_coupled(3)"]
-    for name, bc in itertools.product(names, ("dirichlet", "free")):
-        sys_ = catalog.get(name).build(bc=bc)
-        dform = assemble(sys_, Grid(sys_.box, (4 if sys_.d == 3 else 6,) * sys_.d, bc))
-        A = dform.K.toarray()
-        K = A.real if dform.is_real() else A
-        dense = np.abs(K - K.conj().T).max(initial=0.0) <= 1e-12 * max(
-            1.0, float(np.abs(K).max(initial=0.0)))
-        method = GeneratorOperator.from_discrete_form(dform).method
-        assert method == ("spectral" if dense else "expm")
-        seen.add((sys_.d, dform.is_real(), method))
-    assert {d for d, _, _ in seen} == {2, 3} and {bool(r) for _, r, _ in seen} == {True, False}
-    assert {mt for _, _, mt in seen} == {"spectral", "expm"}
-
-
-def test_hermitian_test_keys_past_int32():
-    # 257**2 dofs: the row-major entry keys pass 2**31, so they are int64
-    sys_ = catalog.get("scalar_heat").build(bc="free")
-    dform = assemble(sys_, Grid(sys_.box, (256, 256), "free"))
-    assert dform.ndof ** 2 > 2 ** 31 and dform.is_hermitian()
-    skewed = sys_.with_coefficient(0, 1, ConstantField(np.array([[0.5]])))
-    assert not assemble(skewed, Grid(sys_.box, (256, 256), "free")).is_hermitian()
 
 
 def test_memoized_generator_is_read_only():

@@ -146,12 +146,13 @@ class DiscreteForm:
     def dof_mass(self):
         return np.repeat(self.mass, self.m)
 
-    def is_real(self, tol=1e-12):
+    def is_real(self):
+        """Whether every |Im K_ij| is at most 1e-12 max(1, max |Re K|)."""
         data = self.K.data
         if data.size == 0:
             return True
         scale = np.abs(data.real).max()
-        return np.abs(data.imag).max() <= tol * max(1.0, scale)
+        return np.abs(data.imag).max() <= 1e-12 * max(1.0, scale)
 
     def channel_coupling_max(self):
         """Largest |K| entry coupling two different channels."""

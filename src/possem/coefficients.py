@@ -12,7 +12,9 @@ coefficients in the (d m) x (d m) block layout, built once from the fields'
 ``monomials``.  The block matrices at n points are one (n, T) power matrix
 times the table, plus one cell lookup per grid-sampled field; the
 symmetrized coefficients, the coercivity check, the uniform bound, the
-exact form and the assembler read the same table.
+exact form and the assembler read the same table.  A scalar system
+Re (C_kl e_n, e_n) extracted from a system does not build its own table: it
+reads its channel slice of the parent's (``CoefficientTable.channel``).
 """
 
 from __future__ import annotations
@@ -371,6 +373,23 @@ class CoefficientTable:
         for arr in (self.exps, self.blocks, *self.terms):
             arr.flags.writeable = False     # one table is shared by every reader
 
+    def channel(self, n, fields):
+        """The table of scalar system n, whose coefficients are
+        Re (C_kl e_n, e_n), sliced from this one: the rows whose real blocks
+        ``blocks[:, n::m, n::m]`` are nonzero, those blocks, the terms with
+        nonzero Re C[n, n] in the same order, and the grid-sampled entries
+        pointing at the scalar system's d x d ``fields``.  It equals the
+        table the scalar system builds from its own fields."""
+        k, l, exps, C = self.terms
+        m = C.shape[-1]
+        blocks = self.blocks[:, n::m, n::m].real + 0.0     # -0.0 reads +0.0, as built
+        rows = blocks.any(axis=(1, 2))
+        keep = C[:, n, n].real != 0
+        return CoefficientTable(
+            self.exps[rows], blocks[rows].astype(complex),
+            (k[keep], l[keep], exps[keep], C[keep, n:n + 1, n:n + 1].real.astype(complex)),
+            tuple((kk, ll, fields[kk][ll]) for kk, ll, _ in self.sampled))
+
 
 @dataclass(frozen=True)
 class EllipticSystem:
@@ -466,9 +485,7 @@ class EllipticSystem:
         """C_kl(x) + C_lk(x), the combination the form determines, at a point
         or stacked over (n, d) points, from one ``block_matrix`` read; for
         index arrays k and l, the (..., len(k), m, m) sums of every pair."""
-        B = self.block_matrix(x)
-        B = B.reshape(B.shape[:-2] + (self.d, self.m, self.d, self.m)).swapaxes(-3, -2)
-        return B[..., k, l, :, :] + B[..., l, k, :, :]
+        return pair_sums(self.block_matrix(x), self.d, self.m, k, l)
 
     def realified(self):
         return EllipticSystem(
@@ -488,6 +505,13 @@ class EllipticSystem:
         (i + 1) / (per_dim + 1)."""
         return tensor_points([a + (np.arange(1, per_dim + 1) / (per_dim + 1)) * (b - a)
                               for a, b in self.box])
+
+
+def pair_sums(B, d, m, k, l):
+    """C_kl + C_lk from block matrices B (..., d m, d m), as
+    ``EllipticSystem.symmetrized`` returns them."""
+    B = B.reshape(B.shape[:-2] + (d, m, d, m)).swapaxes(-3, -2)
+    return B[..., k, l, :, :] + B[..., l, k, :, :]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ import numpy as np
 from .assembly import affine_tensor, form_matrix
 from .coefficients import (
     EllipticSystem,
+    _entrywise_bound,
     _refined_cell_points,
     check_ellipticity,
+    pair_sums,
     realify_matrix,
     refinement_cuts,
 )
@@ -28,6 +30,7 @@ from .errors import (
     ContractViolation,
     GeometryError,
     IndeterminateDecision,
+    NumericalError,
     UnsupportedContract,
     WitnessNotLocalized,
 )
@@ -322,23 +325,63 @@ def default_probe_points(sys):
 
 
 def extract_scalar_systems(sys):
-    """The m scalar systems with coefficients Re (C_kl e_n, e_n)."""
+    """The m scalar systems with coefficients Re (C_kl e_n, e_n).  Their
+    fields come from ``diagonal_scalar``; their table is not built from
+    those fields but sliced from the parent's, ``sys.table.channel(n, ...)``,
+    so it costs no pass over their terms."""
     out = []
     for n in range(sys.m):
-        coeffs = tuple(
-            tuple(sys.coefficient(k, l).diagonal_scalar(n) for l in range(sys.d))
-            for k in range(sys.d)
-        )
-        out.append(EllipticSystem(sys.box, 1, coeffs, sys.bc, sys.mu))
+        coeffs = tuple(tuple(fld.diagonal_scalar(n) for fld in row) for row in sys.coeffs)
+        s = EllipticSystem(sys.box, 1, coeffs, sys.bc, sys.mu)
+        # fills the cached_property, as the first read of s.table would
+        object.__setattr__(s, "table", sys.table.channel(n, s.coeffs))
+        out.append(s)
     return out
 
 
-def _first_failure(sys, points, tol, via_probe):
+def scalar_bounds(sys):
+    """``bound()`` of each of the m scalar systems, bit for bit, from one
+    pass over the parent's table: the real parts' entrywise bounds (the
+    rows of other channels add 0.0 to a channel's sum), and a 1 x 1 field's
+    2-norm is the absolute value of its entry."""
+    m, tab = sys.m, sys.table
+    entrywise = _entrywise_bound(tab.exps, tab.blocks.real, sys.box)
+    per_field = []
+    for k, row in enumerate(sys.coeffs):
+        for l, fld in enumerate(row):
+            if fld.kind == "polynomial":
+                diag = entrywise[k * m:(k + 1) * m, l * m:(l + 1) * m].diagonal()
+            elif fld.kind == "constant":
+                diag = fld.matrix.diagonal().real
+            else:
+                diag = fld.values.diagonal(axis1=-2, axis2=-1).real
+            per_field.append(np.abs(diag).reshape(-1, m))
+    return np.concatenate(per_field).max(axis=0)
+
+
+def scalar_coercivity(sys, B, tol):
+    """Smallest eigenvalue per scalar system over the points of the parent's
+    block matrices B (n, d m, d m), and whether it clears mu - tol: what
+    ``check_ellipticity(s, points, tol)`` gives for each of the m scalar
+    systems s, bit for bit.  Scalar system n's block matrix is
+    Re B[:, n::m, n::m]; all m are read with one stacked complex ``eigvalsh``,
+    the LAPACK path of ``check_ellipticity``."""
+    m = sys.m
+    S = np.stack([B[:, n::m, n::m].real for n in range(m)]).astype(complex)
+    try:
+        lams = np.linalg.eigvalsh(0.5 * (S + S.conj().swapaxes(-1, -2)))[..., 0].min(axis=1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigensolver failed on the probe points") from exc
+    return lams, lams >= sys.mu - tol
+
+
+def _first_failure(sys, points, tol, via_probe, B=None):
     """First (x0, k, l, Q, diagonal, real) in scan order (points
     lexicographic, then k <= l) whose symmetrized coefficient Q is not real
-    diagonal, or None.  The direct path reads the block matrices once at
-    all points and forms every C_kl + C_lk from them; ``via_probe`` probes
-    one point and pair at a time and stops at the first failure."""
+    diagonal, or None.  The direct path forms every C_kl + C_lk from the
+    block matrices B at all points (read here when not given);
+    ``via_probe`` probes one point and pair at a time and stops at the
+    first failure."""
     pairs = [(k, l) for k in range(sys.d) for l in range(k, sys.d)]
 
     def probed():
@@ -353,7 +396,8 @@ def _first_failure(sys, points, tol, via_probe):
                 yield x0[None], [(k, l)], res.estimate[None, None]
 
     reads = probed() if via_probe else [
-        (points, pairs, sys.symmetrized(*np.array(pairs).T, points))]
+        (points, pairs, pair_sums(sys.block_matrix(points) if B is None else B,
+                                  sys.d, sys.m, *np.array(pairs).T))]
     for pts, kls, Q in reads:
         diagonal = is_multiplication(Q, tol)
         real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
@@ -369,11 +413,15 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     coefficient for real diagonality at every ``default_probe_points``,
     to within ``default_decision_tol``.
 
-    On success the scalar systems are extracted and their uniform bound and
-    pointwise coercivity are checked: with ``require_elliptic`` a failed
-    check raises ContractViolation, otherwise it is only recorded.  On
-    failure a witness is constructed at the first failure in scan order
-    (points lexicographic, then k <= l).
+    On success the scalar systems are extracted, each with its channel
+    slice of the system's coefficient table, and their uniform bounds and
+    their coercivity at the probe points are checked for all m at once:
+    the bounds from one pass over the system's table (``scalar_bounds``),
+    the coercivity from the system's block matrices at the probe points,
+    which the direct path's zero test also reads (``scalar_coercivity``).
+    With ``require_elliptic`` a failed check raises ContractViolation,
+    otherwise it is only recorded.  On failure a witness is constructed at
+    the first failure in scan order (points lexicographic, then k <= l).
     """
     if require_elliptic:
         report = check_ellipticity(sys)
@@ -386,13 +434,13 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     tol = default_decision_tol(sys)
 
     M = sys.bound()
-    first_failure = _first_failure(sys, probe_points, tol, via_probe)
+    B = sys.block_matrix(probe_points)
+    first_failure = _first_failure(sys, probe_points, tol, via_probe, B)
 
     if first_failure is None:
         scalars = extract_scalar_systems(sys)
-        bounds_ok = all(s.bound() <= M + tol for s in scalars)
-        coercive_ok = all(check_ellipticity(s, probe_points, tol=tol).passed
-                          for s in scalars)
+        bounds_ok = bool((scalar_bounds(sys) <= M + tol).all())
+        coercive_ok = bool(scalar_coercivity(sys, B, tol)[1].all())
         if require_elliptic and not (bounds_ok and coercive_ok):
             failed = "coercivity check at the probe points" if bounds_ok else "bound check"
             raise ContractViolation(f"the decoupled scalar systems fail their {failed}")

@@ -69,8 +69,7 @@ class MultiPoly:
 
     @property
     def total_degree(self):
-        degs = [sum(idx) for idx in np.argwhere(self.coeffs != 0)]
-        return max(degs) if degs else 0
+        return int(np.argwhere(self.coeffs != 0).sum(axis=1).max(initial=0))
 
     def is_zero(self, tol=0.0):
         return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)

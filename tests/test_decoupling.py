@@ -13,6 +13,7 @@ from possem.coefficients import (
     EllipticSystem,
     GridSampledField,
     PolynomialField,
+    check_ellipticity,
 )
 from possem.decoupling import (
     NonrealWitness,
@@ -24,6 +25,8 @@ from possem.decoupling import (
     extract_offdiag_2d,
     extract_scalar_systems,
     probe_system,
+    scalar_bounds,
+    scalar_coercivity,
     system_delta_max,
 )
 from possem.errors import ContractViolation, GeometryError, UnsupportedContract
@@ -397,6 +400,101 @@ def test_extraction_respects_bounds():
         for k in range(2):
             for l in range(2):
                 assert abs(s.eval_coefficient(k, l, x)[0, 0]) <= M + 1e-12
+
+
+def dipping_channel_system():
+    """m = 2: channel 2 of C_11 is 1 + 2000 prod_{i=1..5} (x_1 - i/6), which
+    reads 1 at the 5^2 samples of the system's own coercivity check and
+    below mu = 0.5 at some probe points; channel 1 and C_22 are 1."""
+    d = 2
+    x1, one = MultiPoly.variable(0, d), MultiPoly.constant(1.0, d)
+    zero = MultiPoly.constant(0.0, d)
+    prod = one
+    for i in range(1, 6):
+        prod = prod * (x1 - MultiPoly.constant(i / 6, d))
+    c11 = PolynomialField(((one, zero), (zero, one + 2000 * prod)), d)
+    off = ConstantField(np.zeros((2, 2)))
+    return EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 2, ((c11, off), (off, ConstantField(np.eye(2)))),
+                          "dirichlet", 0.5)
+
+
+def decoupled_systems():
+    """Every catalog entry, seeded rand_decoupled with m = 2, 4 and d = 2, 3,
+    a decoupled grid-sampled system (cells beside polynomial couplings with
+    an imaginary antisymmetric part), a constant beside a grid, and
+    ``dipping_channel_system``."""
+    out = [catalog.get(name).build() for name in catalog.names()
+           if not catalog.needs_seed(name)]
+    out += [catalog.get(f"rand_decoupled({seed})").build(m=m, d=d)
+            for seed in (3, 7) for m in (2, 4) for d in (2, 3)]
+    rng = np.random.default_rng(23)
+    box, m, ch = ((0.0, 1.0), (-1.0, 2.0)), 3, np.arange(3)
+
+    def cells(shape, lo, hi):
+        v = np.zeros(shape + (m, m), dtype=complex)
+        v[..., ch, ch] = rng.uniform(lo, hi, shape + (m,))
+        return GridSampledField(box, v)
+
+    x1, x2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    zero = MultiPoly.constant(0.0, 2)
+
+    def coupling(sign):
+        p = [0.2 * x1 * x2 + sign * 0.3j * x1, 0.1 * x2 * x2, -0.15 * x1 + sign * 0.5j * x2]
+        return PolynomialField(tuple(tuple(p[i] if i == j else zero for j in range(m))
+                                     for i in range(m)), 2)
+
+    out.append(EllipticSystem(box, m, ((cells((3, 2), 3, 4), coupling(1)),
+                                       (coupling(-1), cells((1, 3), 3, 4))), "free", 1.0))
+    diag = ConstantField(np.diag([2.0, 1.5, 3.0]))
+    grid = cells((2, 2), -0.25, 0.25)
+    out.append(EllipticSystem(box, m, ((diag, grid), (grid, diag)), "dirichlet", 0.5))
+    out.append(dipping_channel_system())
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scalar_tables_are_channel_slices_of_the_parent_table():
+    # each scalar system reads its channel of the parent's table; the slice
+    # is the table and bound the scalar system builds from its own fields
+    for sys_ in decoupled_systems():
+        bounds = scalar_bounds(sys_)
+        for n, s in enumerate(extract_scalar_systems(sys_)):
+            own = EllipticSystem(s.box, 1, s.coeffs, s.bc, s.mu)
+            for tab in (s.table, sys_.table.channel(n, s.coeffs)):
+                assert same_bits(tab.exps, own.table.exps)
+                assert same_bits(tab.blocks, own.table.blocks)
+                assert all(same_bits(a, b) for a, b in zip(tab.terms, own.table.terms, strict=True))
+                assert ([(k, l, fld.kind) for k, l, fld in tab.sampled]
+                        == [(k, l, fld.kind) for k, l, fld in own.table.sampled])
+                assert all(fld is s.coeffs[k][l] for k, l, fld in tab.sampled)
+            assert float.hex(s.bound()) == float.hex(own.bound())
+            assert float.hex(float(bounds[n])) == float.hex(own.bound())
+
+
+def test_stacked_scalar_coercivity_matches_check_ellipticity():
+    for sys_ in decoupled_systems():
+        pts, tol = default_probe_points(sys_), default_decision_tol(sys_)
+        lams, passed = scalar_coercivity(sys_, sys_.block_matrix(pts), tol)
+        for n, s in enumerate(extract_scalar_systems(sys_)):
+            rep = check_ellipticity(EllipticSystem(s.box, 1, s.coeffs, s.bc, s.mu), pts, tol)
+            assert float.hex(float(lams[n])) == float.hex(rep.lambda_min)
+            assert bool(passed[n]) == rep.passed
+
+
+def test_positive_verdict_records_a_channel_below_mu():
+    sys_ = dipping_channel_system()
+    assert check_ellipticity(sys_).passed
+    pts, tol = default_probe_points(sys_), default_decision_tol(sys_)
+    assert scalar_coercivity(sys_, sys_.block_matrix(pts), tol)[1].tolist() == [True, False]
+    verdict = decide_decoupling(sys_, require_elliptic=False)
+    assert verdict.positive
+    assert verdict.diagnostics["scalar_bounds_ok"]
+    assert not verdict.diagnostics["scalar_coercivity_ok"]
+    with pytest.raises(ContractViolation, match="scalar systems fail their coercivity"):
+        decide_decoupling(sys_)
 
 
 def test_extract_offdiag_2d_recovers_average():

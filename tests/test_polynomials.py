@@ -25,6 +25,23 @@ def test_arithmetic_and_eval():
     assert p.total_degree == 5
 
 
+def test_total_degree_is_the_largest_exponent_sum():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3):
+        for _ in range(25):
+            shape = tuple(rng.integers(1, 6, size=d))
+            c = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+            ref = max((sum(idx) for idx in np.ndindex(*shape) if c[idx] != 0), default=0)
+            assert MultiPoly(c).total_degree == ref
+    cases = [(MultiPoly(np.zeros((4, 3))), 0), (MultiPoly.constant(0.0, 2), 0),
+             (MultiPoly.constant(2.5 - 1j, 3), 0), (MultiPoly.constant(1.0, 1), 0),
+             (MultiPoly.from_terms([((2, 1), 1.5), ((0, 3), -2j), ((1, 1), 0.25)], 2), 3),
+             (MultiPoly.from_terms([((0, 0, 6), 1.0), ((1, 2, 2), 1j)], 3), 6),
+             (MultiPoly.from_terms([((4,), 0.5), ((0,), 1.0)], 1), 4)]
+    for p, degree in cases:
+        assert type(p.total_degree) is int and p.total_degree == degree
+
+
 def test_vectorized_eval_matches_loop():
     rng = np.random.default_rng(0)
     p = MultiPoly.from_terms([((2, 1), 1.5), ((0, 3), -2j), ((1, 1), 0.25)], 2)

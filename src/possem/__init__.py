@@ -1,12 +1,12 @@
 """possem: decide, certify, and falsify positivity of elliptic-system semigroups.
 
 The semigroup generated by a second-order divergence-form system with
-matrix-valued coefficients is positive exactly when the symmetrized
-coefficients are real diagonal matrices at almost every point; the system is
-then equivalent to independent scalar equations.  This package turns that
-dichotomy into an executable decision with certified outputs on both sides:
-extracted scalar systems and a factorized propagator when positive, a
-disjointly supported pair with positive form value when not.
+matrix-valued coefficients is positive exactly when the system is equivalent
+to independent scalar equations with real coefficients.  This package tests
+the necessary condition that every C_kl + C_lk is real diagonal almost
+everywhere: it extracts the scalar systems when it holds and constructs a
+disjointly supported pair with positive form value when not.  The
+antisymmetric remainder is not checked yet (see ``possem.decoupling``).
 """
 
 from .assembly import (

@@ -27,7 +27,7 @@ def scalar_heat(bc="dirichlet"):
                           ((one, zero), (zero, one)), bc, 1.0)
 
 
-def coupled_complex_pair(factor=3 + 4j, bc="free", L=4.0):
+def coupled_complex_pair(factor=3 + 4j, bc="free"):
     """Two channels with an antisymmetric constant coupling C_21 = -C_12.
 
     The coupling is not a multiplication operator (and for a complex factor
@@ -39,7 +39,7 @@ def coupled_complex_pair(factor=3 + 4j, bc="free", L=4.0):
     six = _constant(6 * np.eye(m))
     C12 = np.zeros((m, m), dtype=complex)
     C12[1, 0] = factor
-    box = ((-L, L), (-L, L))
+    box = ((-4.0, 4.0), (-4.0, 4.0))
     return EllipticSystem(box, m,
                           ((six, _constant(C12)), (_constant(-C12), six)),
                           bc, 3.5 if factor == 3 + 4j else 5.5)
@@ -104,7 +104,7 @@ def embedded_nullform(bc="free"):
     return EllipticSystem(box, m, coeffs, bc, 5.5)
 
 
-def symmetric_coupling_witness(bc="dirichlet", L=4.0):
+def symmetric_coupling_witness(bc="dirichlet"):
     """Two channels with a symmetric constant coupling C_12 = C_21 = R.
 
     The symmetrized coefficient 2R is not diagonal, so the semigroup is not
@@ -113,7 +113,7 @@ def symmetric_coupling_witness(bc="dirichlet", L=4.0):
     six = _constant(6 * np.eye(m))
     R = np.zeros((m, m), dtype=complex)
     R[1, 0] = 1.0
-    box = ((-L, L), (-L, L))
+    box = ((-4.0, 4.0), (-4.0, 4.0))
     return EllipticSystem(box, m, ((six, _constant(R)), (_constant(R), six)),
                           bc, 5.5)
 

@@ -13,8 +13,8 @@ coefficients in the (d m) x (d m) block layout, built once from the fields'
 times the table, plus one cell lookup per grid-sampled field; the
 symmetrized coefficients, the coercivity check, the uniform bound, the
 exact form and the assembler read the same table.  A scalar system
-Re (C_kl e_n, e_n) extracted from a system does not build its own table: it
-reads its channel slice of the parent's (``CoefficientTable.channel``).
+Re (C_kl e_n, e_n) extracted from a system builds its table from the
+parent's terms (``CoefficientTable.channel``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def _check_point_in_box(x, box):
         raise DomainError(f"point has dimension {x.shape}, box has {len(box)}")
     lows, highs = (x.min(axis=0), x.max(axis=0)) if x.ndim == 2 else (x, x)
     for lo, hi, (a, b) in zip(lows, highs, box):
-        if lo < a or hi > b:
-            raise DomainError(f"coordinate {lo if lo < a else hi} outside [{a}, {b}]")
+        if not a <= lo <= hi <= b:      # NaN fails every comparison
+            raise DomainError(f"coordinate {hi if a <= lo else lo} outside [{a}, {b}]")
     return x
 
 
@@ -143,7 +143,7 @@ class MatrixField:
                               for (a, b), e in zip(box, exps)]) * C
         return out
 
-    def is_zero(self, tol=0.0):
+    def is_zero(self):
         raise NotImplementedError
 
 
@@ -181,8 +181,8 @@ class ConstantField(MatrixField):
     def diagonal_scalar(self, n):
         return ConstantField(np.array([[self.matrix[n, n].real]], dtype=complex))
 
-    def is_zero(self, tol=0.0):
-        return bool(np.max(np.abs(self.matrix), initial=0.0) <= tol)
+    def is_zero(self):
+        return not self._nonzero
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,8 @@ class PolynomialField(MatrixField):
     def diagonal_scalar(self, n):
         return PolynomialField(((self.entries[n][n].real,),), self.d, self.max_total_degree)
 
-    def is_zero(self, tol=0.0):
-        return all(p.is_zero(tol) for row in self.entries for p in row)
+    def is_zero(self):
+        return not self._monomials
 
 
 @dataclass(frozen=True)
@@ -329,8 +329,8 @@ class GridSampledField(MatrixField):
             raise ValueError("grid-sampled average only over its own box")
         return self.values.reshape(-1, self.m, self.m).mean(axis=0)
 
-    def is_zero(self, tol=0.0):
-        return bool(np.max(np.abs(self.values), initial=0.0) <= tol)
+    def is_zero(self):
+        return not self.values.any()
 
 
 def eval_coefficient(field, x, box=None):
@@ -373,21 +373,27 @@ class CoefficientTable:
         for arr in (self.exps, self.blocks, *self.terms):
             arr.flags.writeable = False     # one table is shared by every reader
 
+    @classmethod
+    def from_terms(cls, k, l, exps, C, sampled):
+        """The table of the terms k, l (T), exponents (T, d) and m x m
+        coefficients (T, m, m), beside the grid-sampled entries ``sampled``."""
+        (_, d), m = exps.shape, C.shape[-1]
+        rows = list(map(tuple, exps.tolist()))
+        distinct = sorted(set(rows))
+        index = {e: i for i, e in enumerate(distinct)}
+        blocks = np.zeros((len(distinct), d, m, d, m), dtype=complex)
+        blocks[[index[e] for e in rows], k, :, l, :] = C
+        return cls(np.array(distinct, dtype=int).reshape(-1, d),
+                   blocks.reshape(-1, d * m, d * m), (k, l, exps, C), sampled)
+
     def channel(self, n, fields):
-        """The table of scalar system n, whose coefficients are
-        Re (C_kl e_n, e_n), sliced from this one: the rows whose real blocks
-        ``blocks[:, n::m, n::m]`` are nonzero, those blocks, the terms with
-        nonzero Re C[n, n] in the same order, and the grid-sampled entries
-        pointing at the scalar system's d x d ``fields``.  It equals the
-        table the scalar system builds from its own fields."""
+        """The table of scalar system n, Re (C_kl e_n, e_n): these terms
+        with nonzero Re C[n, n], and these grid-sampled entries pointing at
+        the scalar system's d x d ``fields``; the table it would build."""
         k, l, exps, C = self.terms
-        m = C.shape[-1]
-        blocks = self.blocks[:, n::m, n::m].real + 0.0     # -0.0 reads +0.0, as built
-        rows = blocks.any(axis=(1, 2))
         keep = C[:, n, n].real != 0
-        return CoefficientTable(
-            self.exps[rows], blocks[rows].astype(complex),
-            (k[keep], l[keep], exps[keep], C[keep, n:n + 1, n:n + 1].real.astype(complex)),
+        return CoefficientTable.from_terms(
+            k[keep], l[keep], exps[keep], C[keep, n:n + 1, n:n + 1].real.astype(complex),
             tuple((kk, ll, fields[kk][ll]) for kk, ll, _ in self.sampled))
 
 
@@ -433,19 +439,13 @@ class EllipticSystem:
     @cached_property
     def table(self):
         """The ``CoefficientTable`` of the system, built on first use."""
-        d, m = self.d, self.m
         fields = [(k, l, fld) for k, row in enumerate(self.coeffs) for l, fld in enumerate(row)]
         terms = [(k, l, e, C) for k, l, fld in fields if fld.kind != "grid"
-                 for e, C in fld.monomials(d, self.box)]
+                 for e, C in fld.monomials(self.d, self.box)]
         k, l = (np.array([t[i] for t in terms], dtype=int) for i in (0, 1))
-        exps, C = _term_arrays([t[2:] for t in terms], d, m)
-        distinct = sorted({t[2] for t in terms})
-        row = {e: i for i, e in enumerate(distinct)}
-        blocks = np.zeros((len(distinct), d, m, d, m), dtype=complex)
-        blocks[[row[t[2]] for t in terms], k, :, l, :] = C
-        return CoefficientTable(np.array(distinct, dtype=int).reshape(-1, d),
-                                blocks.reshape(-1, d * m, d * m), (k, l, exps, C),
-                                tuple(f for f in fields if f[2].kind == "grid"))
+        return CoefficientTable.from_terms(
+            k, l, *_term_arrays([t[2:] for t in terms], self.d, self.m),
+            tuple(f for f in fields if f[2].kind == "grid"))
 
     def bound(self):
         """Uniform coefficient bound M over all (k, l) and the whole box."""
@@ -453,22 +453,25 @@ class EllipticSystem:
 
     @cached_property
     def _bound(self):
-        # the largest ``fld.bound(box)``, to the bit: a polynomial field's
-        # entrywise bounds are its blocks of the table's, and the 2-norms
-        # are taken in one stack per dtype (polynomial: real, others: complex)
-        m, tab = self.m, self.table
-        entrywise = _entrywise_bound(tab.exps, tab.blocks, self.box)
-        real, cplx = [], []
-        for k, row in enumerate(self.coeffs):
-            for l, fld in enumerate(row):
-                if fld.kind == "polynomial":
-                    real.append(entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m])
-                elif fld.kind == "constant":
-                    cplx.append(fld.matrix[None])
-                else:
-                    cplx.append(fld.values.reshape(-1, m, m))
+        # the largest ``fld.bound(box)``, to the bit: the 2-norms are taken
+        # in one stack per dtype (polynomial: real, others: complex)
+        by_dtype = {}
+        for stack in self.bound_matrices(self.table.blocks):
+            by_dtype.setdefault(stack.dtype, []).append(stack)
         return max(float(np.linalg.norm(np.concatenate(s), 2, axis=(1, 2)).max())
-                   for s in (real, cplx) if s)
+                   for s in by_dtype.values())
+
+    def bound_matrices(self, blocks):
+        """Per field, in (k, l) order, the (n, m, m) stack whose largest
+        2-norm is its bound: a polynomial's block of the entrywise bounds of
+        ``blocks`` (the table's, or their real parts for the scalar
+        channels), a constant's matrix, a grid's cell values."""
+        m = self.m
+        entrywise = _entrywise_bound(self.table.exps, blocks, self.box)
+        return [entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m] if fld.kind == "polynomial"
+                else fld.matrix[None] if fld.kind == "constant"
+                else fld.values.reshape(-1, m, m)
+                for k, row in enumerate(self.coeffs) for l, fld in enumerate(row)]
 
     def block_matrix(self, x):
         """The (m d) x (m d) matrix with blocks C_kl(x) at a point, or the
@@ -568,6 +571,16 @@ def default_ellipticity_points(sys):
     return pts
 
 
+def hermitian_lambda_min(B):
+    """Smallest eigenvalue of the Hermitian part of each matrix of the stack
+    B (..., n, n), read as complex: one stacked ``eigvalsh``."""
+    B = np.asarray(B, dtype=complex)
+    try:
+        return np.linalg.eigvalsh(0.5 * (B + B.conj().swapaxes(-1, -2)))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigensolver failed") from exc
+
+
 def check_ellipticity(sys, sample_points=None, tol=None):
     """Smallest eigenvalue of the Hermitian part of the coefficient block
     matrix over the sample points, compared against the declared mu.
@@ -580,11 +593,7 @@ def check_ellipticity(sys, sample_points=None, tol=None):
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if tol is None:
         tol = 1e-10 * max(1.0, sys.bound())
-    B = sys.block_matrix(sample_points)
-    try:
-        lams = np.linalg.eigvalsh(0.5 * (B + B.conj().swapaxes(-1, -2)))[:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigensolver failed on the sample points") from exc
+    lams = hermitian_lambda_min(sys.block_matrix(sample_points))
     i = int(np.argmin(lams))
     passed = lams[i] >= sys.mu - tol
     return EllipticityReport(float(lams[i]), bool(passed), sample_points[i],

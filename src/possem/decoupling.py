@@ -1,17 +1,21 @@
 """Positivity decision by coefficient decoupling.
 
-The semigroup of an elliptic system is positive exactly when every
-symmetrized coefficient C_kl + C_lk is, at (almost) every point, a real
-diagonal matrix; the system is then equivalent to m independent scalar
-equations with real coefficients.  This module probes the symmetrized
-coefficients (directly, or through the form with dilated tent pairs), decides
-the dichotomy, extracts the scalar systems on the positive side, and
-constructs a certified witness pair with a(u+, u-) > 0 on the negative side.
+The semigroup of an elliptic system is positive exactly when the system is
+equivalent to m independent scalar equations with real coefficients.  This
+module probes the symmetrized coefficients C_kl + C_lk (directly, or through
+the form with dilated tent pairs), tests the necessary condition that they
+are real diagonal at (almost) every point, extracts the scalar systems when
+it holds, and constructs a certified witness pair with a(u+, u-) > 0 when
+it fails.  The antisymmetric remainder C_kl - diag(Re C_kl) is not checked
+yet, so a positive verdict is not sufficient: on the free space of ex1_3,
+u+ = (x2 + 4)/8 e_1 and u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and
+``factorization_residual`` raises ContractViolation (K couples channels).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +23,9 @@ import numpy as np
 from .assembly import affine_tensor, form_matrix
 from .coefficients import (
     EllipticSystem,
-    _entrywise_bound,
     _refined_cell_points,
     check_ellipticity,
+    hermitian_lambda_min,
     pair_sums,
     realify_matrix,
     refinement_cuts,
@@ -30,7 +34,6 @@ from .errors import (
     ContractViolation,
     GeometryError,
     IndeterminateDecision,
-    NumericalError,
     UnsupportedContract,
     WitnessNotLocalized,
 )
@@ -52,12 +55,15 @@ def default_decision_tol(sys):
 
 
 def boundary_distance(box, x0):
-    return min(min(x0[i] - a, b - x0[i]) for i, (a, b) in enumerate(box))
+    """Distance from x0 to the nearest face of the box, NaN for a NaN
+    coordinate (which ``min`` would pass over)."""
+    gaps = [min(x - a, b - x) for x, (a, b) in zip(np.asarray(x0).tolist(), box)]
+    return math.nan if any(map(math.isnan, gaps)) else min(gaps)
 
 
 def default_delta_max(box, x0):
     dist = boundary_distance(box, x0)
-    if dist <= 0:
+    if not dist > 0:
         raise GeometryError(f"probe point {x0} is not interior")
     return 0.5 * dist
 
@@ -69,7 +75,7 @@ def system_delta_max(sys, x0):
     dmax = default_delta_max(sys.box, x0)
     for xi, (a, b), (cuts, fine) in zip(x0, sys.box, refinement_cuts(sys) or ()):
         dmax = min(dmax, 0.5 * float(np.abs(a + cuts * (b - a) / fine - xi).min()))
-    if dmax <= 0:
+    if not dmax > 0:
         raise GeometryError(f"probe point {x0} lies on a coefficient cell face")
     return dmax
 
@@ -98,7 +104,7 @@ def _checked_schedule(box, x0, deltas):
     deltas = tuple(float(dd) for dd in deltas)
     dist = boundary_distance(box, x0)
     for dd in deltas:
-        if dd <= 0 or dd > dist:
+        if not 0 < dd <= dist:
             raise GeometryError(
                 f"dilation {dd} does not keep the support inside the box"
             )
@@ -326,9 +332,9 @@ def default_probe_points(sys):
 
 def extract_scalar_systems(sys):
     """The m scalar systems with coefficients Re (C_kl e_n, e_n).  Their
-    fields come from ``diagonal_scalar``; their table is not built from
-    those fields but sliced from the parent's, ``sys.table.channel(n, ...)``,
-    so it costs no pass over their terms."""
+    fields come from ``diagonal_scalar``; their table is built from the
+    parent's terms, ``sys.table.channel(n, ...)``, so it costs no pass over
+    their fields."""
     out = []
     for n in range(sys.m):
         coeffs = tuple(tuple(fld.diagonal_scalar(n) for fld in row) for row in sys.coeffs)
@@ -340,38 +346,22 @@ def extract_scalar_systems(sys):
 
 
 def scalar_bounds(sys):
-    """``bound()`` of each of the m scalar systems, bit for bit, from one
-    pass over the parent's table: the real parts' entrywise bounds (the
-    rows of other channels add 0.0 to a channel's sum), and a 1 x 1 field's
-    2-norm is the absolute value of its entry."""
-    m, tab = sys.m, sys.table
-    entrywise = _entrywise_bound(tab.exps, tab.blocks.real, sys.box)
-    per_field = []
-    for k, row in enumerate(sys.coeffs):
-        for l, fld in enumerate(row):
-            if fld.kind == "polynomial":
-                diag = entrywise[k * m:(k + 1) * m, l * m:(l + 1) * m].diagonal()
-            elif fld.kind == "constant":
-                diag = fld.matrix.diagonal().real
-            else:
-                diag = fld.values.diagonal(axis1=-2, axis2=-1).real
-            per_field.append(np.abs(diag).reshape(-1, m))
-    return np.concatenate(per_field).max(axis=0)
+    """``bound()`` of each of the m scalar systems, bit for bit: the
+    diagonals of the parent's ``bound_matrices`` of its table's real parts
+    (other channels' rows add 0.0 to a channel's sum, and a 1 x 1 field's
+    2-norm is the absolute value of its entry)."""
+    return np.concatenate([np.abs(S.diagonal(axis1=-2, axis2=-1).real)
+                           for S in sys.bound_matrices(sys.table.blocks.real)]).max(axis=0)
 
 
 def scalar_coercivity(sys, B, tol):
     """Smallest eigenvalue per scalar system over the points of the parent's
     block matrices B (n, d m, d m), and whether it clears mu - tol: what
     ``check_ellipticity(s, points, tol)`` gives for each of the m scalar
-    systems s, bit for bit.  Scalar system n's block matrix is
-    Re B[:, n::m, n::m]; all m are read with one stacked complex ``eigvalsh``,
-    the LAPACK path of ``check_ellipticity``."""
+    systems s, bit for bit, from the kernel of ``check_ellipticity``:
+    scalar system n's block matrix is Re B[:, n::m, n::m]."""
     m = sys.m
-    S = np.stack([B[:, n::m, n::m].real for n in range(m)]).astype(complex)
-    try:
-        lams = np.linalg.eigvalsh(0.5 * (S + S.conj().swapaxes(-1, -2)))[..., 0].min(axis=1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigensolver failed on the probe points") from exc
+    lams = hermitian_lambda_min(np.stack([B[:, n::m, n::m].real for n in range(m)])).min(axis=1)
     return lams, lams >= sys.mu - tol
 
 
@@ -414,7 +404,7 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     to within ``default_decision_tol``.
 
     On success the scalar systems are extracted, each with its channel
-    slice of the system's coefficient table, and their uniform bounds and
+    of the system's coefficient table, and their uniform bounds and
     their coercivity at the probe points are checked for all m at once:
     the bounds from one pass over the system's table (``scalar_bounds``),
     the coercivity from the system's block matrices at the probe points,

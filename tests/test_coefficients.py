@@ -68,6 +68,21 @@ def test_eval_outside_box_raises():
         PolynomialField(((MultiPoly.variable(1, 2),),), 2).eval(np.array([[0.5], [0.25]]))
 
 
+def test_block_matrix_rejects_a_nan_point():
+    # lo < a is False for NaN, so a NaN coordinate must fail a <= lo instead
+    sys_ = catalog.get("ex1_3").build()
+    with pytest.raises(DomainError, match="nan"):
+        sys_.block_matrix([np.nan, 0.0])
+    with pytest.raises(DomainError, match="nan"):
+        sys_.block_matrix([[0.0, 0.0], [0.5, np.nan]])
+
+
+def test_cell_index_rejects_a_nan_point():
+    fld = GridSampledField(((0.0, 1.0), (0.0, 1.0)), np.ones((2, 2, 1, 1), dtype=complex))
+    with pytest.raises(DomainError, match="nan"):
+        fld.cell_index([np.nan, 0.5])
+
+
 def test_grid_sampled_tie_break_low_cell():
     vals = np.arange(4, dtype=complex).reshape(4, 1, 1)
     fld = GridSampledField(((0.0, 1.0),), vals)

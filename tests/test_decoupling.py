@@ -21,6 +21,7 @@ from possem.decoupling import (
     construct_witness,
     decide_decoupling,
     default_decision_tol,
+    default_delta_max,
     default_probe_points,
     extract_offdiag_2d,
     extract_scalar_systems,
@@ -32,6 +33,7 @@ from possem.decoupling import (
 from possem.errors import ContractViolation, GeometryError, UnsupportedContract
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
+from possem.tents import PiecewiseLinear1D, TensorTestFunction
 
 
 def test_probe_constant_system_exact():
@@ -711,3 +713,66 @@ def test_default_probe_points_common_refinement():
                        [[1 / 6, 1.0], [5 / 12, 1.0], [7 / 12, 1.0], [5 / 6, 1.0]])
     constant = EllipticSystem(box, 1, ((zero, zero), (zero, zero)))
     assert np.array_equal(default_probe_points(constant), [[0.5, 1.0]])
+
+
+def test_scalar_bounds_never_exceed_the_system_bound():
+    # a positive verdict's scalar_bounds_ok rests on this inequality; it is
+    # an equality on channel-diagonal fields such as rand_decoupled's
+    seeded = [catalog.get(f"rand_decoupled({seed})").build(m=m, d=d)
+              for seed in range(20) for m in (1, 2, 4) for d in (1, 2, 3)]
+    for sys_ in decoupled_systems() + seeded:
+        M = sys_.bound()
+        assert all(b <= M for b in scalar_bounds(sys_).tolist())
+    for sys_ in seeded:
+        assert max(scalar_bounds(sys_).tolist()) == sys_.bound()
+
+
+def test_default_delta_max_rejects_a_nan_point():
+    box = ((-4.0, 4.0), (-4.0, 4.0))
+    for x0 in ([np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(GeometryError):
+            default_delta_max(box, np.array(x0))
+
+
+def test_probe_system_rejects_a_nan_point():
+    sys_ = catalog.get("ex1_3").build()
+    for x0 in ([np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(GeometryError):
+            probe_system(sys_, x0, 0, 1)
+
+
+def test_given_schedule_rejects_a_nan_point():
+    sys_ = catalog.get("ex1_3").build()
+    with pytest.raises(GeometryError):
+        probe_system(sys_, [np.nan, 0.5], 0, 1, deltas=(0.1, 0.05))
+    with pytest.raises(GeometryError):
+        probe_system(sys_, [0.5, 0.5], 0, 1, deltas=(0.1, np.nan))
+
+
+# ROADMAP item 1: on the free space the antisymmetric coupling C_12 = -C_21
+# of ex1_3 and ex1_3_entry1 leaves a boundary term that the symmetrized test
+# does not see.  The nonnegative pair u+ = (x2 + 4)/8 e_1, u- = (x1 + 4)/8 e_2
+# on (-4, 4)^2 then has a(u+, u-) equal to the coupling, 1 or 3 + 4i, so
+# neither semigroup is positive.
+FREE_GAP = [("ex1_3_entry1", 1.0), ("ex1_3", 3 + 4j)]
+
+
+def free_gap_pair():
+    one = PiecewiseLinear1D([-4.0, 4.0], [1.0, 1.0])
+    rise = PiecewiseLinear1D([-4.0, 4.0], [0.0, 1.0])      # (x + 4) / 8
+    return ((TensorTestFunction(1.0, (one, rise)), np.array([1.0, 0.0])),
+            (TensorTestFunction(1.0, (rise, one)), np.array([0.0, 1.0])))
+
+
+@pytest.mark.parametrize("name, value", FREE_GAP)
+def test_free_gap_pair_reads_the_coupling(name, value):
+    sys_ = catalog.get(name).build(bc="free")
+    assert abs(form_value(sys_, *free_gap_pair()) - value) <= 1e-12
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="the decision tests only C_kl + C_lk, not the antisymmetric "
+                          "remainder's boundary term (ROADMAP item 1)")
+@pytest.mark.parametrize("name", [name for name, _ in FREE_GAP])
+def test_free_antisymmetric_coupling_is_not_positive(name):
+    assert decide_decoupling(catalog.get(name).build(bc="free")).decision == "not-positive"

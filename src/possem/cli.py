@@ -183,7 +183,7 @@ def cmd_positivity(args, report):
               ["t", "min_entry_real", "max_entry_imag"], rows)
     report.add(f"system: {name} on {grid.n} cells ({grid.bc})")
     report.add(f"times: {', '.join(_fmt(t) for t in rep.times)}")
-    report.add("propagator: " + {"spectral": "spectral (self-adjoint generator)",
+    report.add("propagator: " + {"spectral": "spectral (self-adjoint channel groups)",
                                  "expm_multiply": "expm_multiply (sparse generator)"}
                .get(rep.propagator, rep.propagator))
     report.add(f"minimum propagator entry (real part): {rep.min_entry:.12g}")
@@ -191,6 +191,12 @@ def cmd_positivity(args, report):
     w = rep.witness
     report.add("generator sign witness: " + (
         f"{w[0]} entry ({w[1] + 1}, {w[2] + 1}) = {w[3]:.12g}" if w else "none"))
+    if w:   # dofs are channel-minor: dof i belongs to channel i mod m
+        pair = [w[1] % dform.m + 1, w[2] % dform.m + 1]
+        coupling = "same-channel" if pair[0] == pair[1] else "cross-channel"
+        report.add(f"witness channels: ({pair[0]}, {pair[1]}), {coupling}")
+        report.record("witness_channels", pair)
+        report.record("witness_coupling", coupling)
     report.add(f"verdict: {rep.verdict}")
     if rep.offender:
         t, val, i, j = rep.offender

@@ -1,24 +1,44 @@
 """Semigroup engine: matrix exponentials, positivity scans, factorization.
 
-The propagator exp(-t A) with A = Mass^-1 K has two paths.  When K is
-Hermitian (to the rounding tolerance 1e-12 * max(1, max |K|)), A is similar to
-the Hermitian S = Mass^-1/2 K Mass^-1/2, and one ``eigh`` S = V diag(lam) V^H
-gives exp(-t A) = W diag(exp(-t lam)) W^-1 with W = Mass^-1/2 V and
+The propagator exp(-t A) with A = Mass^-1 K has a spectral path and a dense
+one.  When K is Hermitian (to the rounding tolerance
+tol = 1e-12 * max(1, max |K|)), A is similar to the Hermitian
+S = Mass^-1/2 K Mass^-1/2, and one ``eigh`` S = V diag(lam) V^H gives
+exp(-t A) = W diag(exp(-t lam)) W^-1 with W = Mass^-1/2 V and
 W^-1 = V^H Mass^1/2 at every time: a propagator is one matrix product and a
 state two matrix-vector products.  This is backward stable for normal
 matrices (Moler and Van Loan, *Nineteen dubious ways to compute the
-exponential of a matrix, twenty-five years later*, SIAM Rev. 2003).  Any
-other generator goes to ``scipy.linalg.expm`` (scaling and squaring with Pade
-approximants, Al-Mohy and Higham 2009).
+exponential of a matrix, twenty-five years later*, SIAM Rev. 2003).
+
+The same path serves a one-way channel coupling.  Channels whose blocks of
+K both exceed tol form a group (two-way contact); when every group's
+diagonal block is Hermitian and no group both receives a block from another
+group and sends one, S = D + N with D = blockdiag_g(S_g) and N N = 0, so the
+Dyson series of exp(-t S) stops at first order (Van Loan, *Computing
+integrals involving the matrix exponential*, IEEE TAC 1978; Higham,
+*Functions of Matrices*, 2008, sec. 3.2):
+
+    exp(-t A) = blockdiag_g(W_g exp(-t Lam_g) W_g^-1)
+                - sum_{g->h} W_g [(V_g^H S_gh V_h) o Phi(t)] W_h^-1,
+
+with one ``eigh`` S_g = V_g Lam_g V_g^H per group and
+Phi_ab = int_0^t exp(-(t - s) lam_a) exp(-s mu_b) ds, written so that close
+or far eigenvalues neither cancel nor overflow (``_phi``).  Cross-group
+blocks at most tol count as zero, as the Hermitian test counts K - K^H.  Any
+other generator goes to ``scipy.linalg.expm`` (scaling and squaring with
+Pade approximants, Al-Mohy and Higham 2009).
 
 The positivity scan has a third path for a non-self-adjoint generator: one
 chain E(t_k) = exp(-(t_k - t_{k-1}) A) E(t_{k-1}), E(0) = I, over the sorted
 times by ``scipy.sparse.linalg.expm_multiply`` on the generator's CSR (Al-Mohy
 and Higham, *Computing the action of the matrix exponential*, SIAM J. Sci.
 Comput. 2011).  Its truncated Taylor series costs sparse products only, and
-the N columns of E share one choice of degree and scaling per step, so it is
-taken when CHAIN_COST * nnz(A) * max(1, ||t_max A||_1) <= N^2, the flops of
-the chain against those of a dense exponential per time.
+the N columns of E share one choice of degree and scaling per step.  It costs
+N^2 per time against the N^3 of the other paths, so it is taken when
+CHAIN_COST * nnz(A) * max(1, ||t_max A||_1) <= N^2 against a dense
+exponential per time, and <= N^2 / SPECTRAL_GAIN against the spectral
+factors of a one-way coupling (which are then never computed).  A
+self-adjoint generator always takes its spectral path.
 
 With the lumped (positive diagonal) mass, exp(-t A) >= 0 for every t > 0
 exactly when A is real with nonpositive off-diagonal entries;
@@ -30,6 +50,7 @@ witness alone and reports the propagator's extremes at the requested times.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +67,11 @@ BLOCK_TOL = 1e-10
 #: timings of both on 2D and 3D forms of 162 to 1250 dofs, one BLAS thread).
 CHAIN_COST = 25
 
+#: The spectral propagators of a one-way coupling, factors included, cost
+#: about N^2 / SPECTRAL_GAIN per column of E on the same scale (fitted to
+#: timings against the chain on 2D and 3D forms of 162 to 2662 dofs).
+SPECTRAL_GAIN = 10
+
 #: Rounding band of the offender: entries within this fraction of the
 #: largest |entry| above the minimum count as tied with it.
 OFFENDER_BAND = 1e-12
@@ -55,33 +81,42 @@ OFFENDER_BAND = 1e-12
 NORM_ESTIMATE_SEED = 0
 
 
-@dataclass
 class GeneratorOperator:
     """Generator A = Mass^-1 K and its propagators exp(-t A).
 
-    ``spectral`` holds ``(lam, W, W_inv)`` with A = W diag(lam) W_inv when the
-    generator is self-adjoint in the mass inner product; None otherwise.
-    ``csr`` holds the same entries as A in CSR form (built from A when not
-    given).  A, the factors and the CSR arrays are read-only, so one
-    generator can be shared.
+    ``spectral`` holds ``(groups, links)`` when exp(-t A) has the spectral
+    form of the module docstring, None otherwise: per group of channels
+    ``(dofs, lam, W, W_inv)`` with the group's block of A equal to
+    W diag(lam) W_inv (``dofs`` is ``slice(None)`` for a self-adjoint
+    generator, its one group), and per one-way link ``(g, h, X)`` with
+    X = V_g^H Mass^-1/2 K_gh Mass^-1/2 V_h.  A form's generator computes the
+    factors of a one-way coupling on first use and its dense A on first read;
+    ``one_way`` says whether there are links, before the factors exist.
+    ``csr`` holds the entries of A in CSR form (built from A when not given).
+    A, the factors and the CSR arrays are read-only, so one generator can be
+    shared.
     """
 
-    A: np.ndarray
-    spectral: tuple | None = None
-    csr: scipy.sparse.csr_matrix | None = None
-
-    def __post_init__(self):
-        A = np.asarray(self.A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("generator must be square")
-        if not np.all(np.isfinite(A)):
-            raise NumericalError("non-finite entries in the generator")
-        self.A = _read_only(A)
-        if self.spectral is not None:
-            self.spectral = tuple(_read_only(np.asarray(f)) for f in self.spectral)
-        if self.csr is None:
-            self.csr = scipy.sparse.csr_matrix(A)
-        for arr in (self.csr.data, self.csr.indices, self.csr.indptr):
+    def __init__(self, A=None, spectral=None, csr=None):
+        """From a dense A, its CSR, or both; ``spectral`` gives the factors, or
+        a function that computes a one-way coupling's factors on first use."""
+        if A is not None:
+            A = np.asarray(A)
+            if A.ndim != 2 or A.shape[0] != A.shape[1]:
+                raise ValueError("generator must be square")
+            if not np.all(np.isfinite(A)):
+                raise NumericalError("non-finite entries in the generator")
+            A = _read_only(A)
+            if csr is None:
+                csr = scipy.sparse.csr_matrix(A)
+        elif csr is None:
+            raise ValueError("a generator needs A or its CSR")
+        self._A = A
+        self._spectral = (spectral if spectral is None or callable(spectral)
+                          else _read_only_factors(spectral))
+        self.one_way = callable(spectral) or bool(spectral and spectral[1])
+        self.csr = csr
+        for arr in (csr.data, csr.indices, csr.indptr):
             arr.flags.writeable = False
 
     @classmethod
@@ -93,60 +128,174 @@ class GeneratorOperator:
     def _of_form(cls, dform):
         real = dform.is_real()
         mass = dform.dof_mass
-        A = dform.K.toarray()
-        K = A.real if real else A
-        spectral = None     # K Hermitian: A is similar to S = Mass^-1/2 K Mass^-1/2
-        if np.abs(K - K.conj().T).max(initial=0.0) <= 1e-12 * max(
-                1.0, float(np.abs(K).max(initial=0.0))):
+        K = dform.K.toarray()
+        if real:
+            K = K.real
+        stored = dform.K.data.real if real else dform.K.data
+        tol = 1e-12 * max(1.0, float(np.abs(stored).max(initial=0.0)))
+        asym = np.abs(K - K.conj().T)
+        if asym.max(initial=0.0) <= tol:   # A is similar to S = Mass^-1/2 K Mass^-1/2
             root = np.sqrt(mass)
             lam, V = np.linalg.eigh(K / np.outer(root, root))
-            spectral = (lam, V / root[:, None], V.conj().T * root)
-        A /= mass[:, None]
-        # the same complex division per stored entry, so the CSR equals A bit for bit
+            spectral = (((slice(None), lam, V / root[:, None], V.conj().T * root),), ())
+        else:
+            plan = _one_way_plan(np.abs(K), asym, dform.m, tol)
+            spectral = None if plan is None else functools.partial(
+                _one_way_factors, dform.K, mass, real, *plan)
+        # the same complex division per stored entry, so the CSR equals Mass^-1 K bit for bit
         data = dform.K.data / np.repeat(mass, np.diff(dform.K.indptr))
-        if real:    # contiguous real copies, not views holding the complex bytes
-            A, data = A.real.copy(), data.real.copy()
-        csr = scipy.sparse.csr_matrix((data, dform.K.indices, dform.K.indptr), shape=A.shape)
-        return cls(A, spectral, csr)
+        if real:    # a contiguous real copy, not a view holding the complex bytes
+            data = data.real.copy()
+        csr = scipy.sparse.csr_matrix((data, dform.K.indices, dform.K.indptr), shape=K.shape)
+        return cls(spectral=spectral, csr=csr)
+
+    @property
+    def A(self):
+        """The dense generator (built from the CSR on first read)."""
+        if self._A is None:
+            self._A = _read_only(self.csr.toarray())
+        return self._A
+
+    @property
+    def spectral(self):
+        if callable(self._spectral):
+            self._spectral = _read_only_factors(self._spectral())
+        return self._spectral
 
     @property
     def ndof(self):
-        return self.A.shape[0]
+        return self.csr.shape[0]
 
     @property
     def norm1(self):
-        return float(np.max(np.abs(self.A).sum(axis=0), initial=0.0))
+        # column sums in row order, as a dense column sum adds them
+        sums = np.bincount(self.csr.indices, weights=np.abs(self.csr.data), minlength=self.ndof)
+        return float(sums.max(initial=0.0))
 
     @property
     def method(self):
         """How propagators are computed: 'spectral' or 'expm'."""
-        return "expm" if self.spectral is None else "spectral"
+        return "expm" if self._spectral is None else "spectral"
 
     def propagator(self, t):
         """exp(-t A)."""
-        if self.spectral is None:
-            E = scipy.linalg.expm(-float(t) * self.A)
-        else:
-            lam, W, W_inv = self.spectral
-            E = (W * np.exp(-float(t) * lam)) @ W_inv
+        t = float(t)
+        if self._spectral is None:
+            return _finite(scipy.linalg.expm(-t * self.A))
+        groups, links = self.spectral
+        blocks = [(W * np.exp(-t * lam)) @ W_inv for _, lam, W, W_inv in groups]
+        if not links and len(groups) == 1:
+            return _finite(blocks[0])
+        E = np.zeros((self.ndof,) * 2, dtype=np.result_type(*blocks, *(x for *_, x in links)))
+        for (dofs, *_), block in zip(groups, blocks):
+            E[dofs[:, None], dofs] = block
+        for g, h, X in links:
+            (rows, lam, W, _), (cols, mu, _, W_inv) = groups[g], groups[h]
+            E[rows[:, None], cols] = -_matmul(_matmul(W, X * _phi(t, lam, mu)), W_inv)
         return _finite(E)
 
     def apply(self, t, u):
-        """exp(-t A) u: two matrix-vector products with the spectral factors,
-        or the dense exponential times u."""
+        """exp(-t A) u: matrix-vector products with the spectral factors, or
+        the dense exponential times u."""
         u = np.asarray(u)
-        if self.spectral is None:
+        if self._spectral is None:
             return self.propagator(t) @ u
-        lam, W, W_inv = self.spectral
-        cols = u.reshape(len(lam), -1)
-        split = np.iscomplexobj(u) and not np.iscomplexobj(W)
+        t = float(t)
+        groups, links = self.spectral
+        cols = u.reshape(self.ndof, -1)
+        split = np.iscomplexobj(u) and not any(
+            np.iscomplexobj(f) for f in _factor_arrays((groups, links)))
         if split:       # real factors take the real and imaginary parts as real columns
             cols = np.hstack([cols.real, cols.imag])
-        out = W @ (np.exp(-float(t) * lam)[:, None] * (W_inv @ cols))
+        coef = [W_inv @ cols[dofs] for dofs, _, _, W_inv in groups]
+        parts = [W @ (np.exp(-t * lam)[:, None] * c) for (_, lam, W, _), c in zip(groups, coef)]
+        if not links and len(groups) == 1:
+            out = parts[0]
+        else:
+            out = np.zeros(cols.shape, dtype=np.result_type(*parts, *(x for *_, x in links)))
+            for (dofs, *_), part in zip(groups, parts):
+                out[dofs] = part
+            for g, h, X in links:
+                (rows, lam, W, _), mu = groups[g], groups[h][1]
+                out[rows] -= W @ ((X * _phi(t, lam, mu)) @ coef[h])
         if split:
             half = out.shape[1] // 2
             out = out[:, :half] + 1j * out[:, half:]
         return _finite(out.reshape(u.shape))
+
+
+def _one_way_plan(size, asym, m, tol):
+    """The groups of channels (their dofs) and the links (g, h) of a one-way
+    coupling, or None, from |K| and |K - K^H|.  Channels in two-way contact
+    (a block of K above ``tol`` each way) form a group; the plan exists when
+    every group's diagonal block is Hermitian (``asym`` at most ``tol``) and
+    no group both receives a block from another group and sends one."""
+    n = len(size) // m      # the largest entry of each channel block, one axis at a time
+    size, skew = (a.reshape(n, m, n * m).max(axis=0).reshape(m, n, m).max(axis=1) > tol
+                  for a in (size, asym))
+    label, contact = np.arange(m), size & size.T | np.eye(m, dtype=bool)
+    for _ in range(m):      # each channel takes the smallest label of its two-way contacts
+        label = np.where(contact, label, m).min(axis=1)
+    same = label[:, None] == label
+    pairs = {(label[c], label[d]) for c, d in zip(*np.nonzero(size & ~same))}
+    if (skew & same).any() or {g for g, _ in pairs} & {h for _, h in pairs}:
+        return None
+    ids = list(np.unique(label))
+    channel = label[np.arange(len(asym)) % m]
+    groups = tuple(_read_only(np.flatnonzero(channel == g)) for g in ids)
+    return groups, tuple(sorted((ids.index(g), ids.index(h)) for g, h in pairs))
+
+
+def _one_way_factors(K, mass, real, groups, links):
+    """``(groups, links)`` factors of the sparse stiffness K along a plan of
+    ``_one_way_plan``: one ``eigh`` per group of S = Mass^-1/2 K Mass^-1/2,
+    real where the group's block is (all of them when ``real``)."""
+    K, root = K.toarray(), np.sqrt(mass)
+    if real:
+        K = K.real
+
+    def block(rows, cols):
+        return K[rows[:, None], cols] / np.outer(root[rows], root[cols])
+
+    factors, bases = [], []
+    for dofs in groups:
+        S = block(dofs, dofs)
+        lam, V = np.linalg.eigh(S if S.imag.any() else S.real)
+        factors.append((dofs, lam, V / root[dofs, None], V.conj().T * root[dofs]))
+        bases.append(V)
+    links = tuple((g, h, _matmul(bases[g].conj().T, _matmul(block(groups[g], groups[h]),
+                                                             bases[h])))
+                  for g, h in links)
+    return tuple(factors), links
+
+
+def _matmul(a, b):
+    """a @ b, a real matrix times a complex one as two real products."""
+    if (a.dtype.kind == "c") == (b.dtype.kind == "c"):
+        return a @ b
+    if a.dtype.kind == "c":
+        return a.real @ b + 1j * (a.imag @ b)
+    return a @ b.real + 1j * (a @ b.imag)
+
+
+def _phi(t, lam, mu):
+    """Phi_ab = int_0^t exp(-(t - s) lam_a) exp(-s mu_b) ds, as
+    t exp(-t min(lam_a, mu_b)) (1 - exp(-z)) / z with z = t |lam_a - mu_b|:
+    no cancellation for close eigenvalues and no overflow for far ones."""
+    z = t * np.abs(lam[:, None] - mu)
+    ratio = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0)
+    return t * np.exp(-t * np.minimum(lam[:, None], mu)) * ratio
+
+
+def _factor_arrays(spectral):
+    groups, links = spectral
+    return [f for _, *fs in groups for f in fs] + [X for *_, X in links]
+
+
+def _read_only_factors(spectral):
+    groups, links = spectral
+    return (tuple((dofs, *map(_read_only, fs)) for dofs, *fs in groups),
+            tuple((g, h, _read_only(X)) for g, h, X in links))
 
 
 def _read_only(arr):
@@ -209,10 +358,12 @@ class PositivityReport:
 def _scan_propagators(gen, times, norm1):
     """The path and the pairs (t, exp(-t A)) at the sorted distinct times:
     the generator's own propagators, or one sparse chain when its cost rule
-    (CHAIN_COST) says that is cheaper than a dense exponential per time."""
+    (CHAIN_COST) says that is cheaper than a dense exponential per time or
+    than the spectral factors of a one-way coupling (SPECTRAL_GAIN)."""
     times = sorted(set(times))
-    if gen.spectral is None and (CHAIN_COST * gen.csr.nnz * max(1.0, times[-1] * norm1)
-                                 <= gen.ndof ** 2):
+    own = gen.ndof ** 2 / (SPECTRAL_GAIN if gen.one_way else 1)
+    if ((gen.method == "expm" or gen.one_way)
+            and CHAIN_COST * gen.csr.nnz * max(1.0, times[-1] * norm1) <= own):
         return "expm_multiply", _chain(gen.csr, times)
     return gen.method, ((t, gen.propagator(t)) for t in times)
 
@@ -303,7 +454,7 @@ def _apply(dform, t, u):
     if t <= 0:
         raise ValueError("time must be positive")
     gen = GeneratorOperator.from_discrete_form(dform)
-    if gen.spectral is not None:
+    if gen.method == "spectral":
         return gen.apply(t, u)
     return dform.memo(("propagator", float(t)), lambda: gen.propagator(t)) @ u
 

@@ -45,27 +45,121 @@ def test_positivity_subcommand(tmp_path):
     assert code == 0
     report = (tmp_path / "report.txt").read_text()
     assert "SIGN-PATTERN-OK" in report
-    assert "propagator: spectral (self-adjoint generator)\n" in report
+    assert "propagator: spectral (self-adjoint channel groups)\n" in report
     lines = (tmp_path / "positivity.csv").read_text().splitlines()
     assert lines[0] == "t,min_entry_real,max_entry_imag"
     assert len(lines) == 4
 
 
-PROPAGATOR_LINES = {"spectral": "spectral (self-adjoint generator)", "expm": "expm",
+PROPAGATOR_LINES = {"spectral": "spectral (self-adjoint channel groups)", "expm": "expm",
                     "expm_multiply": "expm_multiply (sparse generator)"}
+
+# ex1_3 with a second coupling entry: on the free space K couples its two
+# channels both ways, so the generator has no spectral form
+TWO_WAY_PAIR = """
+d = 2
+m = 2
+box = -4 4 -4 4
+bc = free
+mu = 3.5
+
+[coeff 1 1]
+kind = constant
+entry 1 1 = [6, 0]
+entry 2 2 = [6, 0]
+
+[coeff 2 2]
+kind = constant
+entry 1 1 = [6, 0]
+entry 2 2 = [6, 0]
+
+[coeff 1 2]
+kind = constant
+entry 1 2 = [1, 0]
+entry 2 1 = [3, 4]
+
+[coeff 2 1]
+kind = constant
+entry 1 2 = [-1, 0]
+entry 2 1 = [-3, -4]
+"""
 
 
 @pytest.mark.parametrize("name, bc, method", [("scalar_heat", "dirichlet", "spectral"),
-                                              ("ex1_3", "free", "expm"),
-                                              ("ex1_3", "free", "expm_multiply")])
+                                              ("ex1_3", "free", "spectral"),
+                                              ("two_way_pair", "free", "expm"),
+                                              ("two_way_pair", "free", "expm_multiply")])
 def test_positivity_names_the_propagator_path(tmp_path, name, bc, method):
-    # ex1_3 free takes the sparse chain at 12^2 and a dense expm at 4^2
+    # the two-way pair takes the sparse chain at 12^2 and a dense expm at 4^2;
+    # ex1_3's one-way coupling keeps the spectral path
     grid = "12" if method == "expm_multiply" else "4"
-    code = run(["positivity", "--catalog", name, "--grid", grid, "--bc", bc, "--json"], tmp_path)
+    if name == "two_way_pair":
+        cfg = tmp_path / "two_way.cfg"
+        cfg.write_text(TWO_WAY_PAIR)
+        system = ["--config", str(cfg)]
+    else:
+        system = ["--catalog", name]
+    code = run(["positivity", *system, "--grid", grid, "--bc", bc, "--json"], tmp_path)
     assert code == 0
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["propagator"] == method
     assert f"propagator: {PROPAGATOR_LINES[method]}\n" in (tmp_path / "report.txt").read_text()
+
+
+# a real scalar system with the mixed coefficient 0.9: positive, but its Q1
+# stiffness has a positive entry between diagonal neighbours
+MIXED_SCALAR = """
+d = 2
+m = 1
+box = 0 1 0 1
+mu = 0.05
+
+[coeff 1 1]
+kind = constant
+entry 1 1 = [1, 0]
+
+[coeff 2 2]
+kind = constant
+entry 1 1 = [1, 0]
+
+[coeff 1 2]
+kind = constant
+entry 1 1 = [0.9, 0]
+
+[coeff 2 1]
+kind = constant
+entry 1 1 = [0.9, 0]
+"""
+
+
+@pytest.mark.parametrize("name, bc, channels, coupling", [
+    ("ex1_3", "free", [2, 1], "cross-channel"),
+    ("mixed_scalar", "dirichlet", [1, 1], "same-channel"),
+])
+def test_positivity_names_the_witness_channels(tmp_path, name, bc, channels, coupling):
+    if name == "mixed_scalar":
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(MIXED_SCALAR)
+        system = ["--config", str(cfg)]
+    else:
+        system = ["--catalog", name]
+    code = run(["positivity", *system, "--grid", "4", "--bc", bc, "--json"], tmp_path)
+    assert code == 0
+    data = json.loads((tmp_path / "report.json").read_text())
+    kind, i, j, _ = data["witness"]
+    assert kind == "lattice" and data["witness_channels"] == channels
+    m = 2 if name == "ex1_3" else 1
+    assert [i % m + 1, j % m + 1] == channels and data["witness_coupling"] == coupling
+    line = f"witness channels: ({channels[0]}, {channels[1]}), {coupling}\n"
+    assert line in (tmp_path / "report.txt").read_text()
+
+
+def test_positivity_without_witness_names_no_channels(tmp_path):
+    code = run(["positivity", "--catalog", "scalar_heat", "--grid", "4", "--json"], tmp_path)
+    assert code == 0
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["witness"] is None and "witness_channels" not in data
+    assert "witness channels" not in (tmp_path / "report.txt").read_text()
 
 
 def test_check_elliptic(tmp_path):

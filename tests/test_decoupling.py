@@ -33,6 +33,7 @@ from possem.decoupling import (
 from possem.errors import ContractViolation, GeometryError, UnsupportedContract
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
+from possem.semigroup import GeneratorOperator, positivity_scan
 from possem.tents import PiecewiseLinear1D, TensorTestFunction
 
 
@@ -776,3 +777,58 @@ def test_free_gap_pair_reads_the_coupling(name, value):
 @pytest.mark.parametrize("name", [name for name, _ in FREE_GAP])
 def test_free_antisymmetric_coupling_is_not_positive(name):
     assert decide_decoupling(catalog.get(name).build(bc="free")).decision == "not-positive"
+
+
+# ROADMAP item 1, the two Dirichlet systems of its scratch facts: an
+# antisymmetric coupling whose divergence does not vanish is a first-order
+# term of the form.  The drift pair C_11 = C_22 = 6 I, C_12 = x1 R = -C_21
+# (R = e_2 e_1^T) couples its channels; the scalar C_12 = 0.5i x1 = -C_21 is
+# an imaginary drift that does not keep real functions real.  Both read
+# POSITIVE-DECOUPLED today, while their assembled generators already carry a
+# cross-channel lattice witness and a non-real entry.
+def _x1_drift_pair():
+    d = 2
+    x1 = MultiPoly.variable(0, d)
+    zero, six = MultiPoly.constant(0.0, d), MultiPoly.constant(6.0, d)
+    diag = PolynomialField(((six, zero), (zero, six)), d)
+    c12 = PolynomialField(((zero, zero), (x1, zero)), d)
+    c21 = PolynomialField(((zero, zero), (-1 * x1, zero)), d)
+    return EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 2, ((diag, c12), (c21, diag)),
+                          "dirichlet", 5.0)
+
+
+def _imaginary_drift():
+    d = 2
+    x1, one = MultiPoly.variable(0, d), MultiPoly.constant(1.0, d)
+
+    def fld(p):
+        return PolynomialField(((p,),), d)
+
+    return EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 1,
+                          ((fld(one), fld(0.5j * x1)), (fld(-0.5j * x1), fld(one))),
+                          "dirichlet", 0.4)
+
+
+DIVERGENT_DRIFTS = [_x1_drift_pair, _imaginary_drift]
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="the decision tests only C_kl + C_lk, not the divergence of the "
+                          "antisymmetric remainder (ROADMAP item 1)")
+@pytest.mark.parametrize("build", DIVERGENT_DRIFTS)
+def test_divergent_antisymmetric_coupling_is_not_positive(build):
+    assert decide_decoupling(build()).decision == "not-positive"
+
+
+@pytest.mark.parametrize("build, verdict, witness", [
+    (_x1_drift_pair, "NEGATIVE-FOUND", ("lattice", 3, 0, 8 / 3)),
+    (_imaginary_drift, "NONREAL-FOUND", ("nonreal", 0, 1, -4 / 3)),
+])
+def test_divergent_drift_scans_find_the_witness(build, verdict, witness):
+    # dof 3 is node 1 of channel 2 and dof 0 node 0 of channel 1: a
+    # cross-channel entry of K, so a lattice pair of the continuous form
+    sys_ = build()
+    rep = positivity_scan(GeneratorOperator.from_discrete_form(
+        assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet"))))
+    assert rep.verdict == verdict and rep.witness[:3] == witness[:3]
+    assert rep.witness[3] == pytest.approx(witness[3], abs=1e-12)

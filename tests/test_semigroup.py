@@ -315,14 +315,37 @@ def test_factorization_reuses_one_decomposition_per_form(monkeypatch):
     assert len(eighs) == 1 + sys_.m and not expms
 
 
-def _sheared_scalar(d=2):
-    """Real scalar system with C_12 = 0.3 x1 and C_21 = 0: a first-order
-    term makes K non-symmetric."""
+def _sheared_scalar(d=2, shear=0.3, mu=0.5):
+    """Real scalar system on the unit box with C_12 = shear x1 and C_21 = 0:
+    a first-order term makes K non-symmetric."""
     x1 = MultiPoly.variable(0, d)
     one, zero = MultiPoly.constant(1.0, d), MultiPoly.constant(0.0, d)
-    coeffs = tuple(tuple(PolynomialField(((p,),), d) for p in row)
-                   for row in ((one, 0.3 * x1), (zero, one)))
-    return EllipticSystem(((0, 1), (0, 1)), 1, coeffs, "dirichlet", 0.5)
+    rows = [[one if k == l else zero for l in range(d)] for k in range(d)]
+    rows[0][1] = shear * x1
+    coeffs = tuple(tuple(PolynomialField(((p,),), d) for p in row) for row in rows)
+    return EllipticSystem(((0, 1),) * d, 1, coeffs, "dirichlet", mu)
+
+
+def _two_way_pair(d=2, bc="free"):
+    """ex1_3 with a second coupling entry: C_12 = [[0, 1], [3 + 4i, 0]] = -C_21
+    over a conductivity-6 diagonal on (-4, 4)^d.  On the free space K couples
+    the two channels both ways, so the generator is not self-adjoint and
+    has no one-way spectral form."""
+    six = ConstantField(6 * np.eye(2, dtype=complex))
+    zero = ConstantField(np.zeros((2, 2), dtype=complex))
+    C = np.array([[0, 1], [3 + 4j, 0]])
+    rows = [[six if k == l else zero for l in range(d)] for k in range(d)]
+    rows[0][1], rows[1][0] = ConstantField(C), ConstantField(-C)
+    return EllipticSystem(((-4.0, 4.0),) * d, 2, tuple(map(tuple, rows)), bc, 3.5)
+
+
+#: Systems of this module by name, each built from its dimension d.
+LOCAL_SYSTEMS = {
+    "sheared_scalar": _sheared_scalar,
+    # past the Q1 gap, so that K has a lattice witness
+    "steep_shear": lambda d: _sheared_scalar(d, shear=1.8, mu=0.05),
+    "two_way_pair": _two_way_pair,
+}
 
 
 def test_factorization_reuses_one_exponential_per_form_and_time(monkeypatch):
@@ -356,12 +379,88 @@ def test_spectral_propagator_matches_expm(name, bc, d, n):
             assert np.abs(gen.apply(t, v) - ref @ v).max() <= 1e-13 * np.abs(ref @ v).max()
 
 
-@pytest.mark.parametrize("name, bc", [("witness_W", "dirichlet"), ("ex1_3", "free"), (None, None)])
+ONE_WAY_FORMS = [("ex1_3", "free", 2, 8), ("ex1_3_entry1", "free", 2, 8),
+                 ("witness_W", "dirichlet", 2, 8), ("rand_coupled(3)", "dirichlet", 2, 8),
+                 ("rand_coupled(3)", "dirichlet", 3, 5)]
+
+
+@pytest.mark.parametrize("name, bc, d, n", ONE_WAY_FORMS)
+def test_one_way_propagator_matches_expm(name, bc, d, n):
+    # each channel's block of K is self-adjoint and one channel drives the
+    # other: two groups and one link, first-order Dyson term exact
+    gen = _form_generator(name, bc, d, n)
+    assert gen.method == "spectral" and gen.one_way
+    groups, links = gen.spectral
+    assert len(groups) == 2 and len(links) == 1
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(gen.ndof) + 1j * rng.standard_normal(gen.ndof)
+    states = (u.real, u, np.stack([u, u.imag], axis=1))
+    for t in positivity_scan(gen).times + (0.01, 0.1, 1.0):
+        ref = scipy.linalg.expm(-t * gen.A)
+        assert np.abs(gen.propagator(t) - ref).max() <= 1e-13 * np.abs(ref).max()
+        for v in states:
+            assert np.abs(gen.apply(t, v) - ref @ v).max() <= 1e-13 * np.abs(ref @ v).max()
+    # far past every mode's decay (t ||A||_1 = 1e3): finite and silent, as the
+    # suite turns warnings into errors; there expm's squarings cost it digits
+    # (the self-adjoint path of scalar_heat free reads 1.3e-13 against it)
+    t = 1e3 / gen.norm1
+    ref = scipy.linalg.expm(-t * gen.A)
+    E = gen.propagator(t)
+    assert np.all(np.isfinite(E)) and np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max()
+    for v in states:
+        assert np.abs(gen.apply(t, v) - ref @ v).max() <= 1e-12 * np.abs(ref @ v).max()
+
+
+@pytest.mark.parametrize("name, bc, d, n", ONE_WAY_FORMS)
+def test_one_way_scan_matches_the_dense_path(monkeypatch, name, bc, d, n):
+    gen = _form_generator(name, bc, d, n)
+    rep = positivity_scan(gen)
+    assert rep.propagator == "spectral"
+    monkeypatch.setattr(semigroup, "CHAIN_COST", np.inf)
+    ref = positivity_scan(GeneratorOperator(gen.A))
+    assert ref.propagator == "expm"
+    # a minimum near zero carries the rounding of a propagator of size 1 on
+    # either path (rand_coupled(3) 5^3: -9.5e-5, the two 3.3e-16 apart)
+    _assert_same_scan(rep, ref, atol=1e-15)
+
+
+def test_one_way_sides_of_the_cost_rule(monkeypatch):
+    # 25 nnz / N^2 is 0.37 for ex1_3 free 16^2, above 1 / SPECTRAL_GAIN: the
+    # spectral factors; 0.0895 for ex1_3_entry1 free 34^2: the chain, and the
+    # factors are never computed
+    assert positivity_scan(_form_generator("ex1_3", "free", 2, 16)).propagator == "spectral"
+    gen = _form_generator("ex1_3_entry1", "free", 2, 34)
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    method, _ = semigroup._scan_propagators(gen, (1.0 / gen.norm1,), gen.norm1)
+    assert gen.one_way and method == "expm_multiply" and not eighs
+
+
+def test_one_way_generator_is_lazy_and_read_only(monkeypatch):
+    sys_ = catalog.get("witness_W").build()
+    dform = assemble(sys_, Grid(sys_.box, (6, 6), "dirichlet"))
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    gen = GeneratorOperator.from_discrete_form(dform)
+    assert gen.method == "spectral" and not eighs and gen._A is None
+    positivity_scan(gen)
+    assert len(eighs) == 2 and gen._A is None        # one eigh per group, no dense A
+    A = (dform.K.toarray() / dform.dof_mass[:, None]).real
+    assert np.array_equal(gen.A, A) and gen.A is gen.A
+    arrays = semigroup._factor_arrays(gen.spectral) + [dofs for dofs, *_ in gen.spectral[0]]
+    for arr in [gen.A] + arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert len(eighs) == 2
+
+
+@pytest.mark.parametrize("name, bc", [("sheared_scalar", "dirichlet"), ("two_way_pair", "free"),
+                                      (None, None)])
 def test_expm_path_is_unchanged(name, bc):
+    # generators with no spectral form: a non-symmetric scalar block, and
+    # channels coupled both ways
     if name is None:
         gen = GeneratorOperator(np.array([[1.0, -0.5], [-0.5, 1.0]]))
     else:
-        sys_ = catalog.get(name).build(bc=bc)
+        sys_ = LOCAL_SYSTEMS[name](2)
         dform = assemble(sys_, Grid(sys_.box, (8, 8), bc))
         gen = GeneratorOperator.from_discrete_form(dform)
         A = dform.K.toarray()
@@ -378,7 +477,7 @@ def test_memoized_generator_is_read_only():
     dform = assemble(sys_, Grid(sys_.box, (4, 4), "dirichlet"))
     gen = GeneratorOperator.from_discrete_form(dform)
     assert GeneratorOperator.from_discrete_form(dform) is gen
-    for arr in (gen.A, gen.csr.data, gen.csr.indices) + gen.spectral:
+    for arr in (gen.A, gen.csr.data, gen.csr.indices, *semigroup._factor_arrays(gen.spectral)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     plain = np.eye(2)
@@ -399,22 +498,26 @@ def test_real_generator_is_contiguous(name, bc):
 
 
 def _form_generator(name, bc, d, n):
-    kw = {"d": d} if name.startswith("rand_") else {}
-    sys_ = catalog.get(name).build(bc=bc, **kw)
+    """The generator of a catalog entry or of one of LOCAL_SYSTEMS."""
+    if name in LOCAL_SYSTEMS:
+        sys_ = LOCAL_SYSTEMS[name](d)
+    else:
+        kw = {"d": d} if name.startswith("rand_") else {}
+        sys_ = catalog.get(name).build(bc=bc, **kw)
     return GeneratorOperator.from_discrete_form(assemble(sys_, Grid(sys_.box, (n,) * d, bc)))
 
 
-def _assert_same_scan(rep, ref):
+def _assert_same_scan(rep, ref, atol=0.0):
     assert (rep.verdict, rep.witness, rep.times) == (ref.verdict, ref.witness, ref.times)
     (t, value, i, j), (t_ref, value_ref, i_ref, j_ref) = rep.offender, ref.offender
     assert (t, i, j) == (t_ref, i_ref, j_ref) and value == pytest.approx(value_ref, rel=1e-13)
     for got, want in zip(rep.per_time, ref.per_time):
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(got, want, rtol=1e-13, atol=atol)
 
 
-@pytest.mark.parametrize("name, bc, d, n", [("ex1_3", "free", 2, 12),
-                                            ("rand_coupled(3)", "dirichlet", 2, 16),
-                                            ("rand_coupled(3)", "dirichlet", 3, 8)])
+@pytest.mark.parametrize("name, bc, d, n", [("two_way_pair", "free", 2, 12),
+                                            ("steep_shear", "dirichlet", 2, 16),
+                                            ("sheared_scalar", "dirichlet", 3, 10)])
 def test_sparse_scan_matches_expm(monkeypatch, name, bc, d, n):
     # one chain of expm_multiply over the sorted times, against a dense
     # exponential per time (the cost rule switched off)
@@ -429,7 +532,7 @@ def test_sparse_scan_matches_expm(monkeypatch, name, bc, d, n):
 
 
 def test_sparse_scan_keeps_the_callers_time_order(monkeypatch):
-    gen = _form_generator("ex1_3", "free", 2, 12)
+    gen = _form_generator("two_way_pair", "free", 2, 12)
     times = (1e-3, 1e-4, 1e-3)
     rep = positivity_scan(gen, times=times)
     assert rep.propagator == "expm_multiply" and rep.times == times
@@ -445,7 +548,7 @@ def test_scan_leaves_the_global_rng_alone():
     # the chain's 1-norm estimate resamples columns from numpy's global RNG
     # on this form; the scan draws them under its own seed and restores the
     # caller's state, so the report does not depend on that state either
-    gen = _form_generator("ex1_3", "free", 2, 16)
+    gen = _form_generator("two_way_pair", "free", 2, 16)
     saved = np.random.get_state()
     try:
         reports = []
@@ -466,7 +569,7 @@ def test_scan_leaves_the_global_rng_alone():
 def test_dense_side_of_the_cost_rule_keeps_expm(n, times):
     # a small form, or a large ||t A||_1 (103.5 here), keeps one dense
     # exponential per time, bit for bit
-    gen = _form_generator("ex1_3", "free", 2, n)
+    gen = _form_generator("two_way_pair", "free", 2, n)
     rep = positivity_scan(gen, times=times)
     assert rep.propagator == "expm"
     for t, got in zip(rep.times, rep.per_time):

@@ -42,9 +42,15 @@ def _as_box(box):
 
 def tensor_points(axes):
     """(n, d) array of the tensor grid of d coordinate arrays, the first
-    axis varying slowest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([mm.ravel() for mm in mesh], axis=-1)
+    axis varying slowest: each axis is written once into one (n_1, ..., n_d,
+    d) array of the axes' common dtype, the rows and values of
+    ``np.meshgrid(*axes, indexing="ij")`` stacked."""
+    axes = [np.ravel(a) for a in axes]
+    d = len(axes)
+    out = np.empty(tuple(map(len, axes)) + (d,), dtype=np.result_type(*axes))
+    for i, a in enumerate(axes):
+        out[..., i] = a.reshape((-1,) + (1,) * (d - 1 - i))
+    return out.reshape(-1, d)
 
 
 def _check_point_in_box(x, box):
@@ -202,7 +208,9 @@ class PolynomialField(MatrixField):
             for p in row:
                 if not isinstance(p, MultiPoly) or p.d != self.d:
                     raise ValueError("entries must be MultiPoly in d variables")
-                if p.total_degree > self.max_total_degree:
+                # sum(shape) - d is the highest degree the tensor can hold
+                if (sum(p.coeffs.shape) - p.d > self.max_total_degree
+                        and p.total_degree > self.max_total_degree):
                     raise ValueError(
                         f"entry degree {p.total_degree} exceeds cap {self.max_total_degree}"
                     )
@@ -361,39 +369,55 @@ class CoefficientTable:
     ``sum_t x**exps[t] * blocks[t]``, except for the grid-sampled fields,
     listed as (k, l, field) in ``sampled``, whose blocks are zero.  ``terms``
     holds the same terms one by one in (k, l, exponent) order, as arrays
-    k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m).
+    k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m),
+    and ``rows`` (T') the row of ``exps`` that each term adds to.
     """
 
     exps: np.ndarray
     blocks: np.ndarray
     terms: tuple
     sampled: tuple
+    rows: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.exps, self.blocks, *self.terms):
+        for arr in (self.exps, self.blocks, *self.terms, self.rows):
             arr.flags.writeable = False     # one table is shared by every reader
 
     @classmethod
     def from_terms(cls, k, l, exps, C, sampled):
         """The table of the terms k, l (T), exponents (T, d) and m x m
         coefficients (T, m, m), beside the grid-sampled entries ``sampled``."""
-        (_, d), m = exps.shape, C.shape[-1]
+        d = exps.shape[1]
         rows = list(map(tuple, exps.tolist()))
         distinct = sorted(set(rows))
         index = {e: i for i, e in enumerate(distinct)}
-        blocks = np.zeros((len(distinct), d, m, d, m), dtype=complex)
-        blocks[[index[e] for e in rows], k, :, l, :] = C
-        return cls(np.array(distinct, dtype=int).reshape(-1, d),
-                   blocks.reshape(-1, d * m, d * m), (k, l, exps, C), sampled)
+        return cls._of_rows(np.array(distinct, dtype=int).reshape(-1, d),
+                            np.array([index[e] for e in rows], dtype=np.intp),
+                            k, l, exps, C, sampled)
+
+    @classmethod
+    def _of_rows(cls, distinct, rows, k, l, exps, C, sampled):
+        """The table whose terms add to the rows ``rows`` of the sorted
+        distinct exponents ``distinct``."""
+        (T, d), m = distinct.shape, C.shape[-1]
+        blocks = np.zeros((T, d, m, d, m), dtype=complex)
+        blocks[rows, k, :, l, :] = C
+        return cls(distinct, blocks.reshape(-1, d * m, d * m), (k, l, exps, C), sampled, rows)
 
     def channel(self, n, fields):
         """The table of scalar system n, Re (C_kl e_n, e_n): these terms
         with nonzero Re C[n, n], and these grid-sampled entries pointing at
-        the scalar system's d x d ``fields``; the table it would build."""
+        the scalar system's d x d ``fields``; the table it would build.  Its
+        exponents are the rows of this table's sorted ``exps`` that the kept
+        terms use, so nothing is sorted again."""
         k, l, exps, C = self.terms
         keep = C[:, n, n].real != 0
-        return CoefficientTable.from_terms(
-            k[keep], l[keep], exps[keep], C[keep, n:n + 1, n:n + 1].real.astype(complex),
+        used = np.zeros(len(self.exps), dtype=np.intp)
+        used[self.rows[keep]] = 1
+        return CoefficientTable._of_rows(
+            self.exps[used > 0], used.cumsum()[self.rows[keep]] - 1,
+            k[keep], l[keep], exps[keep],
+            C[keep, n:n + 1, n:n + 1].real.astype(complex),
             tuple((kk, ll, fields[kk][ll]) for kk, ll, _ in self.sampled))
 
 
@@ -456,18 +480,17 @@ class EllipticSystem:
         # the largest ``fld.bound(box)``, to the bit: the 2-norms are taken
         # in one stack per dtype (polynomial: real, others: complex)
         by_dtype = {}
-        for stack in self.bound_matrices(self.table.blocks):
+        for stack in self.bound_matrices():
             by_dtype.setdefault(stack.dtype, []).append(stack)
         return max(float(np.linalg.norm(np.concatenate(s), 2, axis=(1, 2)).max())
                    for s in by_dtype.values())
 
-    def bound_matrices(self, blocks):
+    def bound_matrices(self):
         """Per field, in (k, l) order, the (n, m, m) stack whose largest
         2-norm is its bound: a polynomial's block of the entrywise bounds of
-        ``blocks`` (the table's, or their real parts for the scalar
-        channels), a constant's matrix, a grid's cell values."""
+        the table, a constant's matrix, a grid's cell values."""
         m = self.m
-        entrywise = _entrywise_bound(self.table.exps, blocks, self.box)
+        entrywise = _entrywise_bound(self.table.exps, self.table.blocks, self.box)
         return [entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m] if fld.kind == "polynomial"
                 else fld.matrix[None] if fld.kind == "constant"
                 else fld.values.reshape(-1, m, m)

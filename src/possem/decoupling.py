@@ -23,6 +23,7 @@ import numpy as np
 from .assembly import affine_tensor, form_matrix
 from .coefficients import (
     EllipticSystem,
+    _entrywise_bound,
     _refined_cell_points,
     check_ellipticity,
     hermitian_lambda_min,
@@ -347,11 +348,17 @@ def extract_scalar_systems(sys):
 
 def scalar_bounds(sys):
     """``bound()`` of each of the m scalar systems, bit for bit: the
-    diagonals of the parent's ``bound_matrices`` of its table's real parts
-    (other channels' rows add 0.0 to a channel's sum, and a 1 x 1 field's
-    2-norm is the absolute value of its entry)."""
-    return np.concatenate([np.abs(S.diagonal(axis1=-2, axis2=-1).real)
-                           for S in sys.bound_matrices(sys.table.blocks.real)]).max(axis=0)
+    largest channel diagonal of the entrywise bounds of the parent's real
+    table (a constant's one term is its absolute value there, other
+    channels' rows add 0.0, and a 1 x 1 field's 2-norm is the absolute
+    value of its entry), beside the grid-sampled fields' cell values."""
+    d, m = sys.d, sys.m
+    entrywise = _entrywise_bound(sys.table.exps, sys.table.blocks.real, sys.box)
+    out = entrywise.reshape(d, m, d, m).diagonal(axis1=1, axis2=3).max(axis=(0, 1))
+    for _, _, fld in sys.table.sampled:
+        cells = np.abs(fld.values.diagonal(axis1=-2, axis2=-1).real).reshape(-1, m)
+        out = np.maximum(out, cells.max(axis=0))
+    return out
 
 
 def scalar_coercivity(sys, B, tol):

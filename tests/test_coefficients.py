@@ -12,6 +12,7 @@ from possem.coefficients import (
     eval_coefficient,
     realify_field,
     realify_matrix,
+    tensor_points,
 )
 from possem.decoupling import extract_scalar_systems
 from possem.errors import DomainError, NumericalError
@@ -341,6 +342,89 @@ def test_system_bound_bits_are_pinned():
                   "0x1.4cccccccccccdp+0", "0x1.4ccccccccccccp+0"])
     cases += zip(table_systems()[-2:], ["0x1.e0c12b663bbc3p+1", "0x1.da20f19716df4p+1"])
     assert [float.hex(s.bound()) for s, _ in cases] == [bits for _, bits in cases]
+
+
+def monomial(exps, shape=None):
+    """x**exps as a MultiPoly whose coefficient tensor has the given shape
+    (the smallest one that holds it by default)."""
+    c = np.zeros(shape or tuple(e + 1 for e in exps), dtype=complex)
+    c[tuple(exps)] = 1.0
+    return MultiPoly(c)
+
+
+@pytest.mark.parametrize("exps, shape, cap, degree", [
+    ((4, 3), None, 6, 7),           # shape bound 7 > 6: read, rejected
+    ((7,), None, 6, 7),             # 1D
+    ((2, 2, 3), None, 6, 7),        # 3D, shape bound 7
+    ((1, 1), (7, 7), 1, 2),         # shape bound 12, degree 2 > 1
+    ((2, 2), None, 3, 4),           # a cap other than the default
+])
+def test_degree_cap_rejects_above_the_cap(exps, shape, cap, degree):
+    p = monomial(exps, shape)
+    assert p.total_degree == degree
+    with pytest.raises(ValueError, match=rf"^entry degree {degree} exceeds cap {cap}$"):
+        PolynomialField(((p,),), len(exps), cap)
+
+
+@pytest.mark.parametrize("exps, shape, cap", [
+    ((3, 3), None, 6),              # shape bound 6 = cap: the degree is not read
+    ((1, 1), (7, 7), 6),            # shape bound 12, degree 2
+    ((6,), None, 6),                # 1D at the cap
+    ((0,), (12,), 6),               # 1D constant in a long tensor
+    ((2, 2, 2), None, 6),           # 3D at the cap
+    ((1, 0, 2), (5, 5, 5), 6),      # 3D, shape bound 12, degree 3
+    ((2, 2, 2), (4, 4, 4), 6),      # shape bound 9, degree 6 = cap
+])
+def test_degree_cap_accepts_up_to_the_cap(exps, shape, cap):
+    p = monomial(exps, shape)
+    fld = PolynomialField(((p,),), len(exps), cap)
+    assert fld.entry(0, 0) is p
+
+
+def test_shape_bound_holds_the_total_degree():
+    # the cap reads the exact degree only when sum(shape) - d exceeds it
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 6, size=d))
+            c = np.where(rng.random(shape) < 0.3, 1.0, 0.0)
+            assert MultiPoly(c).total_degree <= sum(shape) - d
+
+
+def test_diagonal_scalar_keeps_the_degree_cap():
+    x1, zero = MultiPoly.variable(0, 2), MultiPoly.constant(0.0, 2)
+    p = monomial((4, 4)) + 1j * x1
+    fld = PolynomialField(((p, zero), (zero, x1)), 2, 8)
+    with pytest.raises(ValueError, match="^entry degree 8 exceeds cap 6$"):
+        PolynomialField(((p,),), 2)
+    for n in range(2):
+        scalar = fld.diagonal_scalar(n)
+        assert scalar.max_total_degree == 8
+        assert np.array_equal(scalar.entry(0, 0).coeffs, fld.entry(n, n).real.coeffs)
+    assert fld.realified().max_total_degree == 8
+
+
+def meshgrid_points(axes):
+    return np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+@pytest.mark.parametrize("axes", [
+    [np.linspace(-1.0, 2.0, 5)],
+    [np.linspace(0.0, 1.0, 4), np.array([0.25, 0.5, 0.75])],
+    [np.linspace(0.0, 1.0, 3), np.array([0.5]), np.linspace(-4.0, 4.0, 6)],
+    [np.array([0.125])],
+    [np.arange(3), np.arange(2)],
+    [np.arange(3), np.linspace(0.0, 1.0, 2, dtype=np.float32), np.arange(4, dtype=np.int32)],
+    [np.linspace(0.1, 0.3, 3, dtype=np.float32)] * 2,
+    [[0.1, 0.2], (1, 2, 3)],
+    np.linspace([0.1, 0.2, 0.3], [0.4, 0.6, 0.8], 4, axis=0).T,   # cli's 2-D array
+], ids=["1d", "2d", "3d-length-1", "single", "int", "mixed", "float32", "lists", "2d-array"])
+def test_tensor_points_match_meshgrid(axes):
+    out, ref = tensor_points(axes), meshgrid_points(axes)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not any(np.shares_memory(out, a) for a in axes if isinstance(a, np.ndarray))
 
 
 def test_symmetrized_examples():

@@ -430,6 +430,10 @@ def decoupled_systems():
            if not catalog.needs_seed(name)]
     out += [catalog.get(f"rand_decoupled({seed})").build(m=m, d=d)
             for seed in (3, 7) for m in (2, 4) for d in (2, 3)]
+    # an m = 4 and a d = 3 system of perfbench's seed-1 decide list, among
+    # the jobs where its p90 falls
+    out += [catalog.get("rand_decoupled(1069973050)").build(m=4),
+            catalog.get("rand_decoupled(344997561)").build(d=3)]
     rng = np.random.default_rng(23)
     box, m, ch = ((0.0, 1.0), (-1.0, 2.0)), 3, np.arange(3)
 
@@ -475,6 +479,18 @@ def test_scalar_tables_are_channel_slices_of_the_parent_table():
                 assert all(fld is s.coeffs[k][l] for k, l, fld in tab.sampled)
             assert float.hex(s.bound()) == float.hex(own.bound())
             assert float.hex(float(bounds[n])) == float.hex(own.bound())
+
+
+def test_table_rows_index_the_sorted_exponents():
+    # each term's row of exps, in the system's table and in every channel's
+    for sys_ in decoupled_systems():
+        tabs = [sys_.table] + [sys_.table.channel(n, s.coeffs)
+                               for n, s in enumerate(extract_scalar_systems(sys_))]
+        for tab in tabs:
+            assert same_bits(tab.exps[tab.rows], tab.terms[2])
+        for n, s in enumerate(extract_scalar_systems(sys_)):
+            own = EllipticSystem(s.box, 1, s.coeffs, s.bc, s.mu)
+            assert same_bits(tabs[n + 1].rows, own.table.rows)
 
 
 def test_stacked_scalar_coercivity_matches_check_ellipticity():

@@ -13,8 +13,12 @@ coefficients in the (d m) x (d m) block layout, built once from the fields'
 times the table, plus one cell lookup per grid-sampled field; the
 symmetrized coefficients, the coercivity check, the uniform bound, the
 exact form and the assembler read the same table.  A scalar system
-Re (C_kl e_n, e_n) extracted from a system builds its table from the
-parent's terms (``CoefficientTable.channel``).
+Re (C_kl e_n, e_n) extracted from a system takes its table from the
+parent's terms and from the rows of the parent's sorted exponents that
+they use (``CoefficientTable.channel``), so no exponent is sorted twice.
+A polynomial entry's exact degree is read only when its coefficient
+tensor is large enough to exceed the cap, and every tensor grid of sample
+points is written into one array (``tensor_points``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from .assembly import (
     DiscreteForm,
     Grid,
     assemble,
-    commutation_residual,
     export_matrix_text,
     form_value,
 )
@@ -36,7 +35,6 @@ from .decoupling import (
     WitnessCertificate,
     construct_witness,
     decide_decoupling,
-    extract_offdiag_2d,
     extract_scalar_systems,
     probe,
     probe_system,
@@ -58,7 +56,6 @@ from .multop import (
     diag_projection,
     find_witness,
     is_multiplication,
-    lift_is_diagonal,
     trace_duality_residual,
 )
 from .polynomials import MultiPoly

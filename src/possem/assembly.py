@@ -23,10 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import _as_box, tensor_points
-from .errors import NumericalError, UnsupportedContract
+from .errors import NumericalError
 from .tents import (
-    PiecewiseLinear1D,
-    TensorTestFunction,
     binomial_shift,
     check_capacity,
     hat_moments,
@@ -312,24 +310,6 @@ def form_value(sys, u, v):
     return complex(np.vdot(np.asarray(g, dtype=complex), F @ np.asarray(f, dtype=complex)))
 
 
-def commutation_residual(grid, B, u, v, k, l):
-    """|int (B d_l u, d_k v) - int (B d_k u, d_l v)| for nodal states on a
-    zero-trace grid (the identity fails with the natural boundary)."""
-    if grid.bc != "dirichlet":
-        raise UnsupportedContract(
-            "the gradient commutation identity requires the zero-trace space"
-        )
-    B = np.asarray(B, dtype=complex)
-    u, v = (np.asarray(w, dtype=complex).ravel() for w in (u, v))
-
-    def pairing(kk, ll):
-        S = _term_stencil(grid, ([kk], [ll], np.zeros((1, grid.d), dtype=int), B[None]),
-                          B.shape[0])
-        return np.vdot(v, _stencil_csr(S, grid) @ u)
-
-    return float(abs(pairing(k, l) - pairing(l, k)))
-
-
 def export_matrix_text(K, fileobj):
     """Write a sparse complex matrix as header + 1-based coordinate triplets."""
     coo = sp.coo_matrix(K)
@@ -337,10 +317,3 @@ def export_matrix_text(K, fileobj):
     order = np.lexsort((coo.col, coo.row))
     for r, c, val in zip(coo.row[order], coo.col[order], coo.data[order]):
         fileobj.write(f"{r + 1} {c + 1} {val.real:.17g} {val.imag:.17g}\n")
-
-
-def affine_tensor(box, axis):
-    """Tensor test function equal to the coordinate x_axis on the box."""
-    return TensorTestFunction(1.0, tuple(
-        PiecewiseLinear1D([a, b], [a, b] if i == axis else [1.0, 1.0])
-        for i, (a, b) in enumerate(box)))

@@ -143,16 +143,6 @@ class MatrixField:
         """The real scalar field x -> Re (C(x) e_n, e_n)."""
         raise NotImplementedError
 
-    def average(self, box):
-        """Exact average of C over the box, from the monomial moments
-        prod_i (b_i**(e_i+1) - a_i**(e_i+1)) / ((e_i+1) (b_i - a_i))."""
-        box = _as_box(box)
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for exps, C in self.monomials(len(box), box):
-            out += math.prod([(b ** (e + 1) - a ** (e + 1)) / ((e + 1) * (b - a))
-                              for (a, b), e in zip(box, exps)]) * C
-        return out
-
     def is_zero(self):
         raise NotImplementedError
 
@@ -335,11 +325,6 @@ class GridSampledField(MatrixField):
     def diagonal_scalar(self, n):
         vals = self.values[..., n, n].real.astype(complex)
         return GridSampledField(self.box, vals[..., None, None])
-
-    def average(self, box):
-        if _as_box(box) != self.box:
-            raise ValueError("grid-sampled average only over its own box")
-        return self.values.reshape(-1, self.m, self.m).mean(axis=0)
 
     def is_zero(self):
         return not self.values.any()

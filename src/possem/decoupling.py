@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import affine_tensor, form_matrix
+from .assembly import form_matrix
 from .coefficients import (
     EllipticSystem,
     _entrywise_bound,
@@ -33,9 +33,9 @@ from .coefficients import (
 )
 from .errors import (
     ContractViolation,
+    DomainError,
     GeometryError,
     IndeterminateDecision,
-    UnsupportedContract,
     WitnessNotLocalized,
 )
 from .multop import MultWitness, find_witness, is_multiplication
@@ -58,7 +58,10 @@ def default_decision_tol(sys):
 def boundary_distance(box, x0):
     """Distance from x0 to the nearest face of the box, NaN for a NaN
     coordinate (which ``min`` would pass over)."""
-    gaps = [min(x - a, b - x) for x, (a, b) in zip(np.asarray(x0).tolist(), box)]
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (len(box),):
+        raise DomainError(f"point has dimension {x0.shape}, box has {len(box)}")
+    gaps = [min(x - a, b - x) for x, (a, b) in zip(x0.tolist(), box)]
     return math.nan if any(map(math.isnan, gaps)) else min(gaps)
 
 
@@ -100,9 +103,11 @@ class ProbeResult:
 
 
 def _checked_schedule(box, x0, deltas):
-    """The dilations as floats; GeometryError unless each keeps the probe's
-    support inside the box."""
+    """The dilations as floats; GeometryError unless there is one and each
+    keeps the probe's support inside the box."""
     deltas = tuple(float(dd) for dd in deltas)
+    if not deltas:
+        raise GeometryError("need at least one dilation")
     dist = boundary_distance(box, x0)
     for dd in deltas:
         if not 0 < dd <= dist:
@@ -457,37 +462,3 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
         {"bound": M, "failed_point": x0, "failed_pair": (k, l),
          "symmetrized": Q, "diagonal": diagonal, "real": real},
     )
-
-
-# -- extras ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OffdiagReport:
-    average: np.ndarray            # exact average of C_12 over the box
-    symmetrized_average: np.ndarray
-    antisymmetric_average: np.ndarray
-    symmetrized_constant: bool
-
-
-def extract_offdiag_2d(sys, tol=1e-10):
-    """Recover the average of C_12 from the form with affine test functions.
-
-    Needs d = 2 with the natural boundary on a bounded box; with the
-    zero-trace space the antisymmetric part is pure gauge and cannot be seen.
-    """
-    if sys.d != 2:
-        raise ValueError("off-diagonal extraction is specific to d = 2")
-    if sys.bc != "free":
-        raise UnsupportedContract(
-            "the zero-trace form never determines the antisymmetric part"
-        )
-    vol = float(np.prod([b - a for a, b in sys.box]))
-    phi = affine_tensor(sys.box, 1)     # x2
-    psi = affine_tensor(sys.box, 0)     # x1
-    avg = form_matrix(sys, phi, psi) / vol
-    sym_avg = (sys.coefficient(0, 1).average(sys.box)
-               + sys.coefficient(1, 0).average(sys.box))
-    anti_avg = avg - sym_avg / 2.0
-    syms = sys.symmetrized(0, 1, default_probe_points(sys))
-    sym_const = bool(np.abs(syms - syms[0]).max(initial=0.0) <= tol * max(1.0, sys.bound()))
-    return OffdiagReport(avg, sym_avg, anti_avg, sym_const)

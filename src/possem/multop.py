@@ -91,11 +91,3 @@ def trace_duality_residual(S, T):
     lhs = np.trace(S @ diag_projection(T))
     rhs = np.trace(diag_projection(S) @ T)
     return float(abs(lhs - rhs))
-
-
-def lift_is_diagonal(field, cells, tol=None):
-    """Discrete product-space lift: the induced operator on the product space
-    is a multiplication operator iff C(x) is one at (almost) every point;
-    checked here at every cell center."""
-    centers = cells.cell_centers() if hasattr(cells, "cell_centers") else np.atleast_2d(cells)
-    return bool(np.all(is_multiplication(field.eval(centers), tol)))

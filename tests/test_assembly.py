@@ -9,9 +9,7 @@ from possem import catalog
 from possem.assembly import (
     Grid,
     _axis_bands,
-    affine_tensor,
     assemble,
-    commutation_residual,
     export_matrix_text,
     form_matrix,
     form_value,
@@ -113,24 +111,37 @@ def test_form_value_zero_channel_vector():
     assert val == 0.0
 
 
+def single_coupling_systems(bc, B):
+    """Two systems whose only coefficient is the constant B, one at
+    (k, l) = (0, 1) and one at (1, 0)."""
+    zero = ConstantField(np.zeros(B.shape, dtype=complex))
+
+    def placed(k, l):
+        coeffs = tuple(tuple(ConstantField(B) if (i, j) == (k, l) else zero
+                             for j in range(2)) for i in range(2))
+        return EllipticSystem(((0.0, 1.0), (0.0, 1.0)), B.shape[0], coeffs, bc, 0.0)
+
+    return placed(0, 1), placed(1, 0)
+
+
 def test_commutation_identity():
+    # int (B d_2 u, d_1 v) = int (B d_1 u, d_2 v) for zero-trace u, v
     g = Grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), "dirichlet")
     rng = np.random.default_rng(3)
     m = 2
     B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     u = rng.standard_normal(g.N * m) + 1j * rng.standard_normal(g.N * m)
     v = rng.standard_normal(g.N * m) + 1j * rng.standard_normal(g.N * m)
-    res = commutation_residual(g, B, u, v, 0, 1)
+    K01, K10 = (assemble(s, g).K for s in single_coupling_systems("dirichlet", B))
     bound = 1e-10 * np.linalg.norm(B, 2) * np.linalg.norm(u) * np.linalg.norm(v)
-    assert res <= bound
-    assert commutation_residual(g, B, u, v, 0, 0) == 0.0
-    assert commutation_residual(g, np.eye(m), u, u, 0, 1) <= bound
+    assert abs(np.vdot(v, K01 @ u) - np.vdot(v, K10 @ u)) <= bound
+    assert np.abs((K01 - K10).toarray()).max() <= 1e-10 * np.linalg.norm(B, 2)
 
 
 def test_commutation_requires_zero_trace():
     g = Grid(((0.0, 1.0), (0.0, 1.0)), (4, 4), "free")
-    with pytest.raises(UnsupportedContract):
-        commutation_residual(g, np.eye(1), np.zeros(g.N), np.zeros(g.N), 0, 1)
+    K01, K10 = (assemble(s, g).K for s in single_coupling_systems("free", np.eye(1)))
+    assert np.abs((K01 - K10).toarray()).max() > 0.1
 
 
 def gauge_shift(sys_, c):
@@ -201,13 +212,6 @@ def test_export_matrix_text_format():
     first = lines[1].split()
     assert len(first) == 4
     assert int(first[0]) >= 1 and int(first[1]) >= 1
-
-
-def test_affine_tensor_evaluates_coordinates():
-    box = ((-1.0, 2.0), (0.0, 1.0))
-    fx = affine_tensor(box, 0)
-    pts = np.array([[0.5, 0.25], [-1.0, 0.9]])
-    assert np.allclose(fx(pts), pts[:, 0])
 
 
 def test_row_sparsity_bound():

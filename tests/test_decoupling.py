@@ -23,14 +23,14 @@ from possem.decoupling import (
     default_decision_tol,
     default_delta_max,
     default_probe_points,
-    extract_offdiag_2d,
     extract_scalar_systems,
+    probe,
     probe_system,
     scalar_bounds,
     scalar_coercivity,
     system_delta_max,
 )
-from possem.errors import ContractViolation, GeometryError, UnsupportedContract
+from possem.errors import ContractViolation, DomainError, GeometryError
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
 from possem.semigroup import GeneratorOperator, positivity_scan
@@ -515,53 +515,6 @@ def test_positive_verdict_records_a_channel_below_mu():
         decide_decoupling(sys_)
 
 
-def test_extract_offdiag_2d_recovers_average():
-    sys_ = catalog.get("ex1_3").build(bc="free")
-    rep = extract_offdiag_2d(sys_)
-    expected = np.zeros((2, 2), dtype=complex)
-    expected[1, 0] = 3 + 4j
-    assert np.abs(rep.average - expected).max() <= 1e-10
-    assert rep.symmetrized_constant
-    # antisymmetric part equals the coupling itself here
-    assert np.abs(rep.antisymmetric_average - expected).max() <= 1e-10
-
-
-def test_extract_offdiag_2d_symmetric_system():
-    sys_ = catalog.get("witness_W").build(bc="free")
-    rep = extract_offdiag_2d(sys_)
-    assert np.abs(rep.antisymmetric_average).max() <= 1e-10
-    R = np.zeros((2, 2)); R[1, 0] = 1.0
-    assert np.abs(rep.average - R).max() <= 1e-10
-
-
-def test_extract_offdiag_2d_sees_polynomial_symmetrized_part():
-    # C_12 = C_21 = (x - 1/4)(x - 1/2)(x - 3/4) I vanishes on the 3 x 3 grid
-    # at 1/4, 1/2, 3/4 but not on the 4 x 4 grid its cubic degree asks for
-    x = MultiPoly.variable(0, 2)
-    q = (x - 0.25) * (x - 0.5) * (x - 0.75)
-    zero = MultiPoly.constant(0.0, 2)
-    c12 = PolynomialField(((q, zero), (zero, q)), 2)
-    diag = ConstantField(3.0 * np.eye(2))
-    sys_ = EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 2,
-                          ((diag, c12), (c12, diag)), "free", 1.0)
-    assert not extract_offdiag_2d(sys_).symmetrized_constant
-
-
-def test_extract_offdiag_2d_zero_form():
-    one = ConstantField(np.eye(1, dtype=complex))
-    zero = ConstantField(np.zeros((1, 1), dtype=complex))
-    sys_ = EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 1,
-                          ((zero, zero), (zero, zero)), "free", 0.0)
-    rep = extract_offdiag_2d(sys_)
-    assert np.abs(rep.average).max() <= 1e-14
-
-
-def test_extract_offdiag_2d_needs_free_bc():
-    sys_ = catalog.get("ex1_3").build(bc="dirichlet")
-    with pytest.raises(UnsupportedContract):
-        extract_offdiag_2d(sys_)
-
-
 def test_form_criterion_witness_state_positive():
     # nodal interpolation of the certified witness pair keeps the positive
     # form value once tents are grid aligned: delta = 1, h = 0.25
@@ -763,6 +716,25 @@ def test_given_schedule_rejects_a_nan_point():
         probe_system(sys_, [np.nan, 0.5], 0, 1, deltas=(0.1, 0.05))
     with pytest.raises(GeometryError):
         probe_system(sys_, [0.5, 0.5], 0, 1, deltas=(0.1, np.nan))
+
+
+def test_empty_schedule_is_a_geometry_error():
+    sys_ = catalog.get("ex1_3").build()
+    with pytest.raises(GeometryError, match="at least one dilation"):
+        probe_system(sys_, [0.5, 0.5], 0, 1, deltas=())
+    with pytest.raises(GeometryError, match="at least one dilation"):
+        probe(partial(form_matrix, sys_), 2, sys_.box, [0.5, 0.5], 0, 1, deltas=())
+
+
+def test_point_of_the_wrong_dimension_is_a_domain_error():
+    sys_ = catalog.get("ex1_3").build()
+    for x0 in ([0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(DomainError, match=f"dimension \\({len(x0)},\\), box has 2"):
+            probe_system(sys_, x0, 0, 1)
+        with pytest.raises(DomainError):
+            probe_system(sys_, x0, 0, 1, deltas=(0.1,))
+        with pytest.raises(DomainError):
+            construct_witness(sys_, x0, 0, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 # ROADMAP item 1: on the free space the antisymmetric coupling C_12 = -C_21

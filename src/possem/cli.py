@@ -171,8 +171,8 @@ def cmd_assemble(args, report):
 
 def cmd_positivity(args, report):
     times = tuple(args.times) if args.times else None
-    if times and not all(t > 0 for t in times):
-        raise ConfigError(f"--times must be positive, got {' '.join(map(str, times))}")
+    if times and not all(0 < t < np.inf for t in times):
+        raise ConfigError(f"--times must be positive and finite, got {' '.join(map(str, times))}")
     sys_, name = _load_system(args)
     grid = _grid_for(sys_, args)
     dform = assemble(sys_, grid)

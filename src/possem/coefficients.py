@@ -12,17 +12,15 @@ coefficients in the (d m) x (d m) block layout, built once from the fields'
 ``monomials``.  The block matrices at n points are one (n, T) power matrix
 times the table, plus one cell lookup per grid-sampled field; the
 symmetrized coefficients, the coercivity check, the uniform bound, the
-exact form and the assembler read the same table.  A scalar system
-Re (C_kl e_n, e_n) extracted from a system takes its table from the
-parent's terms and from the rows of the parent's sorted exponents that
-they use (``CoefficientTable.channel``), so no exponent is sorted twice.
-A polynomial entry's exact degree is read only when its coefficient
-tensor is large enough to exceed the cap, and every tensor grid of sample
-points is written into one array (``tensor_points``).
+exact form and the assembler read the same table.  A polynomial entry's
+exact degree is read only when its coefficient tensor is large enough to
+exceed the cap, and every tensor grid of sample points is written into one
+array (``tensor_points``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -94,10 +92,17 @@ def _entrywise_bound(exps, coefs, box):
     term order (a cumulative sum, not a pairwise one), so the bound of a
     field is the same float whichever table it is read from."""
     radius = [max(abs(lo), abs(hi)) for lo, hi in box]
-    w = np.array([math.prod([r ** e for r, e in zip(radius, row)]) for row in exps.tolist()])
+    try:
+        w = np.array([math.prod([r ** e for r, e in zip(radius, row)]) for row in exps.tolist()])
+    except OverflowError as exc:        # a float power past the largest double
+        raise NumericalError("non-finite coefficient bound") from exc
     if not len(w):
         return np.zeros(coefs.shape[1:])
-    return np.cumsum(np.abs(coefs) * w[:, None, None], axis=0)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.cumsum(np.abs(coefs) * w[:, None, None], axis=0)[-1]
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite coefficient bound")
+    return out
 
 
 class MatrixField:
@@ -202,6 +207,9 @@ class PolynomialField(MatrixField):
             for p in row:
                 if not isinstance(p, MultiPoly) or p.d != self.d:
                     raise ValueError("entries must be MultiPoly in d variables")
+                # cmath per coefficient: cheaper than a numpy call on these small tensors
+                if not all(map(cmath.isfinite, p.coeffs.flat)):
+                    raise ValueError("polynomial coefficients must be finite")
                 # sum(shape) - d is the highest degree the tensor can hold
                 if (sum(p.coeffs.shape) - p.d > self.max_total_degree
                         and p.total_degree > self.max_total_degree):
@@ -358,56 +366,30 @@ class CoefficientTable:
     ``sum_t x**exps[t] * blocks[t]``, except for the grid-sampled fields,
     listed as (k, l, field) in ``sampled``, whose blocks are zero.  ``terms``
     holds the same terms one by one in (k, l, exponent) order, as arrays
-    k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m),
-    and ``rows`` (T') the row of ``exps`` that each term adds to.
+    k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m).
     """
 
     exps: np.ndarray
     blocks: np.ndarray
     terms: tuple
     sampled: tuple
-    rows: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.exps, self.blocks, *self.terms, self.rows):
+        for arr in (self.exps, self.blocks, *self.terms):
             arr.flags.writeable = False     # one table is shared by every reader
 
     @classmethod
     def from_terms(cls, k, l, exps, C, sampled):
         """The table of the terms k, l (T), exponents (T, d) and m x m
         coefficients (T, m, m), beside the grid-sampled entries ``sampled``."""
-        d = exps.shape[1]
+        d, m = exps.shape[1], C.shape[-1]
         rows = list(map(tuple, exps.tolist()))
         distinct = sorted(set(rows))
         index = {e: i for i, e in enumerate(distinct)}
-        return cls._of_rows(np.array(distinct, dtype=int).reshape(-1, d),
-                            np.array([index[e] for e in rows], dtype=np.intp),
-                            k, l, exps, C, sampled)
-
-    @classmethod
-    def _of_rows(cls, distinct, rows, k, l, exps, C, sampled):
-        """The table whose terms add to the rows ``rows`` of the sorted
-        distinct exponents ``distinct``."""
-        (T, d), m = distinct.shape, C.shape[-1]
-        blocks = np.zeros((T, d, m, d, m), dtype=complex)
-        blocks[rows, k, :, l, :] = C
-        return cls(distinct, blocks.reshape(-1, d * m, d * m), (k, l, exps, C), sampled, rows)
-
-    def channel(self, n, fields):
-        """The table of scalar system n, Re (C_kl e_n, e_n): these terms
-        with nonzero Re C[n, n], and these grid-sampled entries pointing at
-        the scalar system's d x d ``fields``; the table it would build.  Its
-        exponents are the rows of this table's sorted ``exps`` that the kept
-        terms use, so nothing is sorted again."""
-        k, l, exps, C = self.terms
-        keep = C[:, n, n].real != 0
-        used = np.zeros(len(self.exps), dtype=np.intp)
-        used[self.rows[keep]] = 1
-        return CoefficientTable._of_rows(
-            self.exps[used > 0], used.cumsum()[self.rows[keep]] - 1,
-            k[keep], l[keep], exps[keep],
-            C[keep, n:n + 1, n:n + 1].real.astype(complex),
-            tuple((kk, ll, fields[kk][ll]) for kk, ll, _ in self.sampled))
+        blocks = np.zeros((len(distinct), d, m, d, m), dtype=complex)
+        blocks[[index[e] for e in rows], k, :, l, :] = C
+        return cls(np.array(distinct, dtype=int).reshape(-1, d),
+                   blocks.reshape(-1, d * m, d * m), (k, l, exps, C), sampled)
 
 
 @dataclass(frozen=True)
@@ -461,29 +443,31 @@ class EllipticSystem:
             tuple(f for f in fields if f[2].kind == "grid"))
 
     def bound(self):
-        """Uniform coefficient bound M over all (k, l) and the whole box."""
+        """Uniform coefficient bound M over all (k, l) and the whole box;
+        NumericalError when it is not a finite float."""
         return self._bound
 
     @cached_property
     def _bound(self):
-        # the largest ``fld.bound(box)``, to the bit: the 2-norms are taken
-        # in one stack per dtype (polynomial: real, others: complex)
-        by_dtype = {}
-        for stack in self.bound_matrices():
-            by_dtype.setdefault(stack.dtype, []).append(stack)
-        return max(float(np.linalg.norm(np.concatenate(s), 2, axis=(1, 2)).max())
-                   for s in by_dtype.values())
-
-    def bound_matrices(self):
-        """Per field, in (k, l) order, the (n, m, m) stack whose largest
-        2-norm is its bound: a polynomial's block of the entrywise bounds of
-        the table, a constant's matrix, a grid's cell values."""
-        m = self.m
+        # the largest ``fld.bound(box)``, to the bit: per field, the stack
+        # whose largest 2-norm is its bound (a polynomial's block of the
+        # table's entrywise bounds, a constant's matrix, a grid's cell
+        # values), the 2-norms taken in one stack per dtype (polynomial:
+        # real, others: complex)
+        m, by_dtype = self.m, {}
         entrywise = _entrywise_bound(self.table.exps, self.table.blocks, self.box)
-        return [entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m] if fld.kind == "polynomial"
-                else fld.matrix[None] if fld.kind == "constant"
-                else fld.values.reshape(-1, m, m)
-                for k, row in enumerate(self.coeffs) for l, fld in enumerate(row)]
+        for k, row in enumerate(self.coeffs):
+            for l, fld in enumerate(row):
+                block = entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m]
+                stack = (block if fld.kind == "polynomial"
+                         else fld.matrix[None] if fld.kind == "constant"
+                         else fld.values.reshape(-1, m, m))
+                by_dtype.setdefault(stack.dtype, []).append(stack)
+        bound = max(float(np.linalg.norm(np.concatenate(s), 2, axis=(1, 2)).max())
+                    for s in by_dtype.values())
+        if not math.isfinite(bound):
+            raise NumericalError("non-finite coefficient bound")
+        return bound
 
     def block_matrix(self, x):
         """The (m d) x (m d) matrix with blocks C_kl(x) at a point, or the

@@ -337,17 +337,12 @@ def default_probe_points(sys):
 
 
 def extract_scalar_systems(sys):
-    """The m scalar systems with coefficients Re (C_kl e_n, e_n).  Their
-    fields come from ``diagonal_scalar``; their table is built from the
-    parent's terms, ``sys.table.channel(n, ...)``, so it costs no pass over
-    their fields."""
+    """The m scalar systems with coefficients Re (C_kl e_n, e_n), from the
+    fields' ``diagonal_scalar``."""
     out = []
     for n in range(sys.m):
         coeffs = tuple(tuple(fld.diagonal_scalar(n) for fld in row) for row in sys.coeffs)
-        s = EllipticSystem(sys.box, 1, coeffs, sys.bc, sys.mu)
-        # fills the cached_property, as the first read of s.table would
-        object.__setattr__(s, "table", sys.table.channel(n, s.coeffs))
-        out.append(s)
+        out.append(EllipticSystem(sys.box, 1, coeffs, sys.bc, sys.mu))
     return out
 
 
@@ -415,9 +410,8 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     coefficient for real diagonality at every ``default_probe_points``,
     to within ``default_decision_tol``.
 
-    On success the scalar systems are extracted, each with its channel
-    of the system's coefficient table, and their uniform bounds and
-    their coercivity at the probe points are checked for all m at once:
+    On success the scalar systems are extracted, and their uniform bounds
+    and their coercivity at the probe points are checked for all m at once:
     the bounds from one pass over the system's table (``scalar_bounds``),
     the coercivity from the system's block matrices at the probe points,
     which the direct path's zero test also reads (``scalar_coercivity``).

@@ -311,9 +311,9 @@ def _finite(E):
 
 
 def expm_apply(gen, t, u):
-    """Apply the propagator exp(-t A) to a state vector, t > 0."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    """Apply the propagator exp(-t A) to a state vector, 0 < t < inf."""
+    if not 0 < t < np.inf:      # NaN fails every comparison
+        raise ValueError("time must be positive and finite")
     return gen.apply(t, u)
 
 
@@ -426,8 +426,8 @@ def positivity_scan(gen, times=None, tol=None):
     if times is None:
         times = tuple(t / max(norm1, 1e-30) for t in (1e-2, 1e-1, 1.0))
     times = tuple(float(t) for t in times)
-    if not times or any(t <= 0 for t in times):
-        raise ValueError("times must be nonempty and positive")
+    if not times or not all(0 < t < np.inf for t in times):
+        raise ValueError("times must be nonempty, positive and finite")
     witness = sign_witness(gen.csr)
     method, propagators = _scan_propagators(gen, times, norm1)
     stats = {t: _extremes(E, tol) for t, E in propagators}
@@ -449,10 +449,10 @@ def positivity_scan(gen, times=None, tol=None):
 
 
 def _apply(dform, t, u):
-    """exp(-t A) u on a discrete form, t > 0: by the generator's spectral
+    """exp(-t A) u on a discrete form, 0 < t < inf: by the generator's spectral
     factors, or by a dense exponential computed once per form and time."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("time must be positive and finite")
     gen = GeneratorOperator.from_discrete_form(dform)
     if gen.method == "spectral":
         return gen.apply(t, u)

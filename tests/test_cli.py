@@ -335,7 +335,12 @@ ARGUMENT_MISTAKES = [
     ("decouple --catalog witness_W --grid -3", "--grid -3: need >= 1 sample per axis"),
     ("positivity --catalog scalar_heat --grid 1",
      "--grid 1: zero-trace grid needs >= 2 cells per dimension"),
-    ("positivity --catalog scalar_heat --times -1", "--times must be positive, got -1.0"),
+    ("positivity --catalog scalar_heat --times -1",
+     "--times must be positive and finite, got -1.0"),
+    ("positivity --catalog scalar_heat --bc free --grid 4 --times inf",
+     "--times must be positive and finite, got inf"),
+    ("positivity --catalog scalar_heat --times 0.1 nan",
+     "--times must be positive and finite, got 0.1 nan"),
 ]
 
 

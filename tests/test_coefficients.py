@@ -56,6 +56,34 @@ def test_eval_polynomial_entries():
         huge.eval(np.array([[1.0, 1.0, 0.0], [1e5, 1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, complex(1.0, -np.inf)])
+def test_polynomial_field_rejects_non_finite_coefficients(value):
+    # as the constant and grid kinds do (a real inf: test_assembly's
+    # test_non_finite_polynomial_term_is_rejected)
+    x1 = MultiPoly.variable(0, 2)
+    with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+        PolynomialField(((x1 + MultiPoly.constant(value, 2),),), 2)
+
+
+def test_overflowing_bound_is_a_numerical_error():
+    x1 = MultiPoly.variable(0, 2)
+    zero, one = ConstantField(np.zeros((1, 1))), ConstantField(np.eye(1))
+    sextic = PolynomialField(((1e300 * x1 * x1 * x1 * x1 * x1 * x1,),), 2)
+    square = PolynomialField(((x1 * x1,),), 2)
+    huge = ConstantField(np.full((2, 2), 1e308))
+    # 100^6 * 1e300 in the entrywise sum; 1e200^2 as a float power; a 2-norm
+    # past the largest double
+    for fld, box in [(sextic, ((0.0, 100.0),) * 2), (square, ((0.0, 1e200), (0.0, 1.0)))]:
+        with pytest.raises(NumericalError, match="non-finite coefficient bound"):
+            fld.bound(box)
+        sys_ = EllipticSystem(box, 1, ((fld, zero), (zero, one)))
+        with pytest.raises(NumericalError, match="non-finite coefficient bound"):
+            sys_.bound()
+    big = EllipticSystem(((0.0, 1.0),), 2, ((huge,),))
+    with pytest.raises(NumericalError, match="non-finite coefficient bound"):
+        big.bound()
+
+
 def test_eval_outside_box_raises():
     fld = ConstantField(np.eye(1, dtype=complex))
     with pytest.raises(DomainError):

@@ -209,6 +209,12 @@ def test_positivity_scan_validates_times():
         positivity_scan(gen, times=())
     with pytest.raises(ValueError):
         positivity_scan(gen, times=(-1.0,))
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonempty, positive and finite"):
+            positivity_scan(gen, times=(0.1, t))
+    for t in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="time must be positive"):
+            expm_apply(gen, t, np.ones(2))
 
 
 def test_contractivity_decoupled():
@@ -269,7 +275,7 @@ def test_factorization_rejects_coupled_input():
         factorization_residual(dform, forms, 0.1, u)
 
 
-@pytest.mark.parametrize("t", [0.0, -0.1])
+@pytest.mark.parametrize("t", [0.0, -0.1, np.nan, np.inf])
 def test_factorization_rejects_nonpositive_time(t):
     sys_ = catalog.get("scalar_heat").build()
     g = Grid(sys_.box, (4, 4), "dirichlet")

@@ -7,7 +7,10 @@ array indexed by (active node, channel i, neighbour offset, channel j).  Each
 monomial term is a product of per-axis banded moments ``int x^e b_p^(dp)
 b_q^(dq) dx``: a grid hat is a dilated unit tent, so these are the tents'
 reference moments shifted to each node, under the Gauss rule and capacity
-check of ``form_matrix``.  Grid-sampled coefficients use their cell-center
+check of ``form_matrix``.  The sum over the terms is factorized by axis: one
+complex matrix product of the coefficients times the first axis's bands
+against the product of the other axes' bands, and one copy of its result into
+the stencil layout.  Grid-sampled coefficients use their cell-center
 value times the same moments on one cell.  The mass matrix is lumped.
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
@@ -172,13 +175,14 @@ def _derivative_orders(k, l, exps):
 def _term_stencil(grid, terms, m):
     """Stencil-block array (*nodes, i, *offsets, j) of the monomial terms,
     arrays (k, l, exponents, C) as in ``CoefficientTable.terms``:
-    ``sum_t C_t[i, j] prod_axis band_t(node, offset)`` with one contraction
-    over the terms t."""
+    ``sum_t C_t[i, j] prod_axis band_t(node, offset)``.  The sum over the
+    terms t is one complex matrix product R = P^T Q of P_t = C_t band_t on
+    the first axis and Q_t = the product of the other axes' bands; one copy
+    of R's transposed view writes the stencil layout."""
     d = grid.d
-    S = np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
     k, l, exps, C = terms
     if not len(C):
-        return S
+        return np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
     dk, dl = _derivative_orders(k, l, exps)
     stacks = [_axis_bands(grid, ax, exps[:, ax].max())[exps[:, ax], dk[:, ax], dl[:, ax]]
               for ax in range(d)]                            # (T, n_axis, 3)
@@ -186,10 +190,16 @@ def _term_stencil(grid, terms, m):
         # a non-finite factor would turn the zero blocks of off-grid
         # neighbours into NaN, which _stencil_csr cannot drop
         raise NumericalError("non-finite coefficient term or moment")
-    nodes, offs = "abcdefgh"[:d], "opqrsuvw"[:d]
-    spec = ",".join(f"t{n}{o}" for n, o in zip(nodes, offs)) + f",tij->{nodes}i{offs}j"
-    np.einsum(spec, *stacks, C, out=S, optimize=True)
-    return S
+    T = len(C)
+    P = np.einsum("tij,tao->taioj", C, stacks[0])            # (T, n_0, i, 3, j)
+    Q = np.ones((T, 1))
+    for band in stacks[1:]:                                  # (T, n_1, 3, n_2, 3, ...)
+        Q = (Q[:, :, None] * band.reshape(T, 1, -1)).reshape(T, -1)
+    R = (P.reshape(T, -1).T @ Q).reshape(P.shape[1:] + sum(((n, 3) for n in grid.shape[1:]), ()))
+    # (n_0, i, 3, j, n_1, 3, n_2, 3, ...) -> (n_0, n_1, ..., i, 3, 3, ..., j)
+    rest = range(1, d)
+    return np.ascontiguousarray(R.transpose(0, *(2 + 2 * ax for ax in rest), 1, 2,
+                                            *(3 + 2 * ax for ax in rest), 3))
 
 
 def _add_sampled(S, grid, fld, k, l):
@@ -215,25 +225,23 @@ def _add_sampled(S, grid, fld, k, l):
 
 def _stencil_csr(S, grid):
     """CSR matrix of a stencil-block array, built on S's own buffer: rows
-    (node, i), columns (node + offset, j) ascending.  Blocks of neighbours
-    off the grid hold exact zeros (their bands and cell corners are zero),
-    so one eliminate_zeros drops them with the other stored zeros and
-    leaves K canonical."""
-    d, N, shape = grid.d, grid.N, grid.shape
+    (node, i), columns m * (node + shift) + j ascending, shift the flat
+    index step of each neighbour offset.  Blocks of neighbours off the grid
+    hold exact zeros (their bands and cell corners are zero), so one
+    eliminate_zeros drops them with the other stored zeros and leaves K
+    canonical; until then their columns, clipped into range, may name
+    another node."""
+    d, N = grid.d, grid.N
     m = S.shape[d]
     idx = np.int32 if S.size < 2 ** 31 else np.int64
-    # first column m * (node + offset) of each (node, offset) block, built
-    # axis by axis; off-grid neighbours point at node 0 on that axis
-    col, stride = 0, m
-    for ax in reversed(range(d)):
-        q = np.arange(shape[ax], dtype=idx)[:, None] + np.arange(-1, 2, dtype=idx)
-        q[(q < 0) | (q >= shape[ax])] = 0
-        dims = [1] * (2 * d)
-        dims[ax], dims[d + ax] = shape[ax], 3
-        col = col + (stride * q).reshape(dims)
-        stride *= shape[ax]
-    cols = np.broadcast_to(col.reshape(N, 1, 3 ** d, 1) + np.arange(m, dtype=idx),
-                           (N, m, 3 ** d, m)).flatten()
+    node_step = np.cumprod((1,) + grid.shape[:0:-1])[::-1]          # per axis
+    shift = (np.indices((3,) * d).reshape(d, -1).T - 1) @ node_step
+    # the (i, offset, j) block tiled over the nodes, then each node's own
+    # column added in place: no temporary as large as the column array
+    cols = np.tile((m * shift[:, None] + np.arange(m)).astype(idx).ravel(), N * m)
+    per_node = cols.reshape(N, -1)
+    per_node += m * np.arange(N, dtype=idx)[:, None]
+    np.clip(cols, 0, m * N - 1, out=cols)
     indptr = np.arange(0, S.size + 1, 3 ** d * m, dtype=idx)
     K = sp.csr_matrix((S.reshape(-1), cols, indptr), shape=(N * m, N * m))
     K.eliminate_zeros()
@@ -297,6 +305,8 @@ def form_matrix(sys, phi, psi, deltas=None):
         if len(C):
             dpsi, dphi = _derivative_orders(k, l, exps)     # psi along k, phi along l
             tables = moment_tables((phi, psi), int(exps.max()), sys.box, stack)
+            if not np.isfinite(tables).all():
+                raise NumericalError("non-finite coefficient term or moment")
             weights = tables[:, np.arange(d), dphi, dpsi, exps].prod(axis=-1)    # (S, T)
             out = phi.scale * psi.scale * np.einsum("st,tij->sij", weights, C)
     return out[0] if deltas is None else out

@@ -36,6 +36,7 @@ from .errors import (
     DomainError,
     GeometryError,
     IndeterminateDecision,
+    NumericalError,
     WitnessNotLocalized,
 )
 from .multop import MultWitness, find_witness, is_multiplication
@@ -126,7 +127,8 @@ def _probe_pair(d, ktilde, ltilde):
 
 def _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson):
     """ProbeResult of the channel matrices F of the pair at each dilation:
-    the history of delta**(2-d) * F, its convergence and its estimate."""
+    the history of delta**(2-d) * F, its convergence and its estimate.
+    Every F must be finite: a NaN difference never reads as divergence."""
     history = [(dd, dd ** (2 - d) * np.asarray(F, dtype=complex))
                for dd, F in zip(deltas, matrices)]
     diffs = [float(np.abs(history[s][1] - history[s - 1][1]).max())
@@ -155,7 +157,7 @@ def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
     tau = 1 off the diagonal and tau = 2 on it, so the scaled matrix
     delta**(2-d) * F of the pair dilated by delta converges to the full
     symmetrized matrix.  ``probe_system`` reads a system's form for every
-    dilation at once.
+    dilation at once.  A non-finite ``F`` raises NumericalError.
     """
     x0 = np.asarray(x0, dtype=float)
     if deltas is None:
@@ -163,13 +165,16 @@ def probe(form_eval, d, box, x0, ktilde, ltilde, deltas=None, richardson=True):
     deltas = _checked_schedule(box, x0, deltas)
     pair = _probe_pair(d, ktilde, ltilde)
     matrices = [form_eval(dil.phi, dil.psi) for dil in (pair.dilated(x0, dd) for dd in deltas)]
+    if not np.isfinite(matrices).all():
+        raise NumericalError("non-finite form value in the probe history")
     return _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson)
 
 
 def probe_system(sys, x0, ktilde, ltilde, deltas=None, richardson=True):
     """``probe`` on a system's form, every dilation from one ``form_matrix``
     call over the schedule; the default schedule starts at
-    ``system_delta_max``."""
+    ``system_delta_max``.  ``form_matrix`` raises NumericalError on
+    non-finite moments, so every F is finite here."""
     x0 = np.asarray(x0, dtype=float)
     if deltas is None:
         deltas = delta_schedule(system_delta_max(sys, x0))

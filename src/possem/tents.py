@@ -190,12 +190,14 @@ def _reference_moments(factors, lo, hi):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def binomial_shift(refs, centers, delta, top, derivs):
     """Reference moments ``refs[c, ..., j]`` carried to ``x = center + delta
     t``, one center per c: ``delta**(1 - derivs) sum_j C(e, j) center**(e - j)
     delta**j refs[c, ..., j]`` for e = 0..top, derivs counting the slopes.
     ``delta`` is one dilation for all c (the nodes of a grid axis) or one
-    per c (the axes of a stack of dilations)."""
+    per c (the axes of a stack of dilations).  Moments past the largest
+    double come out inf or NaN without a warning; callers check them."""
     e = np.arange(top + 1)
     delta = np.asarray(delta, dtype=float)
     # shift[c, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e

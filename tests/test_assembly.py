@@ -20,7 +20,8 @@ from possem.coefficients import (
     GridSampledField,
     PolynomialField,
 )
-from possem.errors import CapacityError, UnsupportedContract
+from possem.decoupling import probe_system
+from possem.errors import CapacityError, NumericalError, UnsupportedContract
 from possem.polynomials import MultiPoly
 from possem.tents import (
     TensorTestFunction,
@@ -483,6 +484,44 @@ def test_non_finite_polynomial_term_is_rejected():
     # when the field is built, so no system holding it reaches assemble
     with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
         PolynomialField(((MultiPoly.from_terms([((1, 0), np.inf)], 2),),), 2)
+
+
+def huge_box_system():
+    """C_11 = x1^2 + 1 on a square of side 1e160: the tent moments of its
+    square term pass the largest double."""
+    box = ((0.0, 1e160), (0.0, 1e160))
+    c11 = PolynomialField(((MultiPoly.from_terms([((2, 0), 1.0), ((0, 0), 1.0)], 2),),), 2)
+    one = ConstantField(np.eye(1, dtype=complex))
+    zero = ConstantField(np.zeros((1, 1), dtype=complex))
+    return EllipticSystem(box, 1, ((c11, zero), (zero, one)), "free", 1.0)
+
+
+def test_overflowing_moments_are_a_numerical_error():
+    # an error, not a RuntimeWarning (warnings fail this suite) and not NaN
+    sys_ = huge_box_system()
+    with pytest.raises(NumericalError, match="non-finite coefficient term or moment"):
+        assemble(sys_, Grid(sys_.box, (3, 3), "free"))
+    pair = build_test_pair(2.0, 0, 0, 2).dilated((5e159, 5e159), 1e159)
+    with pytest.raises(NumericalError, match="non-finite coefficient term or moment"):
+        form_matrix(sys_, pair.phi, pair.psi)
+    with pytest.raises(NumericalError, match="non-finite coefficient term or moment"):
+        probe_system(sys_, [5e159, 5e159], 0, 0)
+
+
+@pytest.mark.parametrize("name, bc, cells, stored", [
+    ("ex1_3", "free", 8, 1318),
+    ("ex1_3", "free", 64, 75014),
+    ("ex5_5", "dirichlet", 6, 6122),
+    ("witness_W", "dirichlet", 8, 866),
+])
+def test_stored_entry_counts_are_pinned(name, bc, cells, stored):
+    # a reordered term sum must keep exactly these entries through
+    # eliminate_zeros: no rounding residue stored where K is exactly zero
+    sys_ = catalog.get(name).build(bc=bc)
+    grid = Grid(sys_.box, (cells,) * sys_.d, bc)
+    K = assemble(sys_, grid).K
+    assert K.nnz == stored
+    assert_canonical_csr(K, grid, sys_.m)
 
 
 # -- per-(k, l) form oracle -----------------------------------------------------

@@ -30,7 +30,7 @@ from possem.decoupling import (
     scalar_coercivity,
     system_delta_max,
 )
-from possem.errors import ContractViolation, DomainError, GeometryError
+from possem.errors import ContractViolation, DomainError, GeometryError, NumericalError
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
 from possem.semigroup import GeneratorOperator, positivity_scan
@@ -805,3 +805,17 @@ def test_divergent_drift_scans_find_the_witness(build, verdict, witness):
         assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet"))))
     assert rep.verdict == verdict and rep.witness[:3] == witness[:3]
     assert rep.witness[3] == pytest.approx(witness[3], abs=1e-12)
+
+
+def test_non_finite_probe_history_is_a_numerical_error():
+    # NaN compares false, so a NaN history would read as converged;
+    # probe_system's non-finite moments: test_assembly's overflow test
+    sys_ = catalog.get("ex1_3").build()
+
+    def nan_form(phi, psi):
+        return np.full((sys_.m, sys_.m), np.nan, dtype=complex)
+
+    with pytest.raises(NumericalError, match="non-finite form value"):
+        probe(nan_form, 2, sys_.box, [0.5, 0.5], 0, 1)
+    with pytest.raises(NumericalError, match="non-finite form value"):
+        probe(nan_form, 2, sys_.box, [0.5, 0.5], 0, 1, deltas=(0.1,))

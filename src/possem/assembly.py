@@ -10,7 +10,11 @@ reference moments shifted to each node, under the Gauss rule and capacity
 check of ``form_matrix``.  The sum over the terms is factorized by axis: one
 complex matrix product of the coefficients times the first axis's bands
 against the product of the other axes' bands, and one copy of its result into
-the stencil layout.  Grid-sampled coefficients use their cell-center
+the stencil layout.  On an axis that no exponent reads, the bands are the same
+at every interior node (the stencil is translation invariant there), so that
+axis enters the product with three rows, its first, one interior and its last
+node, and the result is repeated over the nodes; the bits are those of the
+full product.  Grid-sampled coefficients use their cell-center
 value times the same moments on one cell.  The mass matrix is lumped.
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
@@ -178,14 +182,28 @@ def _term_stencil(grid, terms, m):
     ``sum_t C_t[i, j] prod_axis band_t(node, offset)``.  The sum over the
     terms t is one complex matrix product R = P^T Q of P_t = C_t band_t on
     the first axis and Q_t = the product of the other axes' bands; one copy
-    of R's transposed view writes the stencil layout."""
+    of R's transposed view writes the stencil layout.
+
+    An axis of more than 3 nodes on which every exponent is 0 enters with
+    three band rows only, its first, one interior and its last node, and
+    the small stencil is repeated back over the nodes, one ``np.repeat``
+    per such axis.  This keeps the bits: at exponent 0 the binomial shift
+    multiplies each class moment by exactly 1.0, so every interior row is
+    the interior class's, and only the edge rows differ (edge classes when
+    free, a zeroed off-grid neighbour under zero trace).  Axes that an
+    exponent reads keep every row."""
     d = grid.d
     k, l, exps, C = terms
     if not len(C):
         return np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
     dk, dl = _derivative_orders(k, l, exps)
-    stacks = [_axis_bands(grid, ax, exps[:, ax].max())[exps[:, ax], dk[:, ax], dl[:, ax]]
+    tops, shape = exps.max(axis=0), grid.shape
+    # an axis no exponent reads has three distinct band rows past 3 nodes
+    shrunk = [ax for ax in range(d) if tops[ax] == 0 and shape[ax] > 3]
+    stacks = [_axis_bands(grid, ax, tops[ax])[exps[:, ax], dk[:, ax], dl[:, ax]]
               for ax in range(d)]                            # (T, n_axis, 3)
+    for ax in shrunk:
+        stacks[ax] = stacks[ax].take((0, 1, -1), axis=1)     # first, interior, last
     if not all(np.isfinite(a).all() for a in (*stacks, C)):
         # a non-finite factor would turn the zero blocks of off-grid
         # neighbours into NaN, which _stencil_csr cannot drop
@@ -195,11 +213,15 @@ def _term_stencil(grid, terms, m):
     Q = np.ones((T, 1))
     for band in stacks[1:]:                                  # (T, n_1, 3, n_2, 3, ...)
         Q = (Q[:, :, None] * band.reshape(T, 1, -1)).reshape(T, -1)
-    R = (P.reshape(T, -1).T @ Q).reshape(P.shape[1:] + sum(((n, 3) for n in grid.shape[1:]), ()))
+    R = P.reshape(T, -1).T @ Q
+    R = R.reshape(P.shape[1:] + sum(((b.shape[1], 3) for b in stacks[1:]), ()))
     # (n_0, i, 3, j, n_1, 3, n_2, 3, ...) -> (n_0, n_1, ..., i, 3, 3, ..., j)
     rest = range(1, d)
-    return np.ascontiguousarray(R.transpose(0, *(2 + 2 * ax for ax in rest), 1, 2,
-                                            *(3 + 2 * ax for ax in rest), 3))
+    S = np.ascontiguousarray(R.transpose(0, *(2 + 2 * ax for ax in rest), 1, 2,
+                                         *(3 + 2 * ax for ax in rest), 3))
+    for ax in reversed(shrunk):     # the last axis first: whole slabs copy last
+        S = S.repeat((1, shape[ax] - 2, 1), axis=ax)
+    return S
 
 
 def _add_sampled(S, grid, fld, k, l):

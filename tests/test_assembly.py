@@ -393,8 +393,13 @@ def seeded_field(rng, kind, d, m, box):
         cells = (3, 2, 2)[:d]
         vals = rng.standard_normal(cells + (m, m)) + 1j * rng.standard_normal(cells + (m, m))
         return GridSampledField(box, vals)
-    # polynomial entries of degree <= 2 per axis, <= 4 in total (<= 2 in 3D)
-    exps = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= (4 if d < 3 else 2)]
+    if kind == "polynomial":
+        # polynomial entries of degree <= 2 per axis, <= 4 in total (<= 2 in 3D)
+        exps = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= (4 if d < 3 else 2)]
+    else:
+        # "poly_x1" / "poly_xd": degree <= 2 in the first / last coordinate only
+        axis = 0 if kind == "poly_x1" else d - 1
+        exps = [tuple(e * (ax == axis) for ax in range(d)) for e in range(3)]
 
     def entry():
         return MultiPoly.from_terms(
@@ -403,12 +408,17 @@ def seeded_field(rng, kind, d, m, box):
     return PolynomialField(tuple(tuple(entry() for _ in range(m)) for _ in range(m)), d)
 
 
+#: Kinds that cycle several field kinds over the (k, l) pairs.
+CYCLED_KINDS = {"mixed": ["constant", "polynomial", "grid"], "constant_grid": ["constant", "grid"]}
+
+
 def seeded_system(kind, d, m, bc, seed=0):
     """Seeded coefficients of one kind; "mixed" cycles constant, polynomial
-    and grid-sampled fields over the (k, l) pairs."""
+    and grid-sampled fields over the (k, l) pairs, "constant_grid" constant
+    and grid-sampled ones."""
     rng = np.random.default_rng(seed)
     box = ORACLE_BOXES[:d]
-    kinds = itertools.cycle(["constant", "polynomial", "grid"] if kind == "mixed" else [kind])
+    kinds = itertools.cycle(CYCLED_KINDS.get(kind, [kind]))
     coeffs = tuple(tuple(seeded_field(rng, next(kinds), d, m, box) for _ in range(d))
                    for _ in range(d))
     return EllipticSystem(box, m, coeffs, bc, 0.0)
@@ -452,19 +462,37 @@ def test_axis_bands_are_the_moment_matrix_diagonals(cells, bc):
 
 @pytest.mark.parametrize("bc", ["free", "dirichlet"])
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["constant", "polynomial", "grid", "mixed"])
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "grid", "mixed",
+                                  "poly_x1", "poly_xd", "constant_grid"])
 def test_assembly_matches_kronecker_oracle(kind, d, bc):
+    # poly_x1 keeps every band row of the first axis and gathers the others,
+    # poly_xd gathers the first axis (the one that carries C), constant_grid
+    # adds cell-sampled fields into a gathered stencil; (7, 6, 5) has at
+    # least 4 active nodes on every axis under both boundaries
     smallest = 1 if bc == "free" else 2
     for m in (1, 2, 3):
         sys_ = seeded_system(kind, d, m, bc, seed=10 * d + m)
-        for cells in ((smallest,) * d, (5, 4, 3)[:d]):
-            grid = Grid(sys_.box, cells, bc)
-            K = assemble(sys_, grid).K
-            ref = kronecker_assembly(sys_, grid)
-            scale = np.abs(ref.data).max()
-            assert scale > 0
-            assert np.abs((K - ref).toarray()).max() <= 1e-13 * scale, (m, cells)
-            assert_canonical_csr(K, grid, m)
+        for cells in ((smallest,) * d, (5, 4, 3)[:d], (7, 6, 5)[:d]):
+            assert_matches_kronecker_oracle(sys_, Grid(sys_.box, cells, bc))
+
+
+def assert_matches_kronecker_oracle(sys_, grid):
+    K = assemble(sys_, grid).K
+    ref = kronecker_assembly(sys_, grid)
+    scale = np.abs(ref.data).max()
+    assert scale > 0
+    assert np.abs((K - ref).toarray()).max() <= 1e-13 * scale, (sys_.m, grid.n)
+    assert_canonical_csr(K, grid, sys_.m)
+
+
+@pytest.mark.parametrize("bc", ["free", "dirichlet"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_constant_assembly_on_every_small_grid(d, bc):
+    # 1-5 cells per axis: 1-4 active nodes under zero trace, 2-6 free, so
+    # axes with and without a gathered interior row meet in one grid
+    sys_ = seeded_system("constant", d, 2, bc, seed=7)
+    for cells in itertools.product(range(1 if bc == "free" else 2, 6), repeat=d):
+        assert_matches_kronecker_oracle(sys_, Grid(sys_.box, cells, bc))
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -513,6 +541,10 @@ def test_overflowing_moments_are_a_numerical_error():
     ("ex1_3", "free", 64, 75014),
     ("ex5_5", "dirichlet", 6, 6122),
     ("witness_W", "dirichlet", 8, 866),
+    ("ex1_3", "dirichlet", 64, 69938),
+    ("witness_W", "free", 64, 91398),
+    ("scalar_heat", "free", 32, 9409),
+    ("ex1_3", "free", 128, 297478),
 ])
 def test_stored_entry_counts_are_pinned(name, bc, cells, stored):
     # a reordered term sum must keep exactly these entries through

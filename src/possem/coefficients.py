@@ -1,10 +1,12 @@
 """Matrix-valued coefficient fields and elliptic systems.
 
 A coefficient field maps points of a box domain to complex m x m matrices.
-Three storable kinds are supported: constant matrices, matrices of
-multivariate polynomial entries, and piecewise-constant matrices sampled on a
-uniform cell grid.  An elliptic system bundles a d x d array of such fields
-with a box, a boundary-condition tag, and a declared ellipticity constant.
+Three storable kinds are supported, each holding one complex array: a
+constant matrix (m, m), the coefficient tensor (*exponent, m, m) of a matrix
+of multivariate polynomials, and the cell values (*cells, m, m) of a
+piecewise-constant field on a uniform grid.  An elliptic system bundles a
+d x d array of such fields with a box, a boundary-condition tag, and a
+declared ellipticity constant.
 
 Every pointwise read of a system goes through its ``CoefficientTable``: the
 distinct exponents of its constant and polynomial terms with their
@@ -12,15 +14,12 @@ coefficients in the (d m) x (d m) block layout, built once from the fields'
 ``monomials``.  The block matrices at n points are one (n, T) power matrix
 times the table, plus one cell lookup per grid-sampled field; the
 symmetrized coefficients, the coercivity check, the uniform bound, the
-exact form and the assembler read the same table.  A polynomial entry's
-exact degree is read only when its coefficient tensor is large enough to
-exceed the cap, and every tensor grid of sample points is written into one
-array (``tensor_points``).
+exact form and the assembler read the same table.  Every tensor grid of
+sample points is written into one array (``tensor_points``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,7 +105,8 @@ def _entrywise_bound(exps, coefs, box):
 
 
 class MatrixField:
-    """Common surface of the three coefficient kinds.
+    """Common surface of the three coefficient kinds, each of which holds one
+    complex array: its matrix, its coefficient tensor or its cell values.
 
     Every kind is a polynomial on a small enough sub-box: a constant, a
     polynomial, or the value of one grid cell.  ``monomials`` exposes that
@@ -160,8 +160,8 @@ class ConstantField(MatrixField):
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("need a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError("need a nonempty square matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
@@ -190,52 +190,64 @@ class ConstantField(MatrixField):
         return not self._nonzero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PolynomialField(MatrixField):
-    entries: tuple          # m x m nested tuple of MultiPoly
+    """m x m polynomials in d variables as one read-only complex tensor
+    ``coeffs`` (*exponent, m, m), copied from nested ``MultiPoly`` entries and
+    checked once; ``entry`` and ``entries`` are read-only views of it."""
+
+    coeffs: np.ndarray
     d: int
     max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE
 
     kind = "polynomial"
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries, d, max_total_degree=DEFAULT_MAX_TOTAL_DEGREE):
+        rows = tuple(tuple(row) for row in entries)
         m = len(rows)
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("entries must be square")
-            for p in row:
-                if not isinstance(p, MultiPoly) or p.d != self.d:
-                    raise ValueError("entries must be MultiPoly in d variables")
-                # cmath per coefficient: cheaper than a numpy call on these small tensors
-                if not all(map(cmath.isfinite, p.coeffs.flat)):
-                    raise ValueError("polynomial coefficients must be finite")
-                # sum(shape) - d is the highest degree the tensor can hold
-                if (sum(p.coeffs.shape) - p.d > self.max_total_degree
-                        and p.total_degree > self.max_total_degree):
-                    raise ValueError(
-                        f"entry degree {p.total_degree} exceeds cap {self.max_total_degree}"
-                    )
-        object.__setattr__(self, "entries", rows)
+        if m < 1 or any(len(row) != m for row in rows):
+            raise ValueError("entries must be square, m >= 1")
+        if not all(isinstance(p, MultiPoly) and p.d == d for row in rows for p in row):
+            raise ValueError("entries must be MultiPoly in d variables")
+        shape = tuple(map(max, zip(*(p.coeffs.shape for row in rows for p in row))))
+        coeffs = np.zeros((*shape, m, m), dtype=complex)
+        for i, row in enumerate(rows):     # added into zeros: no part is -0.0
+            for j, p in enumerate(row):
+                coeffs[tuple(map(slice, p.coeffs.shape)) + (i, j)] += p.coeffs
+        if not np.isfinite(coeffs).all():
+            raise ValueError("polynomial coefficients must be finite")
+        # sum(shape) - d is the highest degree the tensor can hold
+        if sum(shape) - d > max_total_degree:
+            degree = np.argwhere(coeffs)[:, :d].sum(axis=1).max(initial=0)
+            if degree > max_total_degree:
+                raise ValueError(f"entry degree {degree} exceeds cap {max_total_degree}")
+        self._hold(coeffs, d, max_total_degree)
+
+    def _hold(self, coeffs, d, max_total_degree):
+        coeffs.flags.writeable = False      # the entry views and slices share it
+        vars(self).update(coeffs=coeffs, d=d, max_total_degree=max_total_degree)
+        return self
+
+    def _slice(self, coeffs):
+        # a real part or slice of the checked tensor needs no second check
+        return object.__new__(PolynomialField)._hold(coeffs, self.d, self.max_total_degree)
 
     @property
     def m(self):
-        return len(self.entries)
+        return self.coeffs.shape[-1]
 
     def entry(self, i, j):
-        return self.entries[i][j]
+        return MultiPoly(self.coeffs[..., i, j])
+
+    @property
+    def entries(self):
+        return tuple(tuple(self.entry(i, j) for j in range(self.m)) for i in range(self.m))
 
     @cached_property
     def _monomials(self):
-        # the entries' coefficient tensors side by side, (*exponent, i, j);
         # argwhere lists the exponents of nonzero terms in ascending order
-        shape = np.max([p.coeffs.shape for row in self.entries for p in row], axis=0)
-        stack = np.zeros((*shape, self.m, self.m), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                stack[tuple(slice(0, n) for n in p.coeffs.shape) + (i, j)] += p.coeffs
-        exps = np.argwhere(stack.any(axis=(-2, -1)))
-        return list(zip(map(tuple, exps.tolist()), stack[tuple(exps.T)]))
+        exps = np.argwhere(self.coeffs.any(axis=(-2, -1)))
+        return list(zip(map(tuple, exps.tolist()), self.coeffs[tuple(exps.T)]))
 
     def monomials(self, d, region):
         if d != self.d:
@@ -248,14 +260,10 @@ class PolynomialField(MatrixField):
         return float(np.linalg.norm(entrywise, 2))
 
     def realified(self):
-        return PolynomialField(
-            tuple(tuple(p.real for p in row) for row in self.entries),
-            self.d,
-            self.max_total_degree,
-        )
+        return self._slice(self.coeffs.real.astype(complex))
 
     def diagonal_scalar(self, n):
-        return PolynomialField(((self.entries[n][n].real,),), self.d, self.max_total_degree)
+        return self._slice(self.coeffs[..., n:n + 1, n:n + 1].real.astype(complex))
 
     def is_zero(self):
         return not self._monomials
@@ -273,8 +281,8 @@ class GridSampledField(MatrixField):
     def __post_init__(self):
         box = _as_box(self.box)
         v = np.asarray(self.values, dtype=complex)
-        if v.ndim != len(box) + 2 or v.shape[-1] != v.shape[-2]:
-            raise ValueError("values must have shape (*ncells, m, m)")
+        if v.ndim != len(box) + 2 or v.shape[-1] != v.shape[-2] or not v.size:
+            raise ValueError("values must have a nonempty shape (*ncells, m, m)")
         if not np.all(np.isfinite(v)):
             raise ValueError("cell values must be finite")
         object.__setattr__(self, "box", box)

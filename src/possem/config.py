@@ -204,13 +204,9 @@ def build_system(text):
                         raise ConfigError(f"need {d} exponents >= 0 of sum at most "
                                           f"{DEFAULT_MAX_TOTAL_DEGREE}", line)
                     terms.setdefault((i, j), []).append((exps, coef))
-                zero = MultiPoly.constant(0.0, d)
-                entries = tuple(
-                    tuple(
-                        MultiPoly.from_terms(terms[(i, j)], d) if (i, j) in terms else zero
-                        for j in range(m))
-                    for i in range(m))
-                row.append(PolynomialField(entries, d))
+                row.append(PolynomialField(
+                    [[MultiPoly.from_terms(terms.get((i, j), ()), d) for j in range(m)]
+                     for i in range(m)], d))
             else:
                 raise ConfigError(f"unknown coefficient kind {kind!r}", kind_line)
         coeffs.append(tuple(row))
@@ -238,22 +234,17 @@ def dump_system(sys):
             lines.append(f"[coeff {k + 1} {l + 1}]")
             if isinstance(fld, ConstantField):
                 lines.append("kind = constant")
-                for i in range(sys.m):
-                    for j in range(sys.m):
-                        v = fld.matrix[i, j]
-                        if v != 0:
-                            lines.append(
-                                f"entry {i + 1} {j + 1} = "
-                                f"[{v.real:.17g}, {v.imag:.17g}]")
+                for i, j in np.argwhere(fld.matrix).tolist():
+                    v = fld.matrix[i, j]
+                    lines.append(f"entry {i + 1} {j + 1} = [{v.real:.17g}, {v.imag:.17g}]")
             elif isinstance(fld, PolynomialField):
                 lines.append("kind = polynomial")
-                for i in range(sys.m):
-                    for j in range(sys.m):
-                        for exps, coef in sorted(fld.entry(i, j).terms()):
-                            etxt = " ".join(str(e) for e in exps)
-                            lines.append(
-                                f"term {i + 1} {j + 1} = {etxt} : "
-                                f"[{coef.real:.17g}, {coef.imag:.17g}]")
+                # the terms entry by entry in row-major order, exponents ascending
+                by_entry = np.moveaxis(fld.coeffs, (-2, -1), (0, 1))
+                for i, j, *exps in np.argwhere(by_entry).tolist():
+                    coef = by_entry[(i, j, *exps)]
+                    lines.append(f"term {i + 1} {j + 1} = {' '.join(map(str, exps))} : "
+                                 f"[{coef.real:.17g}, {coef.imag:.17g}]")
             else:
                 raise ConfigError("grid-sampled fields are not expressible in config")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Dense multivariate polynomials with complex coefficients.
 
 Coefficients are stored as a dense tensor ``coeffs[a1, ..., ad]`` for the
-monomial ``x1**a1 * ... * xd**ad``.  Everything here is exact arithmetic on
-the coefficient tensors; evaluation is the only floating-point operation.
+monomial ``x1**a1 * ... * xd**ad``.  Their algebra builds the entries that a
+``PolynomialField`` copies into one tensor of its own; evaluation, bounds
+and integrals here are reference implementations.
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ class MultiPoly:
 
     __slots__ = ("coeffs", "d")
 
-    def __init__(self, coeffs, d=None):
-        c = np.asarray(coeffs, dtype=complex)
-        if d is not None and c.ndim != d:
-            raise ValueError(f"coefficient tensor has {c.ndim} axes, expected {d}")
-        self.coeffs = c
-        self.d = c.ndim
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.d = self.coeffs.ndim
 
     # -- constructors -------------------------------------------------------
 

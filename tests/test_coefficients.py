@@ -14,6 +14,7 @@ from possem.coefficients import (
     realify_matrix,
     tensor_points,
 )
+from possem.config import dump_system
 from possem.decoupling import extract_scalar_systems
 from possem.errors import DomainError, NumericalError
 from possem.polynomials import MultiPoly
@@ -402,7 +403,7 @@ def test_degree_cap_rejects_above_the_cap(exps, shape, cap, degree):
 def test_degree_cap_accepts_up_to_the_cap(exps, shape, cap):
     p = monomial(exps, shape)
     fld = PolynomialField(((p,),), len(exps), cap)
-    assert fld.entry(0, 0) is p
+    assert np.array_equal(fld.entry(0, 0).coeffs, p.coeffs)
 
 
 def test_shape_bound_holds_the_total_degree():
@@ -426,6 +427,63 @@ def test_diagonal_scalar_keeps_the_degree_cap():
         assert scalar.max_total_degree == 8
         assert np.array_equal(scalar.entry(0, 0).coeffs, fld.entry(n, n).real.coeffs)
     assert fld.realified().max_total_degree == 8
+
+
+def test_degree_cap_reports_the_highest_entry_degree():
+    # one check on the whole tensor: the message names the field's highest
+    # entry degree, wherever that entry sits
+    x1, zero = MultiPoly.variable(0, 2), MultiPoly.constant(0.0, 2)
+    with pytest.raises(ValueError, match="^entry degree 8 exceeds cap 6$"):
+        PolynomialField(((monomial((3, 4)), zero), (zero, monomial((8, 0)) + x1)), 2)
+
+
+def test_field_holds_its_own_read_only_tensor():
+    # a caller's later writes into its MultiPoly entries reach neither the
+    # field's values, nor its entries, nor its config text, and a non-finite
+    # value cannot enter after the check; the entry views cannot be written
+    x = MultiPoly.variable(0, 1)
+    fld = PolynomialField(((x,),), 1)
+    sys_ = EllipticSystem(((0.0, 1.0),), 1, ((fld,),), "dirichlet", 0.0)
+    text = dump_system(sys_)
+    x.coeffs[1] = 7
+    x.coeffs[0] = np.nan
+    assert fld.eval([0.5])[0, 0] == 0.5
+    assert np.array_equal(fld.entry(0, 0).coeffs, [0, 1])
+    assert dump_system(sys_) == text
+    for view in (fld.entry(0, 0), fld.entries[0][0], fld.diagonal_scalar(0).entry(0, 0),
+                 fld.realified().entry(0, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            view.coeffs[1] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        fld.coeffs[0, 0, 0] = 7
+
+
+def table_bits(table):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (table.exps, table.blocks, *table.terms)]
+
+
+def test_scalar_and_real_slices_match_rebuilt_fields():
+    # diagonal_scalar and realified slice the checked tensor; their tables
+    # are bit-identical to those of fields rebuilt from the entries' real parts
+    def real_field(fld, rows):
+        return PolynomialField([[p.real for p in row] for row in rows], fld.d, fld.max_total_degree)
+
+    rng = np.random.default_rng(8)
+    complex_systems = [EllipticSystem(((0.0, 1.0),) * d, m, [[random_polynomial_field(rng, m, d)
+                                                              for _ in range(d)] for _ in range(d)])
+                       for m, d in ((2, 2), (3, 3))]
+    polynomial = 0
+    for sys_ in table_systems() + complex_systems:
+        parts = [(sys_.m, lambda f: f.realified(), lambda f: real_field(f, f.entries))]
+        parts += [(1, lambda f, n=n: f.diagonal_scalar(n),
+                   lambda f, n=n: real_field(f, [[f.entry(n, n)]])) for n in range(sys_.m)]
+        for m, part, rebuilt in parts:
+            sliced, ref = (EllipticSystem(sys_.box, m, [[poly(f) if f.kind == "polynomial" else part(f)
+                                                         for f in row] for row in sys_.coeffs])
+                           for poly in (part, rebuilt))
+            assert table_bits(sliced.table) == table_bits(ref.table)
+        polynomial += any(f.kind == "polynomial" for row in sys_.coeffs for f in row)
+    assert polynomial >= 16
 
 
 def meshgrid_points(axes):
@@ -470,6 +528,14 @@ def test_system_validation():
         EllipticSystem(((0, 1),), 1, ((two,),), "dirichlet", 1.0)
     with pytest.raises(ValueError, match="bc"):
         EllipticSystem(((0, 1),), 1, ((one,),), "neumann", 1.0)
+    # no channels: every field kind refuses m = 0 when it is built
+    box = ((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="^need a nonempty square matrix$"):
+        EllipticSystem(box, 0, ((ConstantField(np.zeros((0, 0))),) * 2,) * 2)
+    with pytest.raises(ValueError, match=r"^entries must be square, m >= 1$"):
+        PolynomialField((), 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        GridSampledField(box, np.zeros((2, 2, 0, 0)))
 
 
 @pytest.mark.xfail(raises=AssertionError,

@@ -323,7 +323,7 @@ def form_matrix(sys, phi, psi, deltas=None):
             k = np.concatenate([k, [kk for kk, _, _ in sampled]])
             l = np.concatenate([l, [ll for _, ll, _ in sampled]])
             exps = np.concatenate([exps, np.zeros((len(sampled), d), dtype=int)])
-            C = np.concatenate([C, [fld.monomials(d, region)[0][1] for _, _, fld in sampled]])
+            C = np.concatenate([C] + [fld.monomials(d, region)[1] for _, _, fld in sampled])
         if len(C):
             dpsi, dphi = _derivative_orders(k, l, exps)     # psi along k, phi along l
             tables = moment_tables((phi, psi), int(exps.max()), sys.box, stack)

@@ -1,21 +1,24 @@
 """Matrix-valued coefficient fields and elliptic systems.
 
 A coefficient field maps points of a box domain to complex m x m matrices.
-Three storable kinds are supported, each holding one complex array: a
-constant matrix (m, m), the coefficient tensor (*exponent, m, m) of a matrix
-of multivariate polynomials, and the cell values (*cells, m, m) of a
-piecewise-constant field on a uniform grid.  An elliptic system bundles a
-d x d array of such fields with a box, a boundary-condition tag, and a
-declared ellipticity constant.
+Three storable kinds are supported, each holding one read-only complex
+array, a copy of its input checked once for finiteness: a constant matrix
+(m, m), the coefficient tensor (*exponent, m, m) of a matrix of
+multivariate polynomials, and the cell values (*cells, m, m) of a
+piecewise-constant field on a uniform grid.  ``MatrixField`` reads that
+array for every kind alike: its channel count, its zero test, its real part
+and its channel slices.  An elliptic system bundles a d x d array of such
+fields with a box, a boundary-condition tag, and a declared ellipticity
+constant; its uniform bound is the largest of its fields' bounds.
 
 Every pointwise read of a system goes through its ``CoefficientTable``: the
 distinct exponents of its constant and polynomial terms with their
 coefficients in the (d m) x (d m) block layout, built once from the fields'
-``monomials``.  The block matrices at n points are one (n, T) power matrix
-times the table, plus one cell lookup per grid-sampled field; the
-symmetrized coefficients, the coercivity check, the uniform bound, the
-exact form and the assembler read the same table.  Every tensor grid of
-sample points is written into one array (``tensor_points``).
+``monomials`` arrays.  The block matrices at n points are one (n, T) power
+matrix times the table, plus one cell lookup per grid-sampled field; the
+symmetrized coefficients, the coercivity check, the exact form and the
+assembler read the same table.  Every tensor grid of sample points is
+written into one array (``tensor_points``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ DEFAULT_MAX_TOTAL_DEGREE = 6
 
 def _as_box(box):
     out = tuple((float(a), float(b)) for a, b in box)
+    if not out:
+        raise ValueError("box needs at least one interval")
     for a, b in out:
         if not -math.inf < a < b < math.inf:
             raise ValueError("box intervals must be finite with positive length")
@@ -64,13 +69,6 @@ def _check_point_in_box(x, box):
         if not a <= lo <= hi <= b:      # NaN fails every comparison
             raise DomainError(f"coordinate {hi if a <= lo else lo} outside [{a}, {b}]")
     return x
-
-
-def _term_arrays(terms, d, m):
-    """The exponents (T, d) and coefficients (T, m, m) of a list of
-    ``(exponents, m x m matrix)`` terms."""
-    return (np.array([e for e, _ in terms], dtype=int).reshape(-1, d),
-            np.array([C for _, C in terms], dtype=complex).reshape(-1, m, m))
 
 
 def _monomial_sum(pts, exps, coefs):
@@ -105,18 +103,61 @@ def _entrywise_bound(exps, coefs, box):
 
 
 class MatrixField:
-    """Common surface of the three coefficient kinds, each of which holds one
-    complex array: its matrix, its coefficient tensor or its cell values.
+    """Common surface of the three coefficient kinds.  Each holds one
+    read-only complex array (..., m, m), named by ``_array_name``: its
+    ``matrix``, its coefficient tensor ``coeffs`` or its cell ``values``.
+    The array is a copy of the caller's input, checked once for finiteness
+    (``_hold``); a real part or a channel slice of it is a field of the same
+    kind that needs no second check (``_with``), which is all ``realified``
+    and ``diagonal_scalar`` are.
 
     Every kind is a polynomial on a small enough sub-box: a constant, a
     polynomial, or the value of one grid cell.  ``monomials`` exposes that
-    polynomial as ``(exponents, m x m matrix)`` terms.  A system reads its
-    fields' terms once, into its ``CoefficientTable``, and every pointwise
-    value, bound, form entry and stiffness block is read from that table;
-    a field's own ``eval`` is the one-field case of the same product.
+    polynomial as arrays of exponents and m x m coefficients.  A system
+    reads its fields' terms once, into its ``CoefficientTable``, and every
+    pointwise value, form entry and stiffness block is read from that
+    table; a field's own ``eval`` is the one-field case of the same product.
     """
 
     kind = "abstract"
+    _array_name = None
+
+    @property
+    def _array(self):
+        return getattr(self, self._array_name)
+
+    def _hold(self, array, what):
+        """Keep a read-only complex copy of ``array`` as the kind's array;
+        ValueError "<what> must be finite" unless every entry is."""
+        a = np.array(array, dtype=complex)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} must be finite")
+        a.flags.writeable = False
+        object.__setattr__(self, self._array_name, a)
+        return a
+
+    def _with(self, array):
+        """The same field with ``array``, a real part or slice of its
+        checked array, in place of its own."""
+        array.flags.writeable = False
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), **{self._array_name: array})
+        return new
+
+    @property
+    def m(self):
+        return self._array.shape[-1]
+
+    def is_zero(self):
+        return not self._array.any()
+
+    def realified(self):
+        """The field x -> realification of C(x) (entrywise real part)."""
+        return self._with(self._array.real.astype(complex))
+
+    def diagonal_scalar(self, n):
+        """The real scalar field x -> Re (C(x) e_n, e_n)."""
+        return self._with(self._array[..., n:n + 1, n:n + 1].real.astype(complex))
 
     def eval(self, x):
         """C(x): an m x m matrix at a point, an (n, m, m) stack at (n, d)
@@ -126,68 +167,41 @@ class MatrixField:
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         region = list(zip(pts.min(axis=0), pts.max(axis=0)))
-        d = pts.shape[1]
-        out = _monomial_sum(pts, *_term_arrays(self.monomials(d, region), d, self.m))
+        out = _monomial_sum(pts, *self.monomials(pts.shape[1], region))
         return out if x.ndim == 2 else out[0]
 
     def monomials(self, d, region):
-        """The ``(exponents, m x m matrix)`` terms of C on the sub-box
-        ``region`` (d intervals), zero terms omitted: C(x) is the sum of
-        ``matrix * prod_i x_i**exponents[i]`` there."""
+        """The terms of C on the sub-box ``region`` (d intervals), zero terms
+        omitted, as exponents (T, d) and coefficients (T, m, m): C(x) is
+        ``sum_t coefficients[t] * prod_i x_i**exponents[t, i]`` there."""
         raise NotImplementedError
 
     def bound(self, box):
         """A uniform bound M with ||C(x)|| <= M over the domain box."""
         raise NotImplementedError
 
-    def realified(self):
-        """The field x -> realification of C(x) (entrywise real part)."""
-        raise NotImplementedError
-
-    def diagonal_scalar(self, n):
-        """The real scalar field x -> Re (C(x) e_n, e_n)."""
-        raise NotImplementedError
-
-    def is_zero(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantField(MatrixField):
+    """One m x m matrix, held as a read-only copy."""
+
     matrix: np.ndarray
 
     kind = "constant"
+    _array_name = "matrix"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
             raise ValueError("need a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    @cached_property
-    def _nonzero(self):
-        return bool(self.matrix.any())
+        self._hold(self.matrix, "matrix entries")
 
     def monomials(self, d, region):
-        return [((0,) * d, self.matrix)] if self._nonzero else []
+        n = int(self.matrix.any())      # the zero matrix has no term
+        return np.zeros((n, d), dtype=int), self.matrix[None][:n]
 
     def bound(self, box):
         return float(np.linalg.norm(self.matrix, 2))
-
-    def realified(self):
-        return ConstantField(self.matrix.real.astype(complex))
-
-    def diagonal_scalar(self, n):
-        return ConstantField(np.array([[self.matrix[n, n].real]], dtype=complex))
-
-    def is_zero(self):
-        return not self._nonzero
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -201,6 +215,7 @@ class PolynomialField(MatrixField):
     max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE
 
     kind = "polynomial"
+    _array_name = "coeffs"
 
     def __init__(self, entries, d, max_total_degree=DEFAULT_MAX_TOTAL_DEGREE):
         rows = tuple(tuple(row) for row in entries)
@@ -214,27 +229,13 @@ class PolynomialField(MatrixField):
         for i, row in enumerate(rows):     # added into zeros: no part is -0.0
             for j, p in enumerate(row):
                 coeffs[tuple(map(slice, p.coeffs.shape)) + (i, j)] += p.coeffs
-        if not np.isfinite(coeffs).all():
-            raise ValueError("polynomial coefficients must be finite")
+        coeffs = self._hold(coeffs, "polynomial coefficients")
         # sum(shape) - d is the highest degree the tensor can hold
         if sum(shape) - d > max_total_degree:
             degree = np.argwhere(coeffs)[:, :d].sum(axis=1).max(initial=0)
             if degree > max_total_degree:
                 raise ValueError(f"entry degree {degree} exceeds cap {max_total_degree}")
-        self._hold(coeffs, d, max_total_degree)
-
-    def _hold(self, coeffs, d, max_total_degree):
-        coeffs.flags.writeable = False      # the entry views and slices share it
-        vars(self).update(coeffs=coeffs, d=d, max_total_degree=max_total_degree)
-        return self
-
-    def _slice(self, coeffs):
-        # a real part or slice of the checked tensor needs no second check
-        return object.__new__(PolynomialField)._hold(coeffs, self.d, self.max_total_degree)
-
-    @property
-    def m(self):
-        return self.coeffs.shape[-1]
+        vars(self).update(d=d, max_total_degree=max_total_degree)
 
     def entry(self, i, j):
         return MultiPoly(self.coeffs[..., i, j])
@@ -243,58 +244,40 @@ class PolynomialField(MatrixField):
     def entries(self):
         return tuple(tuple(self.entry(i, j) for j in range(self.m)) for i in range(self.m))
 
-    @cached_property
-    def _monomials(self):
-        # argwhere lists the exponents of nonzero terms in ascending order
-        exps = np.argwhere(self.coeffs.any(axis=(-2, -1)))
-        return list(zip(map(tuple, exps.tolist()), self.coeffs[tuple(exps.T)]))
-
     def monomials(self, d, region):
         if d != self.d:
             raise DomainError(f"{d} coordinates for a field in {self.d} variables")
-        return self._monomials
+        # argwhere lists the exponents of nonzero terms in ascending order
+        exps = np.argwhere(self.coeffs.any(axis=(-2, -1)))
+        return exps, self.coeffs[tuple(exps.T)]
 
     def bound(self, box):
         """2-norm of the entrywise bounds sum_e |C_e| prod_i max(|a_i|, |b_i|)**e_i."""
-        entrywise = _entrywise_bound(*_term_arrays(self._monomials, self.d, self.m), box)
-        return float(np.linalg.norm(entrywise, 2))
-
-    def realified(self):
-        return self._slice(self.coeffs.real.astype(complex))
-
-    def diagonal_scalar(self, n):
-        return self._slice(self.coeffs[..., n:n + 1, n:n + 1].real.astype(complex))
-
-    def is_zero(self):
-        return not self._monomials
+        return float(np.linalg.norm(_entrywise_bound(*self.monomials(self.d, box), box), 2))
 
 
 @dataclass(frozen=True)
 class GridSampledField(MatrixField):
-    """Piecewise-constant field: one matrix per cell of a uniform grid."""
+    """Piecewise-constant field: one matrix per cell of a uniform grid, the
+    cell values (*ncells, m, m) held as a read-only copy."""
 
     box: tuple
-    values: np.ndarray      # shape (*ncells, m, m)
+    values: np.ndarray
 
     kind = "grid"
+    _array_name = "values"
 
     def __post_init__(self):
         box = _as_box(self.box)
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != len(box) + 2 or v.shape[-1] != v.shape[-2] or not v.size:
+        shape = np.shape(self.values)
+        if len(shape) != len(box) + 2 or shape[-1] != shape[-2] or not math.prod(shape):
             raise ValueError("values must have a nonempty shape (*ncells, m, m)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("cell values must be finite")
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "values", v)
+        self._hold(self.values, "cell values")
 
     @property
     def d(self):
         return len(self.box)
-
-    @property
-    def m(self):
-        return self.values.shape[-1]
 
     @property
     def ncells(self):
@@ -329,21 +312,12 @@ class GridSampledField(MatrixField):
                 raise UnsupportedContract(
                     "grid-sampled coefficients need the test support inside a single cell"
                 )
-        return [((0,) * d, self.values[idx])]
+        return np.zeros((1, d), dtype=int), self.values[idx][None]
 
     def bound(self, box):
+        """The largest 2-norm of a cell value, over one stack of all cells."""
         flat = self.values.reshape(-1, self.m, self.m)
-        return float(max(np.linalg.norm(M, 2) for M in flat))
-
-    def realified(self):
-        return GridSampledField(self.box, self.values.real.astype(complex))
-
-    def diagonal_scalar(self, n):
-        vals = self.values[..., n, n].real.astype(complex)
-        return GridSampledField(self.box, vals[..., None, None])
-
-    def is_zero(self):
-        return not self.values.any()
+        return float(np.linalg.norm(flat, 2, axis=(1, 2)).max())
 
 
 def eval_coefficient(field, x, box=None):
@@ -442,37 +416,26 @@ class EllipticSystem:
     @cached_property
     def table(self):
         """The ``CoefficientTable`` of the system, built on first use."""
+        d, m = self.d, self.m
         fields = [(k, l, fld) for k, row in enumerate(self.coeffs) for l, fld in enumerate(row)]
-        terms = [(k, l, e, C) for k, l, fld in fields if fld.kind != "grid"
-                 for e, C in fld.monomials(self.d, self.box)]
-        k, l = (np.array([t[i] for t in terms], dtype=int) for i in (0, 1))
+        # each field's terms, and an empty part so that a system of grid
+        # fields alone gets empty arrays
+        k, l, exps, C = zip(*[(k, l, *fld.monomials(d, self.box))
+                              for k, l, fld in fields if fld.kind != "grid"],
+                            (0, 0, np.zeros((0, d), dtype=int), np.zeros((0, m, m), dtype=complex)))
+        counts = [len(e) for e in exps]
         return CoefficientTable.from_terms(
-            k, l, *_term_arrays([t[2:] for t in terms], self.d, self.m),
+            np.repeat(k, counts), np.repeat(l, counts), np.concatenate(exps), np.concatenate(C),
             tuple(f for f in fields if f[2].kind == "grid"))
 
     def bound(self):
-        """Uniform coefficient bound M over all (k, l) and the whole box;
-        NumericalError when it is not a finite float."""
+        """Uniform coefficient bound M over all (k, l) and the whole box: the
+        largest field ``bound``; NumericalError when it is not a finite float."""
         return self._bound
 
     @cached_property
     def _bound(self):
-        # the largest ``fld.bound(box)``, to the bit: per field, the stack
-        # whose largest 2-norm is its bound (a polynomial's block of the
-        # table's entrywise bounds, a constant's matrix, a grid's cell
-        # values), the 2-norms taken in one stack per dtype (polynomial:
-        # real, others: complex)
-        m, by_dtype = self.m, {}
-        entrywise = _entrywise_bound(self.table.exps, self.table.blocks, self.box)
-        for k, row in enumerate(self.coeffs):
-            for l, fld in enumerate(row):
-                block = entrywise[None, k * m:(k + 1) * m, l * m:(l + 1) * m]
-                stack = (block if fld.kind == "polynomial"
-                         else fld.matrix[None] if fld.kind == "constant"
-                         else fld.values.reshape(-1, m, m))
-                by_dtype.setdefault(stack.dtype, []).append(stack)
-        bound = max(float(np.linalg.norm(np.concatenate(s), 2, axis=(1, 2)).max())
-                    for s in by_dtype.values())
+        bound = max(fld.bound(self.box) for row in self.coeffs for fld in row)
         if not math.isfinite(bound):
             raise NumericalError("non-finite coefficient bound")
         return bound

@@ -28,7 +28,6 @@ from .coefficients import (
     check_ellipticity,
     hermitian_lambda_min,
     pair_sums,
-    realify_matrix,
     refinement_cuts,
 )
 from .errors import (
@@ -265,7 +264,7 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
     """
     x0 = np.asarray(x0, dtype=float)
     d = sys.d
-    Q_real = realify_matrix(np.asarray(Q, dtype=complex)).real
+    Q_real = np.asarray(Q, dtype=complex).real
     witness = find_witness(Q_real)
     if witness is None:
         raise ValueError("symmetrized matrix is diagonal after realification; "
@@ -452,7 +451,7 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
         )
 
     x0, k, l, Q, diagonal, real = first_failure
-    if not is_multiplication(realify_matrix(Q).real, tol):
+    if not is_multiplication(Q.real, tol):
         wit = construct_witness(sys, x0, k, l, Q)
     else:
         wit = construct_nonreal_witness(sys, x0, k, l, Q)

@@ -288,9 +288,9 @@ def tensor_product_integral(terms, weight=None, box=None):
     ``terms`` is a list of ``(fn, deriv_axis_or_None)`` whose functions share
     one center and dilation (ValueError otherwise); ``weight`` is an iterable
     of ``(exponents, coefficient)`` monomial terms, for instance
-    ``MultiPoly.terms()`` or ``MatrixField.monomials``, or None for the
-    weight 1.  The result is complex with the shape of the coefficients
-    (scalars or m x m matrices).  Fubini reduces every term to products of
+    ``MultiPoly.terms()`` or ``zip(*fld.monomials(d, region))`` for a
+    ``MatrixField``, or None for the weight 1.  The result is complex with
+    the shape of the coefficients (scalars or m x m matrices).  Fubini reduces every term to products of
     per-axis moments from ``moment_tables``.
     """
     if not terms:

@@ -378,7 +378,7 @@ def kronecker_assembly(sys_, grid):
             if isinstance(fld, GridSampledField):
                 K = K + oracle_sampled(grid, fld, k, l)
                 continue
-            for exps, C in fld.monomials(sys_.d, grid.box):
+            for exps, C in zip(*fld.monomials(sys_.d, grid.box)):
                 K = K + sp.kron(oracle_directional(grid, k, l, exps), sp.csr_matrix(C))
     return K
 
@@ -572,7 +572,7 @@ def per_kl_form_matrix(sys_, phi, psi):
         region.append((lo, hi))
     for k in range(d):
         for l in range(d):
-            weight = sys_.coefficient(k, l).monomials(d, region)
+            weight = list(zip(*sys_.coefficient(k, l).monomials(d, region)))
             if weight:
                 F += tensor_product_integral(
                     [(phi, l), (psi, k)], weight=weight, box=sys_.box)

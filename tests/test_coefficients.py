@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from possem import catalog
+from possem.assembly import Grid
 from possem.coefficients import (
     ConstantField,
     EllipticSystem,
@@ -458,32 +459,85 @@ def test_field_holds_its_own_read_only_tensor():
         fld.coeffs[0, 0, 0] = 7
 
 
+@pytest.mark.parametrize("kind", ["constant", "grid"])
+def test_constant_and_grid_fields_hold_their_own_array(kind):
+    # a caller's later writes into its array reach neither the field's array
+    # nor its values nor its is_zero, and a non-finite value cannot enter
+    # after the check; the field's array, its real part's and its channel
+    # slices' cannot be written
+    shape = (2, 2) if kind == "constant" else (3, 2, 2)
+
+    def build(a):
+        return ConstantField(a) if kind == "constant" else GridSampledField(((0.0, 1.0),), a)
+
+    def held(fld):
+        return fld.matrix if kind == "constant" else fld.values
+
+    zeros, ones = np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex)
+    empty, full = build(zeros), build(ones)
+    zeros[..., 0, 1] = 5.0
+    ones[...] = 0.0
+    ones[..., 0, 0] = np.nan
+    assert empty.is_zero() and not full.is_zero()
+    assert not held(empty).any() and (held(full) == 1).all()
+    assert (full.eval([0.5]) == 1).all()
+    # a zero constant has no term; a grid field always has its cell's
+    assert len(empty.monomials(1, ((0.25, 0.3),))[0]) == (kind == "grid")
+    for fld in (full, full.realified(), full.diagonal_scalar(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            held(fld)[..., 0, 0] = 7
+
+
+def test_empty_box_is_refused():
+    # a box of no intervals would make a system, a grid or a grid field of
+    # dimension 0; every one of them reads its box through the same check
+    for build in (lambda: EllipticSystem((), 0, ()), lambda: Grid((), ()),
+                  lambda: GridSampledField((), np.ones((1, 1)))):
+        with pytest.raises(ValueError, match="^box needs at least one interval$"):
+            build()
+
+
+def array_bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def table_bits(table):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in (table.exps, table.blocks, *table.terms)]
+    return [array_bits(a) for a in (table.exps, table.blocks, *table.terms)]
 
 
 def test_scalar_and_real_slices_match_rebuilt_fields():
-    # diagonal_scalar and realified slice the checked tensor; their tables
-    # are bit-identical to those of fields rebuilt from the entries' real parts
-    def real_field(fld, rows):
+    # diagonal_scalar and realified slice each kind's checked array; their
+    # tables and cell values are bit-identical to those of fields rebuilt
+    # from the real parts of the entries, matrices and cell values
+    def real_field(fld, n=None):
+        pick = (lambda a: a) if n is None else (lambda a: a[..., n:n + 1, n:n + 1])
+        if fld.kind == "constant":
+            return ConstantField(pick(fld.matrix).real)
+        if fld.kind == "grid":
+            return GridSampledField(fld.box, pick(fld.values).real)
+        rows = fld.entries if n is None else [[fld.entry(n, n)]]
         return PolynomialField([[p.real for p in row] for row in rows], fld.d, fld.max_total_degree)
+
+    def bits(sys_):
+        return table_bits(sys_.table) + [(k, l, array_bits(fld.values))
+                                         for k, l, fld in sys_.table.sampled]
 
     rng = np.random.default_rng(8)
     complex_systems = [EllipticSystem(((0.0, 1.0),) * d, m, [[random_polynomial_field(rng, m, d)
                                                               for _ in range(d)] for _ in range(d)])
                        for m, d in ((2, 2), (3, 3))]
-    polynomial = 0
+    kinds = {"constant": 0, "polynomial": 0, "grid": 0}
     for sys_ in table_systems() + complex_systems:
-        parts = [(sys_.m, lambda f: f.realified(), lambda f: real_field(f, f.entries))]
+        parts = [(sys_.m, lambda f: f.realified(), real_field)]
         parts += [(1, lambda f, n=n: f.diagonal_scalar(n),
-                   lambda f, n=n: real_field(f, [[f.entry(n, n)]])) for n in range(sys_.m)]
+                   lambda f, n=n: real_field(f, n)) for n in range(sys_.m)]
         for m, part, rebuilt in parts:
-            sliced, ref = (EllipticSystem(sys_.box, m, [[poly(f) if f.kind == "polynomial" else part(f)
-                                                         for f in row] for row in sys_.coeffs])
-                           for poly in (part, rebuilt))
-            assert table_bits(sliced.table) == table_bits(ref.table)
-        polynomial += any(f.kind == "polynomial" for row in sys_.coeffs for f in row)
-    assert polynomial >= 16
+            sliced, ref = (EllipticSystem(sys_.box, m, [[build(f) for f in row] for row in sys_.coeffs])
+                           for build in (part, rebuilt))
+            assert bits(sliced) == bits(ref)
+        for kind in {f.kind for row in sys_.coeffs for f in row}:
+            kinds[kind] += 1
+    assert kinds["polynomial"] >= 16 and kinds["constant"] >= 5 and kinds["grid"] >= 2
 
 
 def meshgrid_points(axes):

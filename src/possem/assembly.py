@@ -3,19 +3,28 @@
 The stiffness matrix of the form a(u, v) = sum_kl int (C_kl d_l u, d_k v) is
 assembled into one stencil-block array, one CSR build: on a uniform grid every
 contribution couples a node to its 3^d neighbours, so K is summed into a dense
-array indexed by (active node, channel i, neighbour offset, channel j).  Each
+array indexed by active node and stencil slot (channel i, neighbour offset,
+channel j).  Each
 monomial term is a product of per-axis banded moments ``int x^e b_p^(dp)
 b_q^(dq) dx``: a grid hat is a dilated unit tent, so these are the tents'
 reference moments shifted to each node, under the Gauss rule and capacity
 check of ``form_matrix``.  The sum over the terms is factorized by axis: one
 complex matrix product of the coefficients times the first axis's bands
-against the product of the other axes' bands, and one copy of its result into
-the stencil layout.  On an axis that no exponent reads, the bands are the same
-at every interior node (the stencil is translation invariant there), so that
-axis enters the product with three rows, its first, one interior and its last
-node, and the result is repeated over the nodes; the bits are those of the
-full product.  Grid-sampled coefficients use their cell-center
-value times the same moments on one cell.  The mass matrix is lumped.
+against the product of the other axes' bands, and one gather of its result
+into the stencil layout.  Only the stencil slots (i, offset, j) that some
+contribution can fill are gathered and stored: a slot mask, derived from the
+factors before the product, keeps a slot when a term has C[i, j] != 0 and a
+nonzero band at that offset on every axis, or when a grid-sampled field has a
+nonzero (i, j) in some cell and a nonzero corner entry that offset apart.
+Every other slot is an exact zero at every node; ``eliminate_zeros`` still
+drops the off-grid neighbours and exact cancellations among the kept ones, so
+K is canonical and has the entries and bits of the full stencil.  On an axis
+that no exponent reads, the bands are the same at every interior node (the
+stencil is translation invariant there), so that axis enters the product with
+three rows, its first, one interior and its last node, and the result is
+repeated over the nodes; the bits are those of the full product.  Grid-sampled
+coefficients use their cell-center value times the same moments on one cell.
+The mass matrix is lumped.
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
 """
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +59,11 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_box(self.box))
-        n = tuple(int(v) for v in (self.n if np.iterable(self.n) else (self.n,) * len(self.box)))
+        try:
+            n = tuple(operator.index(v) for v in
+                      (self.n if np.iterable(self.n) else (self.n,) * len(self.box)))
+        except TypeError:
+            raise ValueError("cell counts must be integers") from None
         if len(n) != len(self.box) or any(v < 1 for v in n):
             raise ValueError("need >= 1 cell per dimension")
         object.__setattr__(self, "n", n)
@@ -105,12 +119,14 @@ class Grid:
         return out.ravel()
 
 
-def _axis_bands(grid, axis, top):
+def _axis_bands(grid, axis, top, rows=slice(None)):
     """Banded 1D moments ``int x^e b_p^(dp) b_q^(dq) dx`` over the axis
     interval: array (e, dp, dq, active node p, 3) whose last index is the
     neighbour offset q - p + 1: the ``tents.hat_moments`` of p's class shifted
-    to p, zero where they point at a removed or out-of-range node."""
-    h, nodes = grid.h[axis], grid.node_coords(axis)
+    to p, zero where they point at a removed or out-of-range node.  ``rows``
+    selects the nodes p, all of them by default; the first and the last
+    selected row must be the axis's first and last node."""
+    h, nodes = grid.h[axis], grid.node_coords(axis)[rows]
     cls = 1 - (nodes == grid.box[axis][0]) + (nodes == grid.box[axis][1])    # 0, 2 at edges
     bands = binomial_shift(hat_moments()[cls], nodes, h, top, np.add.outer((0, 1), (0, 1)))
     bands = bands.transpose(4, 2, 3, 0, 1)
@@ -176,13 +192,22 @@ def _derivative_orders(k, l, exps):
     return dk, dl
 
 
-def _term_stencil(grid, terms, m):
-    """Stencil-block array (*nodes, i, *offsets, j) of the monomial terms,
-    arrays (k, l, exponents, C) as in ``CoefficientTable.terms``:
-    ``sum_t C_t[i, j] prod_axis band_t(node, offset)``.  The sum over the
-    terms t is one complex matrix product R = P^T Q of P_t = C_t band_t on
-    the first axis and Q_t = the product of the other axes' bands; one copy
-    of R's transposed view writes the stencil layout.
+def _term_stencil(grid, terms, m, filled):
+    """Stencil-block array (*nodes, slot) of the monomial terms, arrays (k,
+    l, exponents, C) as in ``CoefficientTable.terms``, and the bool mask
+    (i, *offsets, j) of the slots it keeps, in row-major order: ``sum_t
+    C_t[i, j] prod_axis band_t(node, offset)``.  The sum over the terms t is
+    one complex matrix product R = P^T Q of P_t = C_t band_t on the first
+    axis and Q_t = the product of the other axes' bands.
+
+    The slot mask is derived from the factors before the product: a slot
+    is kept if ``filled`` marks it (the slots the cell-sampled fields fill)
+    or if some term has C_t[i, j] != 0 and, on every axis, a nonzero band
+    entry at that offset for some node; every other slot of R is a sum of
+    exact zeros at every node.  One ``take`` from R's buffer, at the offsets
+    that R's transposed view gives each (node, kept slot), writes the kept
+    slots only, node-major; when every slot is kept, this is the full (i,
+    *offsets, j) layout.
 
     An axis of more than 3 nodes on which every exponent is 0 enters with
     three band rows only, its first, one interior and its last node, and
@@ -195,76 +220,118 @@ def _term_stencil(grid, terms, m):
     d = grid.d
     k, l, exps, C = terms
     if not len(C):
-        return np.zeros(grid.shape + (m,) + (3,) * d + (m,), dtype=complex)
+        return np.zeros(grid.shape + (np.count_nonzero(filled),), dtype=complex), filled
     dk, dl = _derivative_orders(k, l, exps)
     tops, shape = exps.max(axis=0), grid.shape
     # an axis no exponent reads has three distinct band rows past 3 nodes
     shrunk = [ax for ax in range(d) if tops[ax] == 0 and shape[ax] > 3]
-    stacks = [_axis_bands(grid, ax, tops[ax])[exps[:, ax], dk[:, ax], dl[:, ax]]
-              for ax in range(d)]                            # (T, n_axis, 3)
-    for ax in shrunk:
-        stacks[ax] = stacks[ax].take((0, 1, -1), axis=1)     # first, interior, last
+    bands, stacks = {}, []          # axes of one interval, cell count and top share bands
+    for ax in range(d):
+        key = (grid.box[ax], grid.n[ax], tops[ax], ax in shrunk)
+        if key not in bands:
+            bands[key] = _axis_bands(grid, ax, tops[ax], [0, 1, -1] if ax in shrunk else slice(None))
+        stacks.append(bands[key][exps[:, ax], dk[:, ax], dl[:, ax]])     # (T, rows, 3)
     if not all(np.isfinite(a).all() for a in (*stacks, C)):
         # a non-finite factor would turn the zero blocks of off-grid
         # neighbours into NaN, which _stencil_csr cannot drop
         raise NumericalError("non-finite coefficient term or moment")
     T = len(C)
+    # reach[t, offsets]: term t has a nonzero band at that offset on every axis
+    reach = np.ones((T, 1), dtype=bool)
+    for band in stacks:
+        reach = (reach[:, :, None] & np.logical_or.reduce(band != 0, axis=1)[:, None]).reshape(T, -1)
+    # slots[i, *offsets, j] = any_t (C_t[i, j] != 0 and reach[t, offsets])
+    slots = ((C != 0).reshape(T, -1).T @ reach).reshape(m, m, -1).transpose(0, 2, 1)
+    slots = filled | slots.reshape(filled.shape)
     P = np.einsum("tij,tao->taioj", C, stacks[0])            # (T, n_0, i, 3, j)
     Q = np.ones((T, 1))
     for band in stacks[1:]:                                  # (T, n_1, 3, n_2, 3, ...)
         Q = (Q[:, :, None] * band.reshape(T, 1, -1)).reshape(T, -1)
     R = P.reshape(T, -1).T @ Q
-    R = R.reshape(P.shape[1:] + sum(((b.shape[1], 3) for b in stacks[1:]), ()))
+    view = R.reshape(P.shape[1:] + sum(((b.shape[1], 3) for b in stacks[1:]), ()))
     # (n_0, i, 3, j, n_1, 3, n_2, 3, ...) -> (n_0, n_1, ..., i, 3, 3, ..., j)
     rest = range(1, d)
-    S = np.ascontiguousarray(R.transpose(0, *(2 + 2 * ax for ax in rest), 1, 2,
-                                         *(3 + 2 * ax for ax in rest), 3))
+    view = view.transpose(0, *(2 + 2 * ax for ax in rest), 1, 2, *(3 + 2 * ax for ax in rest), 3)
+    # one take of R's buffer at the view's offsets of (node, kept slot), node-major
+    steps = np.array(view.strides) // view.itemsize
+    nodes = functools.reduce(np.add.outer, [np.arange(n) * st for n, st in zip(view.shape[:d], steps)])
+    S = R.reshape(-1).take(np.add.outer(nodes, np.transpose(np.nonzero(slots)) @ steps[d:]))
     for ax in reversed(shrunk):     # the last axis first: whole slabs copy last
         S = S.repeat((1, shape[ax] - 2, 1), axis=ax)
-    return S
+    return S, slots
 
 
-def _add_sampled(S, grid, fld, k, l):
-    """Add a cell-sampled coefficient into the stencil-block array: for each
-    corner pair (a, b) of the local matrix L, the value of every assembly
-    cell whose corners a and b are both active nodes, times L[a, b]."""
-    m, drop = fld.m, int(grid.bc == "dirichlet")
-    vals = fld.values[fld.cell_index(grid.cell_centers())].reshape(grid.n + (m, m))
-    # corner matrix L[a, b] = int_cell d_l b_b d_k b_a per axis; corner 0 is a left edge
+def _cell_coupling(grid, fld, k, l):
+    """A cell-sampled coefficient's corner matrix ``L[a, b] = int_cell d_l
+    b_b d_k b_a`` (corner 0 a left edge on every axis) and its value at
+    every assembly cell, array (*cells, i, j)."""
+    vals = fld.values[fld.cell_index(grid.cell_centers())].reshape(grid.n + (fld.m, fld.m))
     a, b, ref = *np.indices((2, 2)), hat_moments()
     L = functools.reduce(np.kron, [
         ref[2 * a, b - a + 1, int(ax == k), int(ax == l), 0] * h ** (1 - (ax == k) - (ax == l))
         for ax, h in enumerate(grid.h)])
-    corners = list(itertools.product((0, 1), repeat=grid.d))
+    return L, vals
+
+
+def _corner_pairs(d):
+    """Corner pairs (a, ca, b, cb) of a cell, ca and cb the corners' 0/1
+    positions per axis, and their stencil offset cb - ca + 1."""
+    corners = list(itertools.product((0, 1), repeat=d))
     for (a, ca), (b, cb) in itertools.product(enumerate(corners), repeat=2):
+        yield a, ca, b, cb, tuple(q - p + 1 for p, q in zip(ca, cb))
+
+
+def _sampled_slots(L, vals):
+    """Bool mask (i, *offsets, j) of the slots a cell-sampled coefficient
+    can fill: (i, j) nonzero in some cell, and a nonzero L[a, b] whose
+    corners are ``offset`` apart."""
+    d, m = vals.ndim - 2, vals.shape[-1]
+    reach = np.zeros((3,) * d, dtype=bool)
+    for a, _, b, _, offset in _corner_pairs(d):
+        reach[offset] |= L[a, b] != 0
+    nonzero = (vals != 0).reshape(-1, m, m).any(axis=0)
+    return nonzero.reshape((m,) + (1,) * d + (m,)) & reach[..., None]
+
+
+def _add_sampled(S, slots, grid, L, vals):
+    """Add a cell-sampled coefficient into the stencil-block array of the
+    kept ``slots``: for each corner pair (a, b) of the corner matrix L, the
+    value of every assembly cell whose corners a and b are both active
+    nodes, times L[a, b], on the kept (i, j) of that offset (the others
+    add exact zeros)."""
+    drop = int(grid.bc == "dirichlet")
+    pos = np.cumsum(slots).reshape(slots.shape) - 1       # kept slot -> column of S
+    for a, ca, b, cb, offset in _corner_pairs(grid.d):
         span = [(max(0, drop - p, drop - q), min(n, n + 1 - drop - p, n + 1 - drop - q))
                 for p, q, n in zip(ca, cb, grid.n)]
         cells = tuple(slice(lo, hi) for lo, hi in span)
         rows = tuple(slice(lo + p - drop, hi + p - drop) for (lo, hi), p in zip(span, ca))
-        offset = tuple(q - p + 1 for p, q in zip(ca, cb))
-        S[rows + (slice(None),) + offset] += L[a, b] * vals[cells]
+        i, j = np.nonzero(slots[(slice(None),) + offset])
+        S[rows + (pos[(i,) + offset + (j,)],)] += L[a, b] * vals[cells][..., i, j]
 
 
-def _stencil_csr(S, grid):
-    """CSR matrix of a stencil-block array, built on S's own buffer: rows
-    (node, i), columns m * (node + shift) + j ascending, shift the flat
-    index step of each neighbour offset.  Blocks of neighbours off the grid
-    hold exact zeros (their bands and cell corners are zero), so one
-    eliminate_zeros drops them with the other stored zeros and leaves K
-    canonical; until then their columns, clipped into range, may name
-    another node."""
-    d, N = grid.d, grid.N
-    m = S.shape[d]
-    idx = np.int32 if S.size < 2 ** 31 else np.int64
+def _stencil_csr(S, slots, grid):
+    """CSR matrix of a stencil-block array of the kept ``slots``, built on
+    S's own buffer: rows (node, i), columns m * (node + shift) + j ascending,
+    shift the flat index step of each neighbour offset.  Slots left out of
+    the mask hold exact zeros at every node, so they are not stored.  Blocks
+    of neighbours off the grid hold exact zeros too (their bands and cell
+    corners are zero), and so can sums that cancel exactly: one
+    eliminate_zeros drops them and leaves K canonical, with the entries and
+    bits of the full stencil; until then their columns, clipped into range,
+    may name another node."""
+    N, m = grid.N, slots.shape[0]
+    idx = np.int32 if max(S.size, N * m) < 2 ** 31 else np.int64      # indptr, columns
     node_step = np.cumprod((1,) + grid.shape[:0:-1])[::-1]          # per axis
-    shift = (np.indices((3,) * d).reshape(d, -1).T - 1) @ node_step
-    # the (i, offset, j) block tiled over the nodes, then each node's own
-    # column added in place: no temporary as large as the column array
-    cols = np.tile((m * shift[:, None] + np.arange(m)).astype(idx).ravel(), N * m)
-    per_node = cols.reshape(N, -1)
-    per_node += m * np.arange(N, dtype=idx)[:, None]
+    i, *offsets, j = np.nonzero(slots)
+    shift = sum((o - 1) * step for o, step in zip(offsets, node_step))
+    # each node's own column plus its kept slots' columns, written once
+    cols = (m * np.arange(N, dtype=idx)[:, None] + (m * shift + j).astype(idx)).ravel()
     np.clip(cols, 0, m * N - 1, out=cols)
-    indptr = np.arange(0, S.size + 1, 3 ** d * m, dtype=idx)
+    # row (node, i) holds channel i's kept slots
+    indptr = np.zeros(N * m + 1, dtype=idx)
+    indptr[1:] = (len(i) * np.arange(N, dtype=idx)[:, None]
+                  + np.cumsum(np.bincount(i, minlength=m))).ravel()
     K = sp.csr_matrix((S.reshape(-1), cols, indptr), shape=(N * m, N * m))
     K.eliminate_zeros()
     return K
@@ -278,10 +345,15 @@ def assemble(sys, grid):
     """
     if _as_box(sys.box) != grid.box:
         raise ValueError("grid box must equal the system box")
-    S = _term_stencil(grid, sys.table.terms, sys.m)
-    for k, l, fld in sys.table.sampled:
-        _add_sampled(S, grid, fld, k, l)
-    return DiscreteForm(_stencil_csr(S, grid), grid.mass_weights(), grid, sys.m)
+    d, m = grid.d, sys.m
+    sampled = [_cell_coupling(grid, fld, k, l) for k, l, fld in sys.table.sampled]
+    filled = np.zeros((m,) + (3,) * d + (m,), dtype=bool)
+    for L, vals in sampled:
+        filled |= _sampled_slots(L, vals)
+    S, slots = _term_stencil(grid, sys.table.terms, m, filled)
+    for L, vals in sampled:
+        _add_sampled(S, slots, grid, L, vals)
+    return DiscreteForm(_stencil_csr(S, slots, grid), grid.mass_weights(), grid, m)
 
 
 def form_matrix(sys, phi, psi, deltas=None):

@@ -213,17 +213,20 @@ _TENT_PAIRS = tuple((hat(), hat().affine_pullback(o, 1.0)) for o in (0, 1))
 _REFLECTION = (-1.0) ** np.indices((2, 2, CAPACITY + 1)).sum(axis=0)
 
 
+@functools.cache
 def hat_moments():
     """Reference moments of the unit tent against its neighbours ``hat(t - o)``,
     o = -1, 0, 1, on [0, 1], [-1, 1] and [-1, 0] (grid hats at a left edge,
-    interior and right edge node): array (class, o + 1, dp, dq, CAPACITY + 1).
-    Reflecting the left edge gives the right and their sum the interior, so
-    moments that vanish by symmetry are exact zeros."""
+    interior and right edge node): read-only array (class, o + 1, dp, dq,
+    CAPACITY + 1), computed on the first call.  Reflecting the left edge
+    gives the right and their sum the interior, so moments that vanish by
+    symmetry are exact zeros."""
     out = np.zeros((3, 3, 2, 2, CAPACITY + 1))
     for o in (0, 1):
         out[0, o + 1] = _reference_moments(_TENT_PAIRS[o], 0.0, 1.0)
     out[2] = _REFLECTION * out[0, ::-1]               # t -> -t: right[o] from left[-o]
     out[1] = out[0] + out[2]
+    out.flags.writeable = False
     return out
 
 

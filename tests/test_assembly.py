@@ -8,7 +8,12 @@ import scipy.sparse as sp
 from possem import catalog
 from possem.assembly import (
     Grid,
+    _add_sampled,
     _axis_bands,
+    _cell_coupling,
+    _sampled_slots,
+    _stencil_csr,
+    _term_stencil,
     assemble,
     export_matrix_text,
     form_matrix,
@@ -545,6 +550,9 @@ def test_overflowing_moments_are_a_numerical_error():
     ("witness_W", "free", 64, 91398),
     ("scalar_heat", "free", 32, 9409),
     ("ex1_3", "free", 128, 297478),
+    ("rand_decoupled(3)", "dirichlet", 16, 3698),
+    ("rand_decoupled(3)", "free", 16, 4802),
+    ("ex1_3", "free", 256, 1184774),
 ])
 def test_stored_entry_counts_are_pinned(name, bc, cells, stored):
     # a reordered term sum must keep exactly these entries through
@@ -554,6 +562,80 @@ def test_stored_entry_counts_are_pinned(name, bc, cells, stored):
     K = assemble(sys_, grid).K
     assert K.nnz == stored
     assert_canonical_csr(K, grid, sys_.m)
+
+
+@pytest.mark.parametrize("bc, stored", [("free", 2464), ("dirichlet", 1408)])
+def test_stored_entry_counts_of_a_cell_sampled_system_are_pinned(bc, stored):
+    sys_ = seeded_system("grid", 2, 2, bc, seed=3)
+    grid = Grid(sys_.box, (9, 7), bc)
+    K = assemble(sys_, grid).K
+    assert K.nnz == stored
+    assert_canonical_csr(K, grid, sys_.m)
+
+
+def full_stencil(sys_, grid):
+    """The stencil-block array with every slot (i, *offsets, j) kept, as
+    ``assemble`` builds it before the slot mask, and that all-true mask."""
+    every = np.ones((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
+    S, _ = _term_stencil(grid, sys_.table.terms, sys_.m, every)
+    for k, l, fld in sys_.table.sampled:
+        _add_sampled(S, every, grid, *_cell_coupling(grid, fld, k, l))
+    return S, every
+
+
+def kept_slots(sys_, grid):
+    """The slot mask that ``assemble`` derives from the factors."""
+    filled = np.zeros((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
+    for k, l, fld in sys_.table.sampled:
+        filled |= _sampled_slots(*_cell_coupling(grid, fld, k, l))
+    return _term_stencil(grid, sys_.table.terms, sys_.m, filled)[1]
+
+
+def assert_mask_covers_full_stencil(sys_, grid):
+    S, every = full_stencil(sys_, grid)
+    nonzero = (S != 0).reshape((-1,) + every.shape).any(axis=0)
+    slots = kept_slots(sys_, grid)
+    assert np.all(slots[nonzero]), (sys_.m, grid.n)
+    # the compact stencil stores the full stencil's entries, bit for bit
+    K, full = assemble(sys_, grid).K, _stencil_csr(S, every, grid)
+    for a, b in ((K.data, full.data), (K.indices, full.indices), (K.indptr, full.indptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return slots
+
+
+@pytest.mark.parametrize("bc", ["free", "dirichlet"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["mixed", "poly_x1", "poly_xd", "constant_grid"])
+def test_slot_mask_covers_every_nonzero_slot(kind, d, bc):
+    for m in (1, 2):
+        sys_ = seeded_system(kind, d, m, bc, seed=10 * d + m)
+        for cells in (((1 if bc == "free" else 2),) * d, (5, 4, 3)[:d]):
+            assert_mask_covers_full_stencil(sys_, Grid(sys_.box, cells, bc))
+
+
+@pytest.mark.parametrize("name, bc, kept", [
+    ("ex1_3", "free", 27),
+    ("rand_decoupled(3)", "dirichlet", 18),
+    ("ex5_5", "dirichlet", 81),
+    ("ex3_5_nullform", "free", 27),
+])
+def test_slot_mask_drops_the_channel_pairs_no_term_reads(name, bc, kept):
+    # ex1_3 couples channel 1 to 0 but not 0 to 1; rand_decoupled couples none
+    sys_ = catalog.get(name).build(bc=bc)
+    slots = assert_mask_covers_full_stencil(sys_, Grid(sys_.box, (6,) * sys_.d, bc))
+    assert np.count_nonzero(slots) == kept
+
+
+@pytest.mark.parametrize("cells", [4.7, np.nan, np.inf, (4, 4.7), (np.float64(4.5), 4)])
+def test_grid_refuses_cell_counts_that_are_not_integers(cells):
+    with pytest.raises(ValueError, match="^cell counts must be integers$"):
+        Grid(((0.0, 1.0), (0.0, 1.0)), cells)
+
+
+@pytest.mark.parametrize("cells", [4, (4, 4), np.int64(4), (np.int32(4), np.int64(4))])
+def test_grid_takes_python_and_numpy_integer_cell_counts(cells):
+    grid = Grid(((0.0, 1.0), (0.0, 1.0)), cells)
+    assert grid.n == (4, 4) and all(type(v) is int for v in grid.n)
 
 
 # -- per-(k, l) form oracle -----------------------------------------------------

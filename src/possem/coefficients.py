@@ -538,6 +538,12 @@ def default_ellipticity_points(sys):
     return pts
 
 
+def default_coercivity_tol(sys):
+    """How far below mu a coercivity check lets the smallest eigenvalue of
+    the Hermitian part fall: 1e-10 max(1, M), for the system bound M."""
+    return 1e-10 * max(1.0, sys.bound())
+
+
 def hermitian_lambda_min(B):
     """Smallest eigenvalue of the Hermitian part of each matrix of the stack
     B (..., n, n), read as complex: one stacked ``eigvalsh``."""
@@ -548,9 +554,34 @@ def hermitian_lambda_min(B):
         raise NumericalError("eigensolver failed") from exc
 
 
+def hermitian_at_least(B, floor):
+    """Whether the Hermitian part H of every matrix of the stack B (..., n, n)
+    has all its eigenvalues above ``floor``: one stacked Cholesky factorization
+    of H - floor I, False when it breaks down (numpy raises for the whole
+    stack if one member fails).  A real stack is factored in real arithmetic.
+
+    Cholesky is backward stable, so the answer is exact outside a rounding
+    band: it succeeds when lambda_min(H) - floor exceeds about n u ||H||, for
+    the unit roundoff u, and fails when it is below about -n u ||H||
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
+    Inside the band it can answer either way, as ``hermitian_lambda_min(B)
+    >= floor`` can; a caller that needs that comparison's exact answer reads
+    the eigenvalues when this returns False."""
+    B = np.asarray(B)
+    H = 0.5 * (B + B.conj().swapaxes(-1, -2))
+    diag = np.arange(H.shape[-1])
+    H[..., diag, diag] -= floor
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def check_ellipticity(sys, sample_points=None, tol=None):
     """Smallest eigenvalue of the Hermitian part of the coefficient block
-    matrix over the sample points, compared against the declared mu.
+    matrix over the sample points, compared against the declared mu, with
+    slack ``default_coercivity_tol`` unless ``tol`` is given.
 
     One ``block_matrix`` read over all points and one stacked ``eigvalsh``;
     ``per_point`` holds every point's smallest eigenvalue and ``argmin`` is
@@ -559,7 +590,7 @@ def check_ellipticity(sys, sample_points=None, tol=None):
         sample_points = default_ellipticity_points(sys)
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if tol is None:
-        tol = 1e-10 * max(1.0, sys.bound())
+        tol = default_coercivity_tol(sys)
     lams = hermitian_lambda_min(sys.block_matrix(sample_points))
     i = int(np.argmin(lams))
     passed = lams[i] >= sys.mu - tol

@@ -6,7 +6,10 @@ module probes the symmetrized coefficients C_kl + C_lk (directly, or through
 the form with dilated tent pairs), tests the necessary condition that they
 are real diagonal at (almost) every point, extracts the scalar systems when
 it holds, and constructs a certified witness pair with a(u+, u-) > 0 when
-it fails.  The antisymmetric remainder C_kl - diag(Re C_kl) is not checked
+it fails.  The direct decision reads the coefficients once, at the points of
+the coercivity check and the probe points together; a Cholesky gate decides
+every coercivity check, and eigenvalues are computed only to explain a
+failure.  The antisymmetric remainder C_kl - diag(Re C_kl) is not checked
 yet, so a positive verdict is not sufficient: on the free space of ex1_3,
 u+ = (x2 + 4)/8 e_1 and u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and
 ``factorization_residual`` raises ContractViolation (K couples channels).
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +28,9 @@ from .coefficients import (
     EllipticSystem,
     _entrywise_bound,
     _refined_cell_points,
-    check_ellipticity,
+    default_coercivity_tol,
+    default_ellipticity_points,
+    hermitian_at_least,
     hermitian_lambda_min,
     pair_sums,
     refinement_cuts,
@@ -118,10 +123,26 @@ def _checked_schedule(box, x0, deltas):
 
 
 @functools.cache
+def _verified_pair(tau, ktilde, ltilde, d):
+    """``build_test_pair``, built and verified once per argument tuple
+    (pairs are immutable)."""
+    return build_test_pair(tau, ktilde, ltilde, d)
+
+
 def _probe_pair(d, ktilde, ltilde):
-    """The reference tent pair of a probe, built and verified once per
-    target (pairs are immutable): tau = 2 on the diagonal, 1 off it."""
-    return build_test_pair(2.0 if ktilde == ltilde else 1.0, ktilde, ltilde, d)
+    """The reference tent pair of a probe: tau = 2 on the diagonal, 1 off it."""
+    return _verified_pair(2.0 if ktilde == ltilde else 1.0, ktilde, ltilde, d)
+
+
+def _witness_pair(tau, ktilde, ltilde, d):
+    """``build_test_pair(tau, ktilde, ltilde, d)`` bit for bit, for tau != 0,
+    from the verified pair of tau's sign: the case depends only on the sign
+    and the target, and phi's scale 2**j * |tau| is the exact product of the
+    unit pair's 2**j and |tau|.  The unit pair's interaction error, at most
+    1e-12, scales by |tau|, so the scaled pair meets ``build_test_pair``'s
+    check 1e-12 max(1, |tau|) too."""
+    unit = _verified_pair(math.copysign(1.0, tau), ktilde, ltilde, d)
+    return replace(unit, phi=replace(unit.phi, scale=unit.phi.scale * abs(tau)), tau=tau)
 
 
 def _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson):
@@ -258,8 +279,9 @@ def _localize(sys, x0, pair, delta0, accept, what):
 def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
     """Build a certified witness pair from a non-diagonal symmetrized matrix.
 
-    The tent pair is built with tau equal to the witness pairing of the
-    realified Q; the dilation shrinks geometrically until the exactly
+    The tent pair is ``build_test_pair`` with tau equal to the witness
+    pairing of the realified Q, read from the verified pair of tau's sign
+    (``_witness_pair``); the dilation shrinks geometrically until the exactly
     evaluated form value clears the threshold 0.5 * delta**(d-2) * tau**2.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -270,7 +292,7 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
         raise ValueError("symmetrized matrix is diagonal after realification; "
                          "no disjointly supported witness exists")
     tau = float(witness.pairing.real)
-    pair = build_test_pair(tau, ktilde, ltilde, d)
+    pair = _witness_pair(tau, ktilde, ltilde, d)
     one_b = _indicator(sys.m, witness.B)
 
     def accept(F, delta):
@@ -365,14 +387,19 @@ def scalar_bounds(sys):
     return out
 
 
+def _scalar_blocks(B, m):
+    """The block matrices (m, n, d, d) of the m scalar systems at the points
+    of the parent's block matrices B (n, d m, d m): scalar system n's is
+    Re B[:, n::m, n::m]."""
+    return np.stack([B[:, n::m, n::m].real for n in range(m)])
+
+
 def scalar_coercivity(sys, B, tol):
     """Smallest eigenvalue per scalar system over the points of the parent's
     block matrices B (n, d m, d m), and whether it clears mu - tol: what
     ``check_ellipticity(s, points, tol)`` gives for each of the m scalar
-    systems s, bit for bit, from the kernel of ``check_ellipticity``:
-    scalar system n's block matrix is Re B[:, n::m, n::m]."""
-    m = sys.m
-    lams = hermitian_lambda_min(np.stack([B[:, n::m, n::m].real for n in range(m)])).min(axis=1)
+    systems s, bit for bit, from the kernel of ``check_ellipticity``."""
+    lams = hermitian_lambda_min(_scalar_blocks(B, sys.m)).min(axis=1)
     return lams, lams >= sys.mu - tol
 
 
@@ -414,33 +441,49 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     coefficient for real diagonality at every ``default_probe_points``,
     to within ``default_decision_tol``.
 
+    The coefficients are read once: one ``block_matrix`` over the points of
+    the system's coercivity check (``default_ellipticity_points``) and the
+    probe points together, split in two.  With ``require_elliptic`` the
+    system's coercivity is checked on the first part, to within
+    ``default_coercivity_tol``.  Every coercivity check is decided by the
+    Cholesky gate ``hermitian_at_least``; only when the gate fails do the
+    eigenvalues (``hermitian_lambda_min``) decide, with the comparison of
+    ``check_ellipticity``, and give the smallest one for the message.
+
     On success the scalar systems are extracted, and their uniform bounds
     and their coercivity at the probe points are checked for all m at once:
     the bounds from one pass over the system's table (``scalar_bounds``),
     the coercivity from the system's block matrices at the probe points,
-    which the direct path's zero test also reads (``scalar_coercivity``).
-    With ``require_elliptic`` a failed check raises ContractViolation,
-    otherwise it is only recorded.  On failure a witness is constructed at
-    the first failure in scan order (points lexicographic, then k <= l).
+    which the direct path's zero test also reads (the gate, then
+    ``scalar_coercivity``).  With ``require_elliptic`` a failed check raises
+    ContractViolation, otherwise it is only recorded.  On failure a witness
+    is constructed at the first failure in scan order (points
+    lexicographic, then k <= l).
     """
-    if require_elliptic:
-        report = check_ellipticity(sys)
-        if not report.passed:
-            raise ContractViolation(
-                f"system fails its declared coercivity: lambda_min = "
-                f"{report.lambda_min:.6g} < mu = {sys.mu}"
-            )
     probe_points = default_probe_points(sys)
     tol = default_decision_tol(sys)
-
     M = sys.bound()
-    B = sys.block_matrix(probe_points)
+    if require_elliptic:
+        points = default_ellipticity_points(sys)
+        both = sys.block_matrix(np.concatenate([points, probe_points]))
+        E, B = both[:len(points)], both[len(points):]
+        floor = sys.mu - default_coercivity_tol(sys)
+        if not hermitian_at_least(E, floor):
+            lam = float(hermitian_lambda_min(E).min())
+            if not lam >= floor:
+                raise ContractViolation(
+                    f"system fails its declared coercivity: lambda_min = "
+                    f"{lam} < mu = {sys.mu}"
+                )
+    else:
+        B = sys.block_matrix(probe_points)
     first_failure = _first_failure(sys, probe_points, tol, via_probe, B)
 
     if first_failure is None:
         scalars = extract_scalar_systems(sys)
         bounds_ok = bool((scalar_bounds(sys) <= M + tol).all())
-        coercive_ok = bool(scalar_coercivity(sys, B, tol)[1].all())
+        coercive_ok = (hermitian_at_least(_scalar_blocks(B, sys.m), sys.mu - tol)
+                       or bool(scalar_coercivity(sys, B, tol)[1].all()))
         if require_elliptic and not (bounds_ok and coercive_ok):
             failed = "coercivity check at the probe points" if bounds_ok else "bound check"
             raise ContractViolation(f"the decoupled scalar systems fail their {failed}")

@@ -11,6 +11,8 @@ from possem.coefficients import (
     check_ellipticity,
     default_ellipticity_points,
     eval_coefficient,
+    hermitian_at_least,
+    hermitian_lambda_min,
     realify_field,
     realify_matrix,
     tensor_points,
@@ -244,6 +246,62 @@ def test_realify_idempotent_on_fields():
             twice = realify_field(once)
             x = np.array([0.3, 0.3])
             assert np.allclose(once.eval(x), twice.eval(x))
+
+
+def seeded_stack(rng, shape, n, complex_):
+    """A stack of non-Hermitian matrices whose Hermitian parts have smallest
+    eigenvalues spread over about [-3, 3]."""
+    B = rng.standard_normal(shape + (n, n))
+    if complex_:
+        B = B + 1j * rng.standard_normal(shape + (n, n))
+    return B + rng.uniform(-1.0, 4.0, shape)[..., None, None] * np.eye(n)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_hermitian_at_least_agrees_with_lambda_min(complex_):
+    # floors at least 1e-6 (relative) away from every member's smallest
+    # eigenvalue, so the Cholesky gate's rounding band holds none of them
+    rng = np.random.default_rng(41 + complex_)
+    for shape, n in (((25,), 4), ((25,), 8), ((5, 7), 6), ((3,), 1)):
+        B = seeded_stack(rng, shape, n, complex_)
+        lams = hermitian_lambda_min(B)
+        scale = max(1.0, float(np.abs(lams).max()))
+        floors = np.concatenate([lams.ravel() + 1e-6 * scale, lams.ravel() - 1e-6 * scale,
+                                 [lams.min() - 1.0, lams.max() + 1.0, np.median(lams)]])
+        for floor in floors:
+            assert hermitian_at_least(B, floor) == bool(lams.min() >= floor), (shape, n, floor)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_hermitian_at_least_fails_with_one_member(complex_):
+    # numpy's stacked Cholesky raises for the whole stack when one member
+    # is not positive definite; the gate reads that as one False
+    rng = np.random.default_rng(43 + complex_)
+    B = seeded_stack(rng, (12,), 5, complex_)
+    B += (5.0 - hermitian_lambda_min(B))[:, None, None] * np.eye(5)     # every lambda_min ~ 5
+    assert hermitian_at_least(B, 4.0)
+    for i in (0, 6, 11):
+        one = B.copy()
+        one[i] -= 2.0 * np.eye(5)                                        # this one ~ 3
+        assert hermitian_lambda_min(one).min() < 4.0
+        assert not hermitian_at_least(one, 4.0)
+        assert hermitian_at_least(np.delete(one, i, axis=0), 4.0)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_hermitian_at_least_resolves_a_known_eigenvalue(complex_):
+    # H = U diag(lam) U^H plus an antihermitian part, lam_min = 2.5: floors
+    # 1e-9 (relative) below and above it fall on either side of the gate
+    rng = np.random.default_rng(47 + complex_)
+    n, lam = 6, np.array([2.5, 3.0, 4.0, 4.5, 7.0, 9.0])
+    G = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
+    U = np.linalg.qr(G)[0]
+    A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
+    B = (U * lam) @ U.conj().T + (A - A.conj().T)
+    assert hermitian_lambda_min(B) == pytest.approx(2.5, rel=1e-13)
+    assert hermitian_at_least(B, 2.5 * (1 - 1e-9))
+    assert not hermitian_at_least(B, 2.5 * (1 + 1e-9))
+    assert hermitian_at_least(B[None].repeat(3, axis=0), 2.5 * (1 - 1e-9))
 
 
 def test_realify_preserves_ellipticity():

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -14,6 +15,9 @@ from possem.coefficients import (
     GridSampledField,
     PolynomialField,
     check_ellipticity,
+    default_coercivity_tol,
+    default_ellipticity_points,
+    hermitian_at_least,
 )
 from possem.decoupling import (
     NonrealWitness,
@@ -34,7 +38,7 @@ from possem.errors import ContractViolation, DomainError, GeometryError, Numeric
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
 from possem.semigroup import GeneratorOperator, positivity_scan
-from possem.tents import PiecewiseLinear1D, TensorTestFunction
+from possem.tents import PiecewiseLinear1D, TensorTestFunction, build_test_pair
 
 
 def test_probe_constant_system_exact():
@@ -376,6 +380,54 @@ def test_construct_witness_diagonal_pair_threshold_equality():
     assert w.value > 0
 
 
+def assert_same_pair(got, want):
+    """Two tent pairs agree bit for bit: scales, centres and dilations as
+    float hex, factors by their breakpoint and value bytes, tau, target and
+    case."""
+    for a, b in ((got.phi, want.phi), (got.psi, want.psi)):
+        assert [float.hex(float(v)) for v in (a.scale, *a.center, a.delta)] == \
+            [float.hex(float(v)) for v in (b.scale, *b.center, b.delta)]
+        assert a.factors == b.factors
+    assert float.hex(got.tau) == float.hex(want.tau)
+    assert (got.ktilde, got.ltilde, got.case_id) == (want.ktilde, want.ltilde, want.case_id)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kl", [(0, 0), (0, 1), (1, 1), (1, 0)])
+@pytest.mark.parametrize("coupling", [0.3, -0.3, 1.7, -1.7])
+def test_witness_pair_is_build_test_pair(d, kl, coupling):
+    # construct_witness reads the verified pair of tau's sign and scales its
+    # phi by |tau|; that is build_test_pair(tau, ...) bit for bit, in each of
+    # the four cases (sign x diagonal target)
+    k, l = kl
+    R = np.zeros((2, 2))
+    R[1, 0] = coupling
+    six = ConstantField(6 * np.eye(2, dtype=complex))
+    z = ConstantField(np.zeros((2, 2), dtype=complex))
+    rows = [[six if i == j else z for j in range(d)] for i in range(d)]
+    rows[k][l] = ConstantField((6 * np.eye(2) * (k == l) + R).astype(complex))
+    sys_ = EllipticSystem(((-4.0, 4.0),) * d, 2, rows, "dirichlet", 4.0)
+    x0 = np.full(d, 0.5)
+    cert = construct_witness(sys_, x0, k, l, sys_.symmetrized(k, l, x0))
+    tau = cert.pair.tau
+    assert np.sign(tau) == np.sign(coupling)
+    assert_same_pair(cert.pair, build_test_pair(tau, k, l, d).dilated(x0, cert.delta))
+    assert cert.value >= cert.threshold * (1 - 1e-9)
+
+
+def test_counterexample_witness_pair_is_build_test_pair():
+    # the ROADMAP counterexample's witness has tau < 0 on the diagonal target
+    # (0, 0): case 3, which a pair cached without its sign would miss
+    import possem
+
+    sys_ = _perfbench_workloads().soundness_counterexample(possem)
+    w = decide_decoupling(sys_).witness
+    assert (w.ktilde, w.ltilde) == (0, 0) and w.pair.tau < 0 and w.pair.case_id == 3
+    want = build_test_pair(w.mult_witness.pairing.real, 0, 0, 2).dilated(w.x0, w.delta)
+    assert_same_pair(w.pair, want)
+    assert w.value == pytest.approx(0.0938437, abs=1e-6)
+
+
 def test_nonreal_witness_for_complex_diagonal():
     z = ConstantField(np.zeros((2, 2), dtype=complex))
     six = ConstantField(6 * np.eye(2, dtype=complex))
@@ -499,6 +551,55 @@ def test_positive_verdict_records_a_channel_below_mu():
     assert not verdict.diagnostics["scalar_coercivity_ok"]
     with pytest.raises(ContractViolation, match="scalar systems fail their coercivity"):
         decide_decoupling(sys_)
+
+
+def with_mu(sys_, mu):
+    return EllipticSystem(sys_.box, sys_.m, sys_.coeffs, sys_.bc, mu)
+
+
+@pytest.mark.parametrize("name", ["scalar_heat", "ex1_3", "ex5_5", "rand_coupled(3)", "mixed"])
+def test_decision_fails_a_declared_coercivity_above_lambda_min(name):
+    # the gate fails, and the eigenvalues give the message the smallest
+    # eigenvalue of check_ellipticity, to the bit
+    if name == "mixed":
+        base = decoupled_systems()[-2]          # a constant beside a grid
+    else:
+        base = catalog.get(name).build()
+    lam = check_ellipticity(base).lambda_min
+    for mu in (lam + 0.5, lam + 1e-6 * max(1.0, abs(lam))):
+        sys_ = with_mu(base, mu)
+        assert not check_ellipticity(sys_).passed
+        with pytest.raises(ContractViolation, match="fails its declared coercivity") as exc:
+            decide_decoupling(sys_)
+        read = float(re.search(r"lambda_min = (\S+) <", str(exc.value)).group(1))
+        assert float.hex(read) == float.hex(lam)
+
+
+def test_coercivity_on_the_floor_is_decided_by_the_eigenvalues():
+    # a heat flow with conductivity c = 1 - tol below 1, declared mu = 1:
+    # its Hermitian part is c I, so H - floor I is zero at the floor
+    # mu - tol = c, the Cholesky gate fails, lambda_min = c clears the floor
+    # and the decision passes, as check_ellipticity does
+    def heat(c):
+        one, zero = ConstantField(np.array([[c]])), ConstantField(np.zeros((1, 1)))
+        return EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 1, ((one, zero), (zero, one)),
+                              "dirichlet", 1.0)
+
+    sys_ = heat(1.0 - 1e-10)
+    floor = sys_.mu - default_coercivity_tol(sys_)
+    assert floor == 1.0 - 1e-10
+    assert not hermitian_at_least(sys_.block_matrix(default_ellipticity_points(sys_)), floor)
+    assert check_ellipticity(sys_).passed
+    assert decide_decoupling(sys_).positive
+    # the same for the scalar systems' check, whose floor is mu - tol
+    sys_ = heat(1.0 - 1e-8)
+    tol = default_decision_tol(sys_)
+    B = sys_.block_matrix(default_probe_points(sys_))
+    assert sys_.mu - tol == 1.0 - 1e-8
+    assert not hermitian_at_least(B, sys_.mu - tol)
+    assert scalar_coercivity(sys_, B, tol)[1].all()
+    verdict = decide_decoupling(sys_, require_elliptic=False)
+    assert verdict.positive and verdict.diagnostics["scalar_coercivity_ok"]
 
 
 def test_form_criterion_witness_state_positive():

@@ -35,18 +35,22 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import _as_box, tensor_points
 from .errors import NumericalError
 from .tents import (
     binomial_shift,
     check_capacity,
+    common_support,
     hat_moments,
     moment_tables,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ class DiscreteForm:
     them can be kept with the form (``memo``) and freed with it.
     """
 
-    K: sp.csr_matrix
+    K: scipy.sparse.csr_matrix
     mass: np.ndarray        # per node; dof mass = repeat(mass, m)
     grid: Grid
     m: int
@@ -184,21 +188,14 @@ class DiscreteForm:
         return float(np.abs(coo.data[mask]).max())
 
 
-def _derivative_orders(k, l, exps):
-    """dk, dl (T, d): the one-hot derivative orders of the terms along k and
-    l; CapacityError past e + 2 - dk - dl."""
-    dk, dl = np.eye(exps.shape[1], dtype=int)[np.array((k, l))]
-    check_capacity(int((exps - dk - dl).max()) + 2)
-    return dk, dl
-
-
-def _term_stencil(grid, terms, m, filled):
-    """Stencil-block array (*nodes, slot) of the monomial terms, arrays (k,
-    l, exponents, C) as in ``CoefficientTable.terms``, and the bool mask
-    (i, *offsets, j) of the slots it keeps, in row-major order: ``sum_t
-    C_t[i, j] prod_axis band_t(node, offset)``.  The sum over the terms t is
-    one complex matrix product R = P^T Q of P_t = C_t band_t on the first
-    axis and Q_t = the product of the other axes' bands.
+def _term_stencil(grid, table, m, filled):
+    """Stencil-block array (*nodes, slot) of the monomial terms of a
+    ``CoefficientTable``, read with the derivative orders and the capacity
+    degree it holds, and the bool mask (i, *offsets, j) of the slots it
+    keeps, in row-major order: ``sum_t C_t[i, j] prod_axis band_t(node,
+    offset)``.  The sum over the terms t is one complex matrix product R =
+    P^T Q of P_t = C_t band_t on the first axis and Q_t = the product of the
+    other axes' bands.
 
     The slot mask is derived from the factors before the product: a slot
     is kept if ``filled`` marks it (the slots the cell-sampled fields fill)
@@ -218,10 +215,11 @@ def _term_stencil(grid, terms, m, filled):
     free, a zeroed off-grid neighbour under zero trace).  Axes that an
     exponent reads keep every row."""
     d = grid.d
-    k, l, exps, C = terms
+    _, _, exps, C = table.terms
     if not len(C):
         return np.zeros(grid.shape + (np.count_nonzero(filled),), dtype=complex), filled
-    dk, dl = _derivative_orders(k, l, exps)
+    check_capacity(table.degree)
+    dk, dl = table.orders
     tops, shape = exps.max(axis=0), grid.shape
     # an axis no exponent reads has three distinct band rows past 3 nodes
     shrunk = [ax for ax in range(d) if tops[ax] == 0 and shape[ax] > 3]
@@ -320,6 +318,8 @@ def _stencil_csr(S, slots, grid):
     eliminate_zeros drops them and leaves K canonical, with the entries and
     bits of the full stencil; until then their columns, clipped into range,
     may name another node."""
+    import scipy.sparse
+
     N, m = grid.N, slots.shape[0]
     idx = np.int32 if max(S.size, N * m) < 2 ** 31 else np.int64      # indptr, columns
     node_step = np.cumprod((1,) + grid.shape[:0:-1])[::-1]          # per axis
@@ -332,7 +332,7 @@ def _stencil_csr(S, slots, grid):
     indptr = np.zeros(N * m + 1, dtype=idx)
     indptr[1:] = (len(i) * np.arange(N, dtype=idx)[:, None]
                   + np.cumsum(np.bincount(i, minlength=m))).ravel()
-    K = sp.csr_matrix((S.reshape(-1), cols, indptr), shape=(N * m, N * m))
+    K = scipy.sparse.csr_matrix((S.reshape(-1), cols, indptr), shape=(N * m, N * m))
     K.eliminate_zeros()
     return K
 
@@ -350,7 +350,7 @@ def assemble(sys, grid):
     filled = np.zeros((m,) + (3,) * d + (m,), dtype=bool)
     for L, vals in sampled:
         filled |= _sampled_slots(L, vals)
-    S, slots = _term_stencil(grid, sys.table.terms, m, filled)
+    S, slots = _term_stencil(grid, sys.table, m, filled)
     for L, vals in sampled:
         _add_sampled(S, slots, grid, L, vals)
     return DiscreteForm(_stencil_csr(S, slots, grid), grid.mass_weights(), grid, m)
@@ -370,38 +370,38 @@ def form_matrix(sys, phi, psi, deltas=None):
     psi_axis^(b)`` over the box for every derivative pattern (a, b); the
     weights ``prod_axis table[axis, l == axis, k == axis, e_axis]`` of every
     term of every (k, l) and dilation times the terms ``C_e`` are one matrix
-    product.  The terms are read on the hull of the dilations'
-    intersections (the largest one when the supports are nested, as a tent
+    product.  Where each term reads its weights (``moment_index``, from the
+    terms' derivative orders), the top exponent and the capacity degree are
+    built once with the system's ``CoefficientTable``; the capacity is
+    checked on every call.  The intersections of the supports and the box
+    for all dilations are one (S, d, 2) array, and the terms are read on
+    their hull (the largest one when the supports are nested, as a tent
     pair's are), so grid-sampled coefficients raise UnsupportedContract
     unless every dilation's intersection lies inside a single coefficient
     cell.
     """
-    d, m = sys.d, sys.m
-    stack = (phi.delta,) if deltas is None else tuple(float(dd) for dd in deltas)
-    ref = [(max(f.support[0], g.support[0]), min(f.support[1], g.support[1]))
-           for f, g in zip(phi.factors, psi.factors)]
-    region = None       # hull of the nonempty intersections
-    for dd in stack:
-        span = [(max(c + dd * lo, a), min(c + dd * hi, b))
-                for c, (lo, hi), (a, b) in zip(phi.center, ref, sys.box)]
-        if all(hi > lo for lo, hi in span):
-            region = span if region is None else [
-                (min(lo, lo2), max(hi, hi2)) for (lo, hi), (lo2, hi2) in zip(region, span)]
+    d, m, table = sys.d, sys.m, sys.table
+    stack = np.array((phi.delta,) if deltas is None else deltas, dtype=float)
+    bounds = np.array(sys.box)
+    # span[s, axis] = [max(lo, a), min(hi, b)] of dilation s's intersection,
+    # empty when hi <= lo
+    span = np.array(phi.center)[:, None] + stack[:, None, None] * common_support((phi, psi)).T
+    span = np.minimum(np.maximum(span, bounds[:, :1]), bounds[:, 1:])
+    nonempty = (span[..., 1] > span[..., 0]).all(axis=1)
     out = np.zeros((len(stack), m, m), dtype=complex)
-    if region is not None:
-        k, l, exps, C = sys.table.terms
-        sampled = sys.table.sampled
-        if sampled:     # each grid-sampled field's constant on the region
-            k = np.concatenate([k, [kk for kk, _, _ in sampled]])
-            l = np.concatenate([l, [ll for _, ll, _ in sampled]])
-            exps = np.concatenate([exps, np.zeros((len(sampled), d), dtype=int)])
-            C = np.concatenate([C] + [fld.monomials(d, region)[1] for _, _, fld in sampled])
+    if nonempty.any():
+        C = table.terms[3]
+        if table.sampled:       # each grid-sampled field's constant on the hull
+            region = list(zip(span[nonempty, :, 0].min(axis=0).tolist(),
+                              span[nonempty, :, 1].max(axis=0).tolist()))
+            C = np.concatenate([C] + [fld.monomials(d, region)[1] for _, _, fld in table.sampled])
         if len(C):
-            dpsi, dphi = _derivative_orders(k, l, exps)     # psi along k, phi along l
-            tables = moment_tables((phi, psi), int(exps.max()), sys.box, stack)
+            check_capacity(table.degree)
+            tables = moment_tables((phi, psi), table.top, sys.box, stack)
             if not np.isfinite(tables).all():
                 raise NumericalError("non-finite coefficient term or moment")
-            weights = tables[:, np.arange(d), dphi, dpsi, exps].prod(axis=-1)    # (S, T)
+            # weights[s, t] = prod_axis tables[s, axis, l == axis, k == axis, e_axis]
+            weights = tables.reshape(len(stack), -1).take(table.moment_index, axis=1).prod(axis=-1)
             out = phi.scale * psi.scale * np.einsum("st,tij->sij", weights, C)
     return out[0] if deltas is None else out
 
@@ -416,7 +416,9 @@ def form_value(sys, u, v):
 
 def export_matrix_text(K, fileobj):
     """Write a sparse complex matrix as header + 1-based coordinate triplets."""
-    coo = sp.coo_matrix(K)
+    import scipy.sparse
+
+    coo = scipy.sparse.coo_matrix(K)
     fileobj.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
     order = np.lexsort((coo.col, coo.row))
     for r, c, val in zip(coo.row[order], coo.col[order], coo.data[order]):

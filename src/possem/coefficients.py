@@ -226,9 +226,12 @@ class PolynomialField(MatrixField):
             raise ValueError("entries must be MultiPoly in d variables")
         shape = tuple(map(max, zip(*(p.coeffs.shape for row in rows for p in row))))
         coeffs = np.zeros((*shape, m, m), dtype=complex)
-        for i, row in enumerate(rows):     # added into zeros: no part is -0.0
+        # added into zeros, so no part is -0.0; an all-zero entry would add
+        # nothing, so it is skipped
+        for i, row in enumerate(rows):
             for j, p in enumerate(row):
-                coeffs[tuple(map(slice, p.coeffs.shape)) + (i, j)] += p.coeffs
+                if p.coeffs.any():
+                    coeffs[tuple(map(slice, p.coeffs.shape)) + (i, j)] += p.coeffs
         coeffs = self._hold(coeffs, "polynomial coefficients")
         # sum(shape) - d is the highest degree the tensor can hold
         if sum(shape) - d > max_total_degree:
@@ -349,16 +352,46 @@ class CoefficientTable:
     listed as (k, l, field) in ``sampled``, whose blocks are zero.  ``terms``
     holds the same terms one by one in (k, l, exponent) order, as arrays
     k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m).
+
+    What the form reads of the terms is built with them, once per table:
+    ``orders`` (dk, dl), the one-hot (T', d) derivative orders of each term
+    along k and along l (the test function is differentiated along k, the
+    trial function along l); ``top``, the largest exponent (0 without
+    terms); ``degree``, the largest per-axis integrand degree e + 2 - dk -
+    dl of a term against two tents, which ``form_matrix`` and ``assemble``
+    check against the quadrature's capacity on every call; and
+    ``moment_index`` (T' + len(sampled), d), where each term, then each
+    grid-sampled field as a constant, reads its per-axis moment in a
+    flattened (d, 2, 2, top + 1) table of ``tents.moment_tables`` for the
+    pair (trial, test).
     """
 
     exps: np.ndarray
     blocks: np.ndarray
     terms: tuple
     sampled: tuple
+    orders: tuple = field(init=False, repr=False)
+    top: int = field(init=False, repr=False)
+    degree: int = field(init=False, repr=False)
+    moment_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.exps, self.blocks, *self.terms):
+        k, l, exps, _ = self.terms
+        T, d = exps.shape
+        top = int(exps.max(initial=0))
+        # the form reads each grid-sampled field as one constant term, after the terms
+        sampled_kl = np.array([(kk, ll) for kk, ll, _ in self.sampled], dtype=int).reshape(-1, 2)
+        dk, dl = (np.eye(d, dtype=int)[np.concatenate([axes, sampled_kl[:, i]])]
+                  for i, axes in enumerate((k, l)))
+        index = ((np.arange(d) * 2 + dl) * 2 + dk) * (top + 1)
+        index[:T] += exps
+        orders = dk[:T], dl[:T]
+        for arr in (self.exps, self.blocks, *self.terms, *orders, index):
             arr.flags.writeable = False     # one table is shared by every reader
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "degree", int((exps - sum(orders)).max(initial=-2)) + 2)
+        object.__setattr__(self, "moment_index", index)
 
     @classmethod
     def from_terms(cls, k, l, exps, C, sampled):

@@ -146,25 +146,25 @@ def _witness_pair(tau, ktilde, ltilde, d):
 
 
 def _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson):
-    """ProbeResult of the channel matrices F of the pair at each dilation:
-    the history of delta**(2-d) * F, its convergence and its estimate.
-    Every F must be finite: a NaN difference never reads as divergence."""
-    history = [(dd, dd ** (2 - d) * np.asarray(F, dtype=complex))
-               for dd, F in zip(deltas, matrices)]
-    diffs = [float(np.abs(history[s][1] - history[s - 1][1]).max())
-             for s in range(1, len(history))]
-    scale = max(1.0, float(np.abs(history[-1][1]).max()))
+    """ProbeResult of the channel matrices F (S, m, m) of the pair at each
+    dilation: the history of delta**(2-d) * F, one stacked product, its
+    convergence from the steps of one ``np.diff``, and its estimate.  Every
+    F must be finite: a NaN difference never reads as divergence."""
+    # each scale is a Python float power, as the history has always had it
+    scaled = np.array([dd ** (2 - d) for dd in deltas])[:, None, None] * np.asarray(matrices, dtype=complex)
+    diffs = np.abs(np.diff(scaled, axis=0)).max(axis=(1, 2))
+    scale = max(1.0, float(np.abs(scaled[-1]).max()))
     converged = True
-    if diffs:
+    if len(diffs):
         tiny = 1e-12 * scale
         if diffs[-1] > tiny and diffs[-1] > DIVERGENCE_FACTOR * max(diffs[0], tiny):
             converged = False
-    estimate = history[-1][1]
+    estimate = scaled[-1]
     extrapolated = False
-    if richardson and len(history) >= 2:
-        estimate = 2.0 * history[-1][1] - history[-2][1]
+    if richardson and len(scaled) >= 2:
+        estimate = 2.0 * scaled[-1] - scaled[-2]
         extrapolated = True
-    return ProbeResult(x0, ktilde, ltilde, estimate, deltas, tuple(history),
+    return ProbeResult(x0, ktilde, ltilde, estimate, deltas, tuple(zip(deltas, scaled)),
                        extrapolated, converged)
 
 

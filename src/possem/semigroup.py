@@ -54,8 +54,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import ContractViolation, NumericalError
 
@@ -100,6 +98,8 @@ class GeneratorOperator:
     def __init__(self, A=None, spectral=None, csr=None):
         """From a dense A, its CSR, or both; ``spectral`` gives the factors, or
         a function that computes a one-way coupling's factors on first use."""
+        import scipy.sparse
+
         if A is not None:
             A = np.asarray(A)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -126,6 +126,8 @@ class GeneratorOperator:
 
     @classmethod
     def _of_form(cls, dform):
+        import scipy.sparse
+
         real = dform.is_real()
         mass = dform.dof_mass
         K = dform.K.toarray()
@@ -181,6 +183,8 @@ class GeneratorOperator:
         """exp(-t A)."""
         t = float(t)
         if self._spectral is None:
+            import scipy.linalg
+
             return _finite(scipy.linalg.expm(-t * self.A))
         groups, links = self.spectral
         blocks = [(W * np.exp(-t * lam)) @ W_inv for _, lam, W, W_inv in groups]
@@ -326,6 +330,8 @@ def sign_witness(A):
     dense or sparse A; the mass is a positive diagonal, so K gives the same
     signs.  Ties within ``OFFENDER_BAND`` go to the smallest (i, j).
     """
+    import scipy.sparse
+
     coo = scipy.sparse.coo_matrix(A)
     scale = max(1.0, float(np.abs(coo.data).max(initial=0.0)))
     for kind, vals in (("lattice", np.where(coo.row != coo.col, coo.data.real, -np.inf)),
@@ -372,6 +378,8 @@ def _expm_multiply(A, B):
     """``scipy.sparse.linalg.expm_multiply(A, B)`` under numpy's global RNG
     seeded with NORM_ESTIMATE_SEED, the caller's state restored after: the
     result does not depend on that state, and the call does not move it."""
+    import scipy.sparse.linalg
+
     state = np.random.get_state()
     np.random.seed(NORM_ESTIMATE_SEED)
     try:

@@ -17,12 +17,17 @@ them into the moments of every dilation and center: one path behind
 ``moment_tables`` (the exact integrals, the pair self-check, ``form_matrix``)
 and ``hat_moments`` (the stiffness bands and cell corner matrices).  The
 shift runs over a stack at once: every node of a grid axis, or every
-dilation of one pair, whose nested supports share their reference moments.
+dilation and axis of one pair.  A stack's reference intervals, each axis's
+common support clipped by the box, are computed as one array, and the memo
+is read once per distinct interval: once per axis when the box clips no
+dilation, as for every probe, whose nested supports share their reference
+moments.  At exponent 0 the shift multiplies by exactly 1, so it is skipped.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +47,9 @@ MOMENT_MEMO_SIZE = 128
 
 _BINOMIAL = np.array([[math.comb(e, j) for j in range(CAPACITY + 1)]
                       for e in range(CAPACITY + 1)], dtype=float)
+#: The exponents j and max(e - j, 0) of the binomial shift.
+_POWERS = np.arange(CAPACITY + 1)
+_CENTER_POWERS = np.maximum(_POWERS[:, None] - _POWERS, 0)
 
 
 def check_capacity(degree):
@@ -193,19 +201,29 @@ def _reference_moments(factors, lo, hi):
 @np.errstate(over="ignore", invalid="ignore")
 def binomial_shift(refs, centers, delta, top, derivs):
     """Reference moments ``refs[c, ..., j]`` carried to ``x = center + delta
-    t``, one center per c: ``delta**(1 - derivs) sum_j C(e, j) center**(e - j)
-    delta**j refs[c, ..., j]`` for e = 0..top, derivs counting the slopes.
-    ``delta`` is one dilation for all c (the nodes of a grid axis) or one
-    per c (the axes of a stack of dilations).  Moments past the largest
-    double come out inf or NaN without a warning; callers check them."""
-    e = np.arange(top + 1)
+    t``: ``delta**(1 - derivs) sum_j C(e, j) center**(e - j) delta**j
+    refs[c, ..., j]`` for e = 0..top, derivs counting the slopes.  The
+    leading index c of refs may span several axes: ``centers`` and
+    ``delta`` broadcast against each other to its shape, as the nodes of a
+    grid axis (one center each, one dilation) or a stack of dilations (S,
+    1) times the axes' centers (d,).  At top 0 the shift is exactly 1 and
+    the sum has one term, so no shift is built: the sum is ``refs[..., :1]
+    + 0.0``, the bits of the general one-term sum, whose zero start turns
+    -0.0 into 0.0.  Moments past the largest double come out inf or NaN
+    without a warning; callers check them."""
     delta = np.asarray(delta, dtype=float)
-    # shift[c, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e
-    shift = (_BINOMIAL[:top + 1, :top + 1] * np.asarray(centers, dtype=float)[:, None, None]
-             ** np.maximum(e[:, None] - e, 0) * delta[..., None, None] ** e)
     # delta**(1 - derivs): dx = delta dt and each slope brings 1 / delta
-    deriv_scale = delta.reshape(delta.shape + (1,) * (refs.ndim - 1)) ** (1.0 - derivs)[..., None]
-    return deriv_scale * np.einsum("c...j,cej->c...e", refs[..., :top + 1], shift)
+    deriv_scale = delta.reshape(delta.shape + (1,) * (refs.ndim - delta.ndim)) ** (1.0 - derivs)[..., None]
+    if top == 0:
+        return deriv_scale * (refs[..., :1] + 0.0)
+    # shift[c, e, j] = C(e, j) center**(e - j) delta**j, zero for j > e
+    shift = (_BINOMIAL[:top + 1, :top + 1] * np.asarray(centers, dtype=float)[..., None, None]
+             ** _CENTER_POWERS[:top + 1, :top + 1] * delta[..., None, None] ** _POWERS[:top + 1])
+    # one flat index c for the einsum, the leading shape restored after it
+    lead = shift.shape[:-2]
+    flat = refs[..., :top + 1].reshape((-1,) + refs.shape[len(lead):-1] + (top + 1,))
+    moments = np.einsum("c...j,cej->c...e", flat, shift.reshape(flat.shape[:1] + shift.shape[-2:]))
+    return deriv_scale * moments.reshape(lead + moments.shape[1:])
 
 
 #: Tent pairs and reflection signs (-1)**(dp + dq + j) of ``hat_moments``.
@@ -239,6 +257,24 @@ def _slope_counts(n):
     return counts
 
 
+@functools.lru_cache(maxsize=MOMENT_MEMO_SIZE)
+def _common_support(axes):
+    """Read-only array (2, d) of the common support of each axis's factors,
+    ``axes[i]`` holding axis i's: its largest first and smallest last
+    breakpoint."""
+    out = np.array([(max(f.support[0] for f in fs), min(f.support[1] for f in fs))
+                    for fs in axes]).T
+    out.flags.writeable = False
+    return out
+
+
+def common_support(fns):
+    """The intersection of the supports of tensor functions' reference
+    factors, axis by axis: read-only array (2, d) of lower and upper ends,
+    memoized by the factors."""
+    return _common_support(tuple(zip(*(fn.factors for fn in fns))))
+
+
 def moment_tables(fns, top, box=None, deltas=None):
     """Per-axis moments of tensor test functions that share one center and
     dilation (ValueError otherwise), their scales left out.
@@ -247,14 +283,20 @@ def moment_tables(fns, top, box=None, deltas=None):
     function: ``tables[axis, a_1, ..., a_n, e]`` is the integral over the
     line (or the box's interval) of ``x**e prod_i f_i^(a_i)`` in the
     axis's coordinate, where f_i is the axis factor of ``fns[i]`` and
-    a_i = 1 differentiates it.  With ``deltas`` the functions are re-dilated
-    about their center to each of them and the tables are stacked, one
-    (d, 2, ..., 2, top + 1) table per dilation.  Every table comes from the
-    memoized reference moments, looked up once per axis and clipped interval
-    (a dilation whose support the box does not clip shares the entry of the
-    others), and one binomial shift ``x = center + delta t`` over the stack.
-    An entry is exact when e plus the number of undifferentiated factors is
-    at most CAPACITY; callers check that with ``check_capacity``.
+    a_i = 1 differentiates it.  With ``deltas`` the functions are
+    re-dilated about their center to each of them and the tables are
+    stacked, one (d, 2, ..., 2, top + 1) table per dilation.
+
+    The reference interval of every dilation and axis, the factors' common
+    support clipped by the box, is computed for the whole stack as one
+    array.  The memoized reference moments are looked up once per axis and
+    distinct interval, and broadcast to every dilation with that interval:
+    dilations whose supports the box does not clip share the factors'
+    support, so an unclipped stack (every probe's) costs one lookup per
+    axis.  One binomial shift ``x = center + delta t`` then carries the
+    whole stack.  An entry is exact when e plus the number of
+    undifferentiated factors is at most CAPACITY; callers check that with
+    ``check_capacity``.
     """
     first = fns[0]
     if any(fn.d != first.d for fn in fns):
@@ -264,24 +306,27 @@ def moment_tables(fns, top, box=None, deltas=None):
         raise ValueError("tensor functions must share their center and dilation")
     if box is not None and len(box) != first.d:
         raise ValueError("box dimension mismatch")
-    stack = (first.delta,) if deltas is None else tuple(float(dd) for dd in deltas)
+    stack = np.array((first.delta,) if deltas is None else deltas, dtype=float)
     n, d = len(fns), first.d
-    # one row per dilation and axis, dilation-major
-    refs = np.zeros((len(stack) * d,) + (2,) * n + (top + 1,))
-    for axis, center in enumerate(first.center):
-        factors = tuple(fn.factors[axis] for fn in fns)
-        lo = max(f.support[0] for f in factors)
-        hi = min(f.support[1] for f in factors)
-        for s, delta in enumerate(stack):
-            a, b = lo, hi
-            if box is not None:
-                a = max(a, (box[axis][0] - center) / delta)
-                b = min(b, (box[axis][1] - center) / delta)
-            if b > a:
-                refs[s * d + axis] = _reference_moments(factors, float(a), float(b))[..., :top + 1]
-    tables = binomial_shift(refs, tuple(first.center) * len(stack),
-                            [delta for delta in stack for _ in range(d)], top, _slope_counts(n))
-    return tables if deltas is None else tables.reshape((len(stack), d) + tables.shape[1:])
+    center = np.array(first.center, dtype=float)
+    axes = tuple(zip(*(fn.factors for fn in fns)))          # the factors of each axis
+    support_lo, support_hi = _common_support(axes)
+    # [lo, hi] (S, d) per dilation and axis: the common support clipped by
+    # the box in reference coordinates (fmax and fmin pass over a NaN
+    # bound, as max and min do)
+    bounds = np.array(box if box is not None else [(-np.inf, np.inf)] * d, dtype=float)
+    box_lo, box_hi = (bounds.T - center)[:, None] / stack[:, None]
+    lo, hi = np.fmax(box_lo, support_lo), np.fmin(box_hi, support_hi)
+    # one reference table per distinct (axis, interval), in first-seen order
+    rows = list(zip(itertools.cycle(range(d)), lo.ravel().tolist(), hi.ravel().tolist()))
+    found = dict.fromkeys(rows)
+    zero = np.zeros((2,) * n + (top + 1,))
+    for axis, a, b in found:
+        found[axis, a, b] = _reference_moments(axes[axis], a, b)[..., :top + 1] if b > a else zero
+    # every (dilation, axis) row reads its interval's table
+    refs = np.array(list(map(found.__getitem__, rows))).reshape((len(stack), d) + zero.shape)
+    tables = binomial_shift(refs, center, stack[:, None], top, _slope_counts(n))
+    return tables[0] if deltas is None else tables
 
 
 def tensor_product_integral(terms, weight=None, box=None):

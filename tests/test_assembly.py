@@ -577,7 +577,7 @@ def full_stencil(sys_, grid):
     """The stencil-block array with every slot (i, *offsets, j) kept, as
     ``assemble`` builds it before the slot mask, and that all-true mask."""
     every = np.ones((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
-    S, _ = _term_stencil(grid, sys_.table.terms, sys_.m, every)
+    S, _ = _term_stencil(grid, sys_.table, sys_.m, every)
     for k, l, fld in sys_.table.sampled:
         _add_sampled(S, every, grid, *_cell_coupling(grid, fld, k, l))
     return S, every
@@ -588,7 +588,7 @@ def kept_slots(sys_, grid):
     filled = np.zeros((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
     for k, l, fld in sys_.table.sampled:
         filled |= _sampled_slots(*_cell_coupling(grid, fld, k, l))
-    return _term_stencil(grid, sys_.table.terms, sys_.m, filled)[1]
+    return _term_stencil(grid, sys_.table, sys_.m, filled)[1]
 
 
 def assert_mask_covers_full_stencil(sys_, grid):
@@ -744,10 +744,12 @@ def test_form_matrix_capacity():
                               max_total_degree=14)
         sys_ = EllipticSystem(box, 1, ((c11, zero), (zero, one)), "free", 0.0)
         if raises:
-            with pytest.raises(CapacityError):
-                form_matrix(sys_, pair.phi, pair.psi)
-            with pytest.raises(CapacityError):
-                assemble(sys_, grid)
+            # the table holds the degree, and every call checks it, not the first only
+            for _ in range(2):
+                with pytest.raises(CapacityError):
+                    form_matrix(sys_, pair.phi, pair.psi)
+                with pytest.raises(CapacityError):
+                    assemble(sys_, grid)
         else:
             F = form_matrix(sys_, pair.phi, pair.psi)
             assert np.abs(F - per_kl_form_matrix(sys_, pair.phi, pair.psi)).max() <= 1e-14

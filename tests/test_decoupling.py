@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -37,7 +39,7 @@ from possem.decoupling import (
 from possem.errors import ContractViolation, DomainError, GeometryError, NumericalError
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
-from possem.semigroup import GeneratorOperator, positivity_scan
+from possem.semigroup import GeneratorOperator, positivity_scan, sign_witness
 from possem.tents import PiecewiseLinear1D, TensorTestFunction, build_test_pair
 
 
@@ -906,6 +908,52 @@ def test_divergent_drift_scans_find_the_witness(build, verdict, witness):
         assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet"))))
     assert rep.verdict == verdict and rep.witness[:3] == witness[:3]
     assert rep.witness[3] == pytest.approx(witness[3], abs=1e-12)
+
+
+# ROADMAP item 10: the zero test's tolerance 1e-8 max(1, M) passes a
+# coupling below it.  C_11 = [[1, eps], [eps, 1]], C_22 = I couples the two
+# channels through eps, so the semigroup is not positive for any eps != 0;
+# a cross-channel tent pair's form value holds no channel-diagonal
+# coefficient, so it reads eps to full relative accuracy.
+TOLERANCE_BAND = [5e-9, 1e-9]
+
+
+def _coupled_inside_tolerance(eps):
+    zero = ConstantField(np.zeros((2, 2)))
+    c11 = ConstantField(np.array([[1.0, eps], [eps, 1.0]]))
+    return EllipticSystem(((0.0, 1.0), (0.0, 1.0)), 2,
+                          ((c11, zero), (zero, ConstantField(np.eye(2)))), "dirichlet", 0.5)
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="the zero test passes symmetrized couplings below its tolerance "
+                          "1e-8 max(1, M) (ROADMAP item 10)")
+@pytest.mark.parametrize("eps", TOLERANCE_BAND)
+def test_coupling_below_the_tolerance_is_not_positive(eps):
+    assert decide_decoupling(_coupled_inside_tolerance(eps)).decision == "not-positive"
+
+
+@pytest.mark.parametrize("eps", TOLERANCE_BAND)
+def test_coupling_below_the_tolerance_has_a_lattice_witness(eps):
+    # dofs 0 and 1 are channels 1 and 2 of node 0: K_01 = 4 eps / 3 > 0 is a
+    # cross-channel lattice pair of the 8^2 form
+    sys_ = _coupled_inside_tolerance(eps)
+    witness = sign_witness(assemble(sys_, Grid(sys_.box, (8, 8), "dirichlet")).K)
+    assert witness[:3] == ("lattice", 0, 1)
+    assert witness[3] == pytest.approx(4 * eps / 3, rel=1e-9)
+
+
+def test_deciding_imports_no_scipy():
+    # scipy is imported inside the functions that use it (the sparse
+    # assembly, the semigroup engine), so a decision loads none of it
+    code = ("import sys, possem\n"
+            "verdict = possem.decide_decoupling(possem.catalog.get('ex1_3').build())\n"
+            "print(verdict.decision, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["positive-decoupled", "[]"]
 
 
 def test_non_finite_probe_history_is_a_numerical_error():

@@ -7,7 +7,7 @@ from numpy.polynomial import Polynomial
 
 from possem import catalog
 from possem.coefficients import DEFAULT_MAX_TOTAL_DEGREE
-from possem.decoupling import probe_system
+from possem.decoupling import _probe_pair, boundary_distance, probe_system
 from possem.errors import CapacityError
 from possem.polynomials import MultiPoly
 from possem.tents import (
@@ -15,7 +15,10 @@ from possem.tents import (
     MOMENT_MEMO_SIZE,
     PiecewiseLinear1D,
     TensorTestFunction,
+    _BINOMIAL,
     _reference_moments,
+    _slope_counts,
+    binomial_shift,
     build_test_pair,
     double_hat,
     hat,
@@ -325,6 +328,61 @@ def test_moment_memo_is_bounded():
     assert 0 < after_1000.currsize == after_10.currsize <= MOMENT_MEMO_SIZE
     assert after_1000.misses == after_10.misses
     assert after_1000.hits > after_10.hits
+
+
+@pytest.mark.parametrize("name", ["ex1_3", "ex5_5", "rand_coupled(2)", "witness_W",
+                                  "ex3_5_nullform"])
+@pytest.mark.parametrize("clipped", [False, True])
+def test_stacked_moment_tables_match_one_call_per_dilation(name, clipped):
+    # a stack shares each axis's reference moments among the dilations with
+    # the same clipped interval; every table must keep the bits of its own
+    # call.  The clipped stack's larger dilations reach past the box on
+    # some axes, its smaller ones do not.
+    sys_ = catalog.get(name).build()
+    x0 = np.array([a + (b - a) * f for (a, b), f in zip(sys_.box, (0.3, 0.55, 0.7))])
+    dist = boundary_distance(sys_.box, x0)
+    deltas = dist * (np.array([0.25, 0.5, 1.5, 3.0]) if clipped else 2.0 ** -np.arange(7))
+    for k in range(sys_.d):
+        for l in range(k, sys_.d):
+            pair = _probe_pair(sys_.d, k, l).dilated(x0, deltas[0])
+            for top in sorted({0, int(sys_.table.exps.max(initial=0)), 4}):
+                stacked = moment_tables((pair.phi, pair.psi), top, sys_.box, deltas)
+                for dd, tables in zip(deltas, stacked):
+                    dil = pair.dilated(x0, dd)
+                    assert np.array_equal(tables, moment_tables((dil.phi, dil.psi), top, sys_.box))
+
+
+def test_unclipped_stack_looks_up_each_axis_once():
+    # the seven dilations of a probe schedule share each axis's reference
+    # moments: one memo lookup per axis, not one per dilation and axis
+    sys_ = catalog.get("ex5_5").build()
+    x0 = np.array([0.1, -0.2, 0.3])
+    deltas = boundary_distance(sys_.box, x0) * 2.0 ** -np.arange(7)
+    pair = _probe_pair(sys_.d, 0, 1).dilated(x0, deltas[0])
+    before = _reference_moments.cache_info()
+    moment_tables((pair.phi, pair.psi), 2, sys_.box, deltas)
+    after = _reference_moments.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == sys_.d
+
+
+def test_binomial_shift_at_top_zero_keeps_the_general_bits():
+    # at top 0 the shift is 1 and the sum has one term, added to a zero
+    # start: -0.0 comes out as 0.0, as from the general formula and from the
+    # e = 0 column of a larger top
+    rng = np.random.default_rng(5)
+    refs = rng.standard_normal((6, 2, 2, 4))
+    refs[0, 0, 0, 0] = refs[1, 1, 0, 0] = -0.0
+    refs[2, 0, 1, 0] = 0.0
+    centers, delta, derivs = rng.uniform(-3, 3, 6), rng.uniform(0.01, 2, 6), _slope_counts(2)
+    got = binomial_shift(refs, centers, delta, 0, derivs)
+    shift = _BINOMIAL[:1, :1] * centers[:, None, None] ** 0 * delta[:, None, None] ** 0
+    general = (delta.reshape(-1, 1, 1, 1) ** (1.0 - derivs)[..., None]
+               * np.einsum("c...j,cej->c...e", refs[..., :1], shift))
+    wider = binomial_shift(refs, centers, delta, 3, derivs)[..., :1]
+    for expect in (general, wider):
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+    assert got[0, 0, 0, 0] == 0.0 and not np.signbit(got[[0, 1], [0, 1], 0, 0]).any()
 
 
 def test_binomial_shift_of_a_dilated_pair():

@@ -1,18 +1,20 @@
 """Positivity decision by coefficient decoupling.
 
 The semigroup of an elliptic system is positive exactly when the system is
-equivalent to m independent scalar equations with real coefficients.  This
-module probes the symmetrized coefficients C_kl + C_lk (directly, or through
-the form with dilated tent pairs), tests the necessary condition that they
-are real diagonal at (almost) every point, extracts the scalar systems when
-it holds, and constructs a certified witness pair with a(u+, u-) > 0 when
-it fails.  The direct decision reads the coefficients once, at the points of
-the coercivity check and the probe points together; a Cholesky gate decides
-every coercivity check, and eigenvalues are computed only to explain a
-failure.  The antisymmetric remainder C_kl - diag(Re C_kl) is not checked
-yet, so a positive verdict is not sufficient: on the free space of ex1_3,
-u+ = (x2 + 4)/8 e_1 and u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and
-``factorization_residual`` raises ContractViolation (K couples channels).
+equivalent to m independent scalar equations with real coefficients.  The
+form determines the symmetrized coefficients C_kl + C_lk: ``probe`` and
+``probe_system`` recover them from the form with dilated tent pairs.  The
+decision reads them from the coefficient table, tests the necessary
+condition that they are real diagonal at (almost) every point, extracts the
+scalar systems when it holds, and constructs a certified witness pair with
+a(u+, u-) > 0 when it fails.  It reads the coefficients once, at the points
+of the coercivity check and the probe points together; a Cholesky gate
+decides every coercivity check, and eigenvalues are computed only to
+explain a failure.  The antisymmetric remainder C_kl - diag(Re C_kl) is
+not checked yet, so a positive verdict is not sufficient: on the free space
+of ex1_3, u+ = (x2 + 4)/8 e_1 and u- = (x1 + 4)/8 e_2 have a(u+, u-) =
+3 + 4i, and ``factorization_residual`` raises ContractViolation (K couples
+channels).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import (
     ContractViolation,
     DomainError,
     GeometryError,
-    IndeterminateDecision,
     NumericalError,
     WitnessNotLocalized,
 )
@@ -343,6 +344,8 @@ class Verdict:
     scalar_systems: tuple       # m scalar systems, or None
     witness: object             # WitnessCertificate | NonrealWitness | None
     tol: float
+    # the zero test's points; ``decouple`` also tabulates the scalar
+    # coefficients there
     probe_points: np.ndarray
     diagnostics: dict
 
@@ -403,40 +406,23 @@ def scalar_coercivity(sys, B, tol):
     return lams, lams >= sys.mu - tol
 
 
-def _first_failure(sys, points, tol, via_probe, B=None):
+def _first_failure(sys, points, tol, B):
     """First (x0, k, l, Q, diagonal, real) in scan order (points
     lexicographic, then k <= l) whose symmetrized coefficient Q is not real
-    diagonal, or None.  The direct path forms every C_kl + C_lk from the
-    block matrices B at all points (read here when not given);
-    ``via_probe`` probes one point and pair at a time and stops at the
-    first failure."""
+    diagonal, or None; every C_kl + C_lk is formed at once from the block
+    matrices B (n, d m, d m) at the points."""
     pairs = [(k, l) for k in range(sys.d) for l in range(k, sys.d)]
-
-    def probed():
-        for x0 in points:
-            for k, l in pairs:
-                res = probe_system(sys, x0, k, l)
-                if not res.converged:
-                    raise IndeterminateDecision(
-                        f"probe did not converge at {x0} for target ({k}, {l})",
-                        diagnostics={"history": res.history},
-                    )
-                yield x0[None], [(k, l)], res.estimate[None, None]
-
-    reads = probed() if via_probe else [
-        (points, pairs, pair_sums(sys.block_matrix(points) if B is None else B,
-                                  sys.d, sys.m, *np.array(pairs).T))]
-    for pts, kls, Q in reads:
-        diagonal = is_multiplication(Q, tol)
-        real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
-        failed = ~(diagonal & real)
-        if failed.any():
-            i, j = np.unravel_index(np.argmax(failed), failed.shape)
-            return (pts[i], *kls[j], Q[i, j], bool(diagonal[i, j]), bool(real[i, j]))
-    return None
+    Q = pair_sums(B, sys.d, sys.m, *np.array(pairs).T)
+    diagonal = is_multiplication(Q, tol)
+    real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
+    failed = ~(diagonal & real)
+    if not failed.any():
+        return None
+    i, j = np.unravel_index(np.argmax(failed), failed.shape)
+    return (points[i], *pairs[j], Q[i, j], bool(diagonal[i, j]), bool(real[i, j]))
 
 
-def decide_decoupling(sys, via_probe=False, require_elliptic=True):
+def decide_decoupling(sys, require_elliptic=True):
     """Decide positivity of the semigroup by testing every symmetrized
     coefficient for real diagonality at every ``default_probe_points``,
     to within ``default_decision_tol``.
@@ -448,13 +434,13 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
     ``default_coercivity_tol``.  Every coercivity check is decided by the
     Cholesky gate ``hermitian_at_least``; only when the gate fails do the
     eigenvalues (``hermitian_lambda_min``) decide, with the comparison of
-    ``check_ellipticity``, and give the smallest one for the message.
+    ``check_ellipticity``, and give the smallest one for the message.  The
+    zero test forms every C_kl + C_lk from the second part (``pair_sums``).
 
     On success the scalar systems are extracted, and their uniform bounds
     and their coercivity at the probe points are checked for all m at once:
     the bounds from one pass over the system's table (``scalar_bounds``),
-    the coercivity from the system's block matrices at the probe points,
-    which the direct path's zero test also reads (the gate, then
+    the coercivity from the block matrices of the zero test (the gate, then
     ``scalar_coercivity``).  With ``require_elliptic`` a failed check raises
     ContractViolation, otherwise it is only recorded.  On failure a witness
     is constructed at the first failure in scan order (points
@@ -477,7 +463,7 @@ def decide_decoupling(sys, via_probe=False, require_elliptic=True):
                 )
     else:
         B = sys.block_matrix(probe_points)
-    first_failure = _first_failure(sys, probe_points, tol, via_probe, B)
+    first_failure = _first_failure(sys, probe_points, tol, B)
 
     if first_failure is None:
         scalars = extract_scalar_systems(sys)

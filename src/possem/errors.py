@@ -34,7 +34,7 @@ class WitnessNotLocalized(PossemError):
 
 
 class IndeterminateDecision(PossemError):
-    """The probe did not converge at any scheduled dilation; carries diagnostics."""
+    """The decision could be certified neither way; carries diagnostics."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

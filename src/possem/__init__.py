@@ -32,6 +32,7 @@ from .decoupling import (
     NonrealWitness,
     ProbeResult,
     Verdict,
+    Witness,
     WitnessCertificate,
     construct_witness,
     decide_decoupling,

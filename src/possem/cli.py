@@ -20,12 +20,7 @@ from . import catalog as _catalog
 from .assembly import Grid, assemble, export_matrix_text
 from .coefficients import check_ellipticity, default_ellipticity_points, tensor_points
 from .config import build_system, dump_system
-from .decoupling import (
-    NonrealWitness,
-    WitnessCertificate,
-    decide_decoupling,
-    probe_system,
-)
+from .decoupling import decide_decoupling, probe_system
 from .errors import ConfigError, NumericalError, PossemError
 from .multop import diag_projection, find_witness, is_multiplication
 from .semigroup import GeneratorOperator, positivity_scan
@@ -239,12 +234,13 @@ def cmd_decouple(args, report):
 
 
 def _report_witness(report, out, sys_, wit, samples):
-    if isinstance(wit, WitnessCertificate):
+    if wit.kind == "lattice":
         report.add(f"witness at x0 = {np.array2string(wit.x0, precision=6)}, "
                    f"gradient pair ({wit.ktilde + 1}, {wit.ltilde + 1})")
+        # the pairing is tau, printed as the complex entry of Re Q it came from
         report.add(f"channel vector f = e_{int(np.argmax(wit.f)) + 1}, "
-                   f"set B = {{{', '.join(str(i + 1) for i in wit.mult_witness.B)}}}, "
-                   f"pairing = {wit.mult_witness.pairing:.12g}")
+                   f"set B = {{{', '.join(str(i + 1) for i in np.flatnonzero(wit.indicator))}}}, "
+                   f"pairing = {complex(wit.pair.tau):.12g}")
         report.add(f"dilation delta = {_fmt(wit.delta)}")
         report.add(f"form value on the split pair: {wit.value:.12g} "
                    f"(threshold {wit.threshold:.12g})")
@@ -254,19 +250,18 @@ def _report_witness(report, out, sys_, wit, samples):
         pts = tensor_points(grid.T)
         phi_vals = wit.pair.phi(pts)
         psi_vals = wit.pair.psi(pts)
-        one_b = wit.indicator
         for p, a, b in zip(pts, phi_vals, psi_vals):
             for ch in range(sys_.m):
                 rows.append([_fmt(v) for v in p]
-                            + [str(ch + 1), _fmt(a * wit.f[ch]), _fmt(b * one_b[ch])])
+                            + [str(ch + 1), _fmt(a * wit.f[ch]), _fmt(b * wit.indicator[ch])])
         header = [f"x{i + 1}" for i in range(sys_.d)] + ["channel", "u_plus", "u_minus"]
         write_csv(out / "witness.csv", header, rows)
         report.record("witness_value", wit.value)
-    elif isinstance(wit, NonrealWitness):
+    else:
         report.add(f"witness at x0 = {np.array2string(wit.x0, precision=6)}: "
-                   f"the form takes the non-real value Im = {wit.value_imag:.12g} "
-                   f"on real states (channels {wit.col + 1} -> {wit.row + 1})")
-        report.record("witness_imag", wit.value_imag)
+                   f"the form takes the non-real value Im = {wit.value:.12g} on real states "
+                   f"(channels {np.argmax(wit.f) + 1} -> {np.argmax(wit.indicator) + 1})")
+        report.record("witness_imag", wit.value)
 
 
 def cmd_probe(args, report):

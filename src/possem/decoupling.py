@@ -5,16 +5,17 @@ equivalent to m independent scalar equations with real coefficients.  The
 form determines the symmetrized coefficients C_kl + C_lk: ``probe`` and
 ``probe_system`` recover them from the form with dilated tent pairs.  The
 decision reads them from the coefficient table, tests the necessary
-condition that they are real diagonal at (almost) every point, extracts the
-scalar systems when it holds, and constructs a certified witness pair with
-a(u+, u-) > 0 when it fails.  It reads the coefficients once, at the points
-of the coercivity check and the probe points together; a Cholesky gate
-decides every coercivity check, and eigenvalues are computed only to
-explain a failure.  The antisymmetric remainder C_kl - diag(Re C_kl) is
-not checked yet, so a positive verdict is not sufficient: on the free space
-of ex1_3, u+ = (x2 + 4)/8 e_1 and u- = (x1 + 4)/8 e_2 have a(u+, u-) =
-3 + 4i, and ``factorization_residual`` raises ContractViolation (K couples
-channels).
+condition that they are real diagonal at (almost) every point, and extracts
+the scalar systems when it holds.  When it fails, one witness search
+(``construct_witness``) builds a ``Witness``: nonnegative states with
+a(u+, u-) > 0, or real states whose form value is not real.  It reads the
+coefficients once, at the points of the coercivity check and the probe
+points together; a Cholesky gate decides every coercivity check, and
+eigenvalues are computed only to explain a failure.  The antisymmetric
+remainder C_kl - diag(Re C_kl) is not checked yet, so a positive verdict
+is not sufficient: on the free space of ex1_3, u+ = (x2 + 4)/8 e_1 and
+u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and ``factorization_residual``
+raises ContractViolation (K couples channels).
 """
 
 from __future__ import annotations
@@ -208,126 +209,92 @@ def probe_system(sys, x0, ktilde, ltilde, deltas=None, richardson=True):
 # -- witnesses ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WitnessCertificate:
-    """Disjointly supported pair u+ = phi_delta x f, u- = psi_delta x 1_B
-    whose form value is positive, certifying that the semigroup is not
-    positive."""
+class Witness:
+    """Pair of nonnegative real states u+ = phi_delta x f, u- = psi_delta x
+    indicator at x0 whose form value z = indicator^H F f certifies that the
+    semigroup is not positive.  ``value`` is the part of z the claim reads,
+    and threshold = 0.5 * delta**(d-2) * target.  The class attribute
+    ``kind`` names the claim: a lattice witness claims Re z >= threshold (to
+    a relative 1e-9), a nonreal one |Im z| >= threshold."""
 
     x0: np.ndarray
     ktilde: int
     ltilde: int
-    mult_witness: MultWitness
     pair: object                # dilated TestPair
     delta: float
-    value: float                # Re a(u+, u-) > 0
-    threshold: float            # 0.5 * delta**(d-2) * tau**2
-    kind: str = "lattice"
-
-    @property
-    def f(self):
-        return self.mult_witness.f
-
-    @property
-    def indicator(self):
-        return _indicator(len(self.f), self.mult_witness.B)
+    f: np.ndarray
+    indicator: np.ndarray
+    value: float
+    threshold: float
 
 
 @dataclass(frozen=True)
-class NonrealWitness:
-    """Real input pair whose form value has nonzero imaginary part.
+class WitnessCertificate(Witness):
+    """Lattice witness: f and indicator = 1_B have disjoint supports, the
+    pair is ``build_test_pair`` with tau the pairing, and target = tau**2."""
 
-    Certifies failure of real invariance: positivity requires the form to be
-    real on real states.  Arises when the symmetrized coefficient is diagonal
-    but not real, where no disjointly supported pair can have positive value.
+    kind = "lattice"
+    mult_witness: MultWitness
+
+
+@dataclass(frozen=True)
+class NonrealWitness(Witness):
+    """Nonreal witness: f = e_col, indicator = e_row at the largest |Im Q|,
+    the probe's pair, and target = |Im Q[row, col]|; positivity requires a
+    real form on real states.  It serves a diagonal Q that is not real."""
+
+    kind = "nonreal"
+
+    @property
+    def row(self):
+        return int(np.argmax(self.indicator))
+
+    @property
+    def col(self):
+        return int(np.argmax(self.f))
+
+
+def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
+    """Certified witness for a symmetrized matrix Q that is not real diagonal:
+    a lattice witness when ``find_witness`` finds an off-diagonal entry of
+    Re Q, on ``build_test_pair`` with tau the pairing (``_witness_pair``),
+    else a nonreal one at the largest |Im Q|.  The dilation starts at
+    ``system_delta_max``, or at delta0 capped by it, as the probes' do, and
+    halves until the exactly evaluated form value clears the threshold.
     """
-
-    x0: np.ndarray
-    ktilde: int
-    ltilde: int
-    row: int
-    col: int
-    pair: object
-    delta: float
-    value_imag: float
-    kind: str = "nonreal"
-
-
-def _indicator(m, B):
-    one_b = np.zeros(m)
-    one_b[list(B)] = 1.0
-    return one_b
-
-
-def _localize(sys, x0, pair, delta0, accept, what):
-    """Halve the dilation of ``pair`` at x0 until ``accept(F, delta)``
-    returns a value for the form matrix F of the dilated pair; return
-    (dilated pair, delta, value).  The search starts at ``system_delta_max``,
-    or at delta0 capped by it, so every support stays inside the box and
-    inside one cell of every coefficient, as the probes' do."""
+    x0 = np.asarray(x0, dtype=float)
+    d = sys.d
+    Q = np.asarray(Q, dtype=complex)
+    mult = find_witness(Q.real)
+    lattice = mult is not None
+    indicator = np.zeros(sys.m)
+    if lattice:
+        cls, extra, f = WitnessCertificate, (mult,), mult.f
+        tau = float(mult.pairing.real)
+        pair, target = _witness_pair(tau, ktilde, ltilde, d), tau ** 2
+        indicator[list(mult.B)] = 1.0
+    else:
+        cls, extra, f = NonrealWitness, (), np.zeros(sys.m)
+        im = np.abs(Q.imag)
+        row, col = np.unravel_index(np.argmax(im), im.shape)
+        target = float(im[row, col])
+        if target == 0.0:
+            raise ValueError("symmetrized matrix is real diagonal; no witness exists")
+        pair = _probe_pair(d, ktilde, ltilde)
+        f[col] = indicator[row] = 1.0
     delta = float(system_delta_max(sys, x0))
     if delta0 is not None:
         delta = min(delta, float(delta0))
     for _ in range(MAX_HALVINGS):
         dil = pair.dilated(x0, delta)
-        value = accept(form_matrix(sys, dil.phi, dil.psi), delta)
-        if value is not None:
-            return dil, delta, value
+        z = np.vdot(indicator, form_matrix(sys, dil.phi, dil.psi) @ f)
+        threshold = 0.5 * delta ** (d - 2) * target
+        value = float(z.real if lattice else z.imag)
+        if (value >= threshold * (1.0 - 1e-9)) if lattice else (abs(value) >= threshold):
+            return cls(x0, ktilde, ltilde, dil, delta, f, indicator, value, threshold, *extra)
         delta *= 0.5
-    raise WitnessNotLocalized(
-        f"no dilation certified a {what} at {x0} within {MAX_HALVINGS} halvings")
-
-
-def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
-    """Build a certified witness pair from a non-diagonal symmetrized matrix.
-
-    The tent pair is ``build_test_pair`` with tau equal to the witness
-    pairing of the realified Q, read from the verified pair of tau's sign
-    (``_witness_pair``); the dilation shrinks geometrically until the exactly
-    evaluated form value clears the threshold 0.5 * delta**(d-2) * tau**2.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    d = sys.d
-    Q_real = np.asarray(Q, dtype=complex).real
-    witness = find_witness(Q_real)
-    if witness is None:
-        raise ValueError("symmetrized matrix is diagonal after realification; "
-                         "no disjointly supported witness exists")
-    tau = float(witness.pairing.real)
-    pair = _witness_pair(tau, ktilde, ltilde, d)
-    one_b = _indicator(sys.m, witness.B)
-
-    def accept(F, delta):
-        value = float(np.vdot(one_b, F @ witness.f).real)
-        threshold = 0.5 * delta ** (d - 2) * tau ** 2
-        return (value, threshold) if value >= threshold * (1.0 - 1e-9) else None
-
-    dil, delta, (value, threshold) = _localize(
-        sys, x0, pair, delta0, accept, "witness")
-    return WitnessCertificate(x0, ktilde, ltilde, witness, dil, delta,
-                              value, float(threshold))
-
-
-def construct_nonreal_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
-    """Witness for a symmetrized matrix that is diagonal but not real: the
-    form entry F[row, col] at the largest |Im Q| has a large imaginary part."""
-    x0 = np.asarray(x0, dtype=float)
-    d = sys.d
-    Q = np.asarray(Q, dtype=complex)
-    im = np.abs(Q.imag)
-    row, col = np.unravel_index(np.argmax(im), im.shape)
-    target = float(Q.imag[row, col])
-    if target == 0.0:
-        raise ValueError("symmetrized matrix is real; no nonreal witness")
-    pair = _probe_pair(d, ktilde, ltilde)
-
-    def accept(F, delta):
-        value = float(F[row, col].imag)
-        return value if abs(value) >= 0.5 * delta ** (d - 2) * abs(target) else None
-
-    dil, delta, value = _localize(
-        sys, x0, pair, delta0, accept, "nonreal witness")
-    return NonrealWitness(x0, ktilde, ltilde, int(row), int(col),
-                          dil, delta, value)
+    raise WitnessNotLocalized(f"no dilation certified a {cls.kind} witness at {x0} "
+                              f"within {MAX_HALVINGS} halvings")
 
 
 # -- the decision --------------------------------------------------------------
@@ -342,7 +309,7 @@ class Verdict:
 
     decision: str               # 'positive-decoupled' | 'not-positive'
     scalar_systems: tuple       # m scalar systems, or None
-    witness: object             # WitnessCertificate | NonrealWitness | None
+    witness: object             # Witness | None
     tol: float
     # the zero test's points; ``decouple`` also tabulates the scalar
     # coefficients there
@@ -480,10 +447,9 @@ def decide_decoupling(sys, require_elliptic=True):
         )
 
     x0, k, l, Q, diagonal, real = first_failure
-    if not is_multiplication(Q.real, tol):
-        wit = construct_witness(sys, x0, k, l, Q)
-    else:
-        wit = construct_nonreal_witness(sys, x0, k, l, Q)
+    # the decision's tol picks the kind: a nonreal witness reads Im Q only
+    lattice = not is_multiplication(Q.real, tol)
+    wit = construct_witness(sys, x0, k, l, Q if lattice else 1j * Q.imag)
     return Verdict(
         "not-positive", None, wit, tol, probe_points,
         {"bound": M, "failed_point": x0, "failed_pair": (k, l),

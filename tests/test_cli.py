@@ -365,3 +365,17 @@ def test_readme_commands_run(tmp_path, argv):
     # argparse keeps the last --out, so the run writes into tmp_path only
     assert run(argv, tmp_path) == 0
     assert (tmp_path / "report.txt").exists()
+
+
+def test_readme_library_example(capsys):
+    # the "Library" block runs as printed, and its comments hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    decision, claim, scan = capsys.readouterr().out.splitlines()
+    w = scope["w"]
+    assert decision == "not-positive"
+    assert abs(w.value - 4.0) <= 1e-12 and w.value > w.threshold
+    assert claim == f"{w.value} > {w.threshold}"
+    assert scan == "NEGATIVE-FOUND"

@@ -36,7 +36,13 @@ from possem.decoupling import (
     scalar_coercivity,
     system_delta_max,
 )
-from possem.errors import ContractViolation, DomainError, GeometryError, NumericalError
+from possem.errors import (
+    ContractViolation,
+    DomainError,
+    GeometryError,
+    NumericalError,
+    WitnessNotLocalized,
+)
 from possem.multop import is_multiplication
 from possem.polynomials import MultiPoly
 from possem.semigroup import GeneratorOperator, positivity_scan, sign_witness
@@ -421,16 +427,42 @@ def test_counterexample_witness_pair_is_build_test_pair():
     assert w.value == pytest.approx(0.0938437, abs=1e-6)
 
 
-def test_nonreal_witness_for_complex_diagonal():
+def _complex_diagonal_system():
     z = ConstantField(np.zeros((2, 2), dtype=complex))
     six = ConstantField(6 * np.eye(2, dtype=complex))
     Cc = ConstantField(np.diag([6.0, 6.0 + 2.0j]))
-    sys_ = EllipticSystem(((-4.0, 4.0), (-4.0, 4.0)), 2,
+    return EllipticSystem(((-4.0, 4.0), (-4.0, 4.0)), 2,
                           ((Cc, z), (z, six)), "dirichlet", 4.0)
-    verdict = decide_decoupling(sys_)
+
+
+def test_nonreal_witness_for_complex_diagonal():
+    verdict = decide_decoupling(_complex_diagonal_system())
     assert not verdict.positive
     assert isinstance(verdict.witness, NonrealWitness)
-    assert abs(verdict.witness.value_imag) == pytest.approx(4.0, abs=1e-10)
+    assert abs(verdict.witness.value) == pytest.approx(4.0, abs=1e-10)
+
+
+def test_construct_witness_builds_the_nonreal_kind():
+    # Re Q is diagonal, so the one witness search falls back to the largest
+    # |Im Q| = 4 at (row, col) = (1, 1)
+    sys_ = _complex_diagonal_system()
+    x0 = np.zeros(2)
+    w = construct_witness(sys_, x0, 0, 0, sys_.symmetrized(0, 0, x0))
+    assert w.kind == "nonreal" and w.row == w.col == 1
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator))
+    assert value.imag == w.value
+    assert abs(w.value) >= w.threshold
+
+
+@pytest.mark.parametrize("build, kl, kind", [
+    (catalog.get("witness_W").build, (0, 1), "lattice"),
+    (_complex_diagonal_system, (0, 0), "nonreal"),
+])
+def test_unlocalized_witness_names_its_kind(build, kl, kind, monkeypatch):
+    monkeypatch.setattr(decoupling, "MAX_HALVINGS", 0)
+    sys_, x0 = build(), np.zeros(2)
+    with pytest.raises(WitnessNotLocalized, match=f"certified a {kind} witness at"):
+        construct_witness(sys_, x0, *kl, sys_.symmetrized(*kl, x0))
 
 
 def test_random_suites():
@@ -926,6 +958,22 @@ def test_coupling_below_the_tolerance_has_a_lattice_witness(eps):
     assert witness[3] == pytest.approx(4 * eps / 3, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", [5e-9, pytest.param(1e-9, marks=pytest.mark.xfail(
+    raises=ValueError, strict=True,
+    reason="find_witness's tolerance 1e-9 (1 + max|Q|) hides the coupling 2 eps "
+           "(ROADMAP item 10)"))])
+def test_coupling_below_the_tolerance_has_a_tent_witness(eps):
+    # the symmetrized C_11 + C_11 holds the coupling 2 eps; at 5e-9 the form
+    # value 4.999999999999999e-17 clears the threshold 0.5 (2 eps)**2 only
+    # through the relative slack 1e-9
+    sys_ = _coupled_inside_tolerance(eps)
+    x0 = np.array([0.5, 0.5])
+    w = construct_witness(sys_, x0, 0, 0, sys_.symmetrized(0, 0, x0))
+    assert w.kind == "lattice" and w.delta == 0.25
+    assert form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real == w.value
+    assert w.value >= w.threshold * (1 - 1e-9)
+
+
 # ROADMAP item 10, a box far from the origin: the system bound M reads the
 # global monomial expansion of C_11 = C_22 = (3 + (x_1 - o - 1/2)**2) I, about
 # 4.2e6 at o = 1024, although the coefficient stays in [3, 3.25] on the box.
@@ -1021,7 +1069,7 @@ def test_decision_reads_the_coefficients_once(name, bc, monkeypatch):
     if verdict.positive:
         assert forms == []
     else:
-        assert forms and set(forms) == {"_localize"}
+        assert forms and set(forms) == {"construct_witness"}
 
 
 def test_deciding_imports_no_scipy():

@@ -44,9 +44,9 @@ from .errors import NumericalError
 from .tents import (
     binomial_shift,
     check_capacity,
-    common_support,
     hat_moments,
-    moment_tables,
+    interval_moments,
+    reference_intervals,
 )
 
 if TYPE_CHECKING:
@@ -365,39 +365,37 @@ def form_matrix(sys, phi, psi, deltas=None):
     case.
 
     On the intersection of the supports and the box every coefficient is a
-    sum of monomial terms ``x**e * C_e``.  ``tents.moment_tables`` gives one
-    (2, 2, top + 1) table per dilation and axis, ``int x**e phi_axis^(a)
-    psi_axis^(b)`` over the box for every derivative pattern (a, b); the
-    weights ``prod_axis table[axis, l == axis, k == axis, e_axis]`` of every
-    term of every (k, l) and dilation times the terms ``C_e`` are one matrix
-    product.  Where each term reads its weights (``moment_index``, from the
-    terms' derivative orders), the top exponent and the capacity degree are
-    built once with the system's ``CoefficientTable``; the capacity is
-    checked on every call.  The intersections of the supports and the box
-    for all dilations are one (S, d, 2) array, and the terms are read on
-    their hull (the largest one when the supports are nested, as a tent
-    pair's are), so grid-sampled coefficients raise UnsupportedContract
-    unless every dilation's intersection lies inside a single coefficient
-    cell.
+    sum of monomial terms ``x**e * C_e``.  One pass,
+    ``tents.reference_intervals``, checks the pair and gives the (S, d)
+    reference intervals of all dilations; they decide which dilations are
+    empty, and the terms are read on the hull of ``center + delta [lo,
+    hi]`` over the others (the largest one when the supports are nested,
+    as a tent pair's are), so grid-sampled coefficients raise
+    UnsupportedContract unless every dilation's intersection lies inside a
+    single coefficient cell.  ``tents.interval_moments`` turns the same
+    intervals into one (2, 2, top + 1) table per dilation and axis, ``int
+    x**e phi_axis^(a) psi_axis^(b)`` over the box for every derivative
+    pattern (a, b); the weights ``prod_axis table[axis, l == axis, k ==
+    axis, e_axis]`` of every term of every (k, l) and dilation times the
+    terms ``C_e`` are one matrix product.  Where each term reads its
+    weights (``moment_index``), the top exponent and the capacity degree
+    come from the system's ``CoefficientTable``; the capacity is checked
+    on every call.
     """
-    d, m, table = sys.d, sys.m, sys.table
-    stack = np.array((phi.delta,) if deltas is None else deltas, dtype=float)
-    bounds = np.array(sys.box)
-    # span[s, axis] = [max(lo, a), min(hi, b)] of dilation s's intersection,
-    # empty when hi <= lo
-    span = np.array(phi.center)[:, None] + stack[:, None, None] * common_support((phi, psi)).T
-    span = np.minimum(np.maximum(span, bounds[:, :1]), bounds[:, 1:])
-    nonempty = (span[..., 1] > span[..., 0]).all(axis=1)
+    m, table = sys.m, sys.table
+    stack, lo, hi = reference_intervals((phi, psi), sys.box, deltas)
+    nonempty = (hi > lo).all(axis=1)
     out = np.zeros((len(stack), m, m), dtype=complex)
     if nonempty.any():
         C = table.terms[3]
         if table.sampled:       # each grid-sampled field's constant on the hull
-            region = list(zip(span[nonempty, :, 0].min(axis=0).tolist(),
-                              span[nonempty, :, 1].max(axis=0).tolist()))
-            C = np.concatenate([C] + [fld.monomials(d, region)[1] for _, _, fld in table.sampled])
+            center, dil = np.array(phi.center), stack[nonempty, None]
+            region = list(zip((center + dil * lo[nonempty]).min(axis=0).tolist(),
+                              (center + dil * hi[nonempty]).max(axis=0).tolist()))
+            C = np.concatenate([C] + [fld.monomials(sys.d, region)[1] for _, _, fld in table.sampled])
         if len(C):
             check_capacity(table.degree)
-            tables = moment_tables((phi, psi), table.top, sys.box, stack)
+            tables = interval_moments((phi, psi), table.top, stack, lo, hi)
             if not np.isfinite(tables).all():
                 raise NumericalError("non-finite coefficient term or moment")
             # weights[s, t] = prod_axis tables[s, axis, l == axis, k == axis, e_axis]

@@ -353,45 +353,49 @@ class CoefficientTable:
     holds the same terms one by one in (k, l, exponent) order, as arrays
     k (T'), l (T'), exponents (T', d) and m x m coefficients (T', m, m).
 
-    What the form reads of the terms is built with them, once per table:
-    ``orders`` (dk, dl), the one-hot (T', d) derivative orders of each term
-    along k and along l (the test function is differentiated along k, the
-    trial function along l); ``top``, the largest exponent (0 without
-    terms); ``degree``, the largest per-axis integrand degree e + 2 - dk -
-    dl of a term against two tents, which ``form_matrix`` and ``assemble``
-    check against the quadrature's capacity on every call; and
-    ``moment_index`` (T' + len(sampled), d), where each term, then each
-    grid-sampled field as a constant, reads its per-axis moment in a
-    flattened (d, 2, 2, top + 1) table of ``tents.moment_tables`` for the
-    pair (trial, test).
+    ``top`` is the largest exponent (0 without terms).  What only the form
+    reads is built on first use (a system that is only decided never reads
+    it): ``orders`` (dk, dl), the one-hot (T', d) derivative orders of each
+    term along k and along l (the test function is differentiated along k,
+    the trial function along l); ``degree``, the largest per-axis integrand
+    degree e + 2 - dk - dl of a term against two tents, which
+    ``form_matrix`` and ``assemble`` check against the quadrature's capacity
+    on every call; and ``moment_index`` (T' + len(sampled), d), where each
+    term, then each grid-sampled field as a constant, reads its per-axis
+    moment in a flattened (d, 2, 2, top + 1) ``tents.moment_tables`` table
+    of the pair (trial, test).
     """
 
     exps: np.ndarray
     blocks: np.ndarray
     terms: tuple
     sampled: tuple
-    orders: tuple = field(init=False, repr=False)
     top: int = field(init=False, repr=False)
-    degree: int = field(init=False, repr=False)
-    moment_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for arr in (self.exps, self.blocks, *self.terms):
+            arr.flags.writeable = False     # one table is shared by every reader
+        object.__setattr__(self, "top", int(self.terms[2].max(initial=0)))
+
+    @cached_property
+    def _form_fields(self):
+        """(orders, degree, moment_index), read-only."""
         k, l, exps, _ = self.terms
         T, d = exps.shape
-        top = int(exps.max(initial=0))
         # the form reads each grid-sampled field as one constant term, after the terms
         sampled_kl = np.array([(kk, ll) for kk, ll, _ in self.sampled], dtype=int).reshape(-1, 2)
         dk, dl = (np.eye(d, dtype=int)[np.concatenate([axes, sampled_kl[:, i]])]
                   for i, axes in enumerate((k, l)))
-        index = ((np.arange(d) * 2 + dl) * 2 + dk) * (top + 1)
+        index = ((np.arange(d) * 2 + dl) * 2 + dk) * (self.top + 1)
         index[:T] += exps
         orders = dk[:T], dl[:T]
-        for arr in (self.exps, self.blocks, *self.terms, *orders, index):
-            arr.flags.writeable = False     # one table is shared by every reader
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "degree", int((exps - sum(orders)).max(initial=-2)) + 2)
-        object.__setattr__(self, "moment_index", index)
+        for arr in (*orders, index):
+            arr.flags.writeable = False
+        return orders, int((exps - sum(orders)).max(initial=-2)) + 2, index
+
+    orders = property(lambda self: self._form_fields[0])
+    degree = property(lambda self: self._form_fields[1])
+    moment_index = property(lambda self: self._form_fields[2])
 
     @classmethod
     def from_terms(cls, k, l, exps, C, sampled):

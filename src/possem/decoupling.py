@@ -150,16 +150,16 @@ def _witness_pair(tau, ktilde, ltilde, d):
 def _probe_result(x0, ktilde, ltilde, deltas, matrices, d, richardson):
     """ProbeResult of the channel matrices F (S, m, m) of the pair at each
     dilation: the history of delta**(2-d) * F, one stacked product, its
-    convergence from the steps of one ``np.diff``, and its estimate.  Every
-    F must be finite: a NaN difference never reads as divergence."""
+    convergence from its first and last steps, and its estimate.  Every F
+    must be finite: a NaN difference never reads as divergence."""
     # each scale is a Python float power, as the history has always had it
     scaled = np.array([dd ** (2 - d) for dd in deltas])[:, None, None] * np.asarray(matrices, dtype=complex)
-    diffs = np.abs(np.diff(scaled, axis=0)).max(axis=(1, 2))
-    scale = max(1.0, float(np.abs(scaled[-1]).max()))
+    flat = scaled.reshape(len(scaled), -1)
+    scale, *steps = np.abs(np.concatenate((flat[-1:], flat[1:] - flat[:-1]))).max(axis=1).tolist()
     converged = True
-    if len(diffs):
-        tiny = 1e-12 * scale
-        if diffs[-1] > tiny and diffs[-1] > DIVERGENCE_FACTOR * max(diffs[0], tiny):
+    if steps:
+        tiny = 1e-12 * max(1.0, scale)
+        if steps[-1] > tiny and steps[-1] > DIVERGENCE_FACTOR * max(steps[0], tiny):
             converged = False
     estimate = scaled[-1]
     extrapolated = False

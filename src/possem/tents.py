@@ -17,11 +17,14 @@ them into the moments of every dilation and center: one path behind
 ``moment_tables`` (the exact integrals, the pair self-check, ``form_matrix``)
 and ``hat_moments`` (the stiffness bands and cell corner matrices).  The
 shift runs over a stack at once: every node of a grid axis, or every
-dilation and axis of one pair.  A stack's reference intervals, each axis's
-common support clipped by the box, are computed as one array, and the memo
-is read once per distinct interval: once per axis when the box clips no
-dilation, as for every probe, whose nested supports share their reference
-moments.  At exponent 0 the shift multiplies by exactly 1, so it is skipped.
+dilation and axis of one pair.  ``moment_tables`` is two steps, which
+``form_matrix`` calls directly: ``reference_intervals`` clips each axis's
+common support by the box, in reference coordinates, for the whole stack as
+one array (one pass, which also decides the form's empty dilations and
+hull), and ``interval_moments`` reads the memo once per distinct interval
+(once per axis when the box clips no dilation, as for every probe, whose
+nested supports share their reference moments) and shifts the stack.  At
+exponent 0 the shift multiplies by exactly 1, so it is skipped.
 """
 
 from __future__ import annotations
@@ -110,9 +113,9 @@ class PiecewiseLinear1D:
         return np.where(inside, slopes[np.clip(idx, 0, len(slopes) - 1)], 0.0)
 
     def affine_pullback(self, center, delta):
-        """Return q with q(x) = self((x - center) / delta), delta > 0."""
-        if delta <= 0:
-            raise GeometryError("dilation must be positive")
+        """Return q with q(x) = self((x - center) / delta), 0 < delta < inf."""
+        if not 0 < delta < math.inf:
+            raise GeometryError(f"dilation must be positive and finite, got {delta}")
         return PiecewiseLinear1D(center + delta * self.breakpoints, self.values)
 
 
@@ -149,8 +152,8 @@ class TensorTestFunction:
             object.__setattr__(self, "center", (0.0,) * len(self.factors))
         if len(self.center) != len(self.factors):
             raise ValueError("center length must match dimension")
-        if self.delta <= 0:
-            raise GeometryError("dilation must be positive")
+        if not 0 < self.delta < math.inf:
+            raise GeometryError(f"dilation must be positive and finite, got {self.delta}")
 
     @property
     def d(self):
@@ -268,11 +271,49 @@ def _common_support(axes):
     return out
 
 
-def common_support(fns):
-    """The intersection of the supports of tensor functions' reference
-    factors, axis by axis: read-only array (2, d) of lower and upper ends,
-    memoized by the factors."""
-    return _common_support(tuple(zip(*(fn.factors for fn in fns))))
+def reference_intervals(fns, box=None, deltas=None):
+    """Step 1 of ``moment_tables``, for tensor test functions that share
+    one center and dilation (ValueError otherwise): ``(stack, lo, hi)``,
+    their dilation or ``deltas`` as a float array (S,), and the ends (S, d)
+    of each dilation's and axis's reference interval, the factors' common
+    support clipped by ``(box - center) / delta``, empty where ``hi <= lo``.
+    A dilation that is not positive and finite raises GeometryError."""
+    first = fns[0]
+    if any(fn.d != first.d for fn in fns):
+        raise ValueError("dimension mismatch")
+    stack = np.array((first.delta,) if deltas is None else deltas, dtype=float)
+    if not all(0 < dd < math.inf for dd in stack.tolist()):
+        raise GeometryError(f"dilations must be positive and finite, got {stack.tolist()}")
+    if any(fn.delta != first.delta or tuple(fn.center) != tuple(first.center)
+           for fn in fns):
+        raise ValueError("tensor functions must share their center and dilation")
+    if box is not None and len(box) != first.d:
+        raise ValueError("box dimension mismatch")
+    support_lo, support_hi = _common_support(tuple(zip(*(fn.factors for fn in fns))))
+    # fmax and fmin pass over a NaN bound, as max and min do
+    bounds = np.array(box if box is not None else [(-np.inf, np.inf)] * first.d, dtype=float)
+    box_lo, box_hi = (bounds.T - np.array(first.center, dtype=float))[:, None] / stack[:, None]
+    return stack, np.fmax(box_lo, support_lo), np.fmin(box_hi, support_hi)
+
+
+def interval_moments(fns, top, stack, lo, hi):
+    """Step 2 of ``moment_tables``: the (S, d, 2, ..., 2, top + 1) tables at
+    the intervals of ``reference_intervals``.  The reference moments are
+    read once per axis and distinct interval, in first-seen order (zeros
+    for an empty one), and one binomial shift carries the whole stack."""
+    n, (S, d) = len(fns), lo.shape
+    axes = tuple(zip(*(fn.factors for fn in fns)))          # the factors of each axis
+    # the distinct (axis, interval) rows in first-seen order, and where each
+    # (dilation, axis) row is among them
+    distinct = {}
+    where = [distinct.setdefault(row, len(distinct))
+             for row in zip(itertools.cycle(range(d)), lo.ravel().tolist(), hi.ravel().tolist())]
+    zero = np.zeros((2,) * n + (top + 1,))
+    tables = np.array([_reference_moments(axes[axis], a, b)[..., :top + 1] if b > a else zero
+                       for axis, a, b in distinct])
+    refs = tables.take(where, axis=0).reshape((S, d) + zero.shape)
+    return binomial_shift(refs, np.array(fns[0].center, dtype=float), stack[:, None], top,
+                          _slope_counts(n))
 
 
 def moment_tables(fns, top, box=None, deltas=None):
@@ -285,47 +326,14 @@ def moment_tables(fns, top, box=None, deltas=None):
     axis's coordinate, where f_i is the axis factor of ``fns[i]`` and
     a_i = 1 differentiates it.  With ``deltas`` the functions are
     re-dilated about their center to each of them and the tables are
-    stacked, one (d, 2, ..., 2, top + 1) table per dilation.
-
-    The reference interval of every dilation and axis, the factors' common
-    support clipped by the box, is computed for the whole stack as one
-    array.  The memoized reference moments are looked up once per axis and
-    distinct interval, and broadcast to every dilation with that interval:
-    dilations whose supports the box does not clip share the factors'
-    support, so an unclipped stack (every probe's) costs one lookup per
-    axis.  One binomial shift ``x = center + delta t`` then carries the
-    whole stack.  An entry is exact when e plus the number of
+    stacked, one (d, 2, ..., 2, top + 1) table per dilation.  The two
+    steps are ``reference_intervals`` and ``interval_moments``; an
+    unclipped stack (every probe's) shares the factors' support and reads
+    one memo entry per axis.  An entry is exact when e plus the number of
     undifferentiated factors is at most CAPACITY; callers check that with
     ``check_capacity``.
     """
-    first = fns[0]
-    if any(fn.d != first.d for fn in fns):
-        raise ValueError("dimension mismatch")
-    if any(fn.delta != first.delta or tuple(fn.center) != tuple(first.center)
-           for fn in fns):
-        raise ValueError("tensor functions must share their center and dilation")
-    if box is not None and len(box) != first.d:
-        raise ValueError("box dimension mismatch")
-    stack = np.array((first.delta,) if deltas is None else deltas, dtype=float)
-    n, d = len(fns), first.d
-    center = np.array(first.center, dtype=float)
-    axes = tuple(zip(*(fn.factors for fn in fns)))          # the factors of each axis
-    support_lo, support_hi = _common_support(axes)
-    # [lo, hi] (S, d) per dilation and axis: the common support clipped by
-    # the box in reference coordinates (fmax and fmin pass over a NaN
-    # bound, as max and min do)
-    bounds = np.array(box if box is not None else [(-np.inf, np.inf)] * d, dtype=float)
-    box_lo, box_hi = (bounds.T - center)[:, None] / stack[:, None]
-    lo, hi = np.fmax(box_lo, support_lo), np.fmin(box_hi, support_hi)
-    # one reference table per distinct (axis, interval), in first-seen order
-    rows = list(zip(itertools.cycle(range(d)), lo.ravel().tolist(), hi.ravel().tolist()))
-    found = dict.fromkeys(rows)
-    zero = np.zeros((2,) * n + (top + 1,))
-    for axis, a, b in found:
-        found[axis, a, b] = _reference_moments(axes[axis], a, b)[..., :top + 1] if b > a else zero
-    # every (dilation, axis) row reads its interval's table
-    refs = np.array(list(map(found.__getitem__, rows))).reshape((len(stack), d) + zero.shape)
-    tables = binomial_shift(refs, center, stack[:, None], top, _slope_counts(n))
+    tables = interval_moments(fns, top, *reference_intervals(fns, box, deltas))
     return tables[0] if deltas is None else tables
 
 

@@ -1,5 +1,7 @@
+import copy
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,11 +27,12 @@ from possem.coefficients import (
     GridSampledField,
     PolynomialField,
 )
-from possem.decoupling import probe_system
-from possem.errors import CapacityError, NumericalError, UnsupportedContract
+from possem.decoupling import _probe_pair, probe_system
+from possem.errors import CapacityError, GeometryError, NumericalError, UnsupportedContract
 from possem.polynomials import MultiPoly
 from possem.tents import (
     TensorTestFunction,
+    _common_support,
     build_test_pair,
     hat,
     tensor_product_integral,
@@ -756,3 +759,39 @@ def test_form_matrix_capacity():
             ref = kronecker_assembly(sys_, grid)
             K = assemble(sys_, grid).K
             assert np.abs((K - ref).toarray()).max() <= 1e-13 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("delta", [-0.5, math.nan, 0.0, math.inf])
+def test_form_rejects_a_dilation_that_is_not_positive_and_finite(delta):
+    # each of these read an all-zero form before the interval pass refused it
+    sys_ = catalog.get("ex1_3").build()
+    pair = build_test_pair(1.0, 0, 1, 2).dilated((0.5, -1.0), 0.5)
+    for deltas in ([delta], [0.5, 0.25, delta]):
+        with pytest.raises(GeometryError):
+            form_matrix(sys_, pair.phi, pair.psi, deltas)
+    # a single pair whose dilation got past the constructor's check
+    phi, psi = copy.copy(pair.phi), copy.copy(pair.psi)
+    for fn in (phi, psi):
+        object.__setattr__(fn, "delta", delta)
+    with pytest.raises(GeometryError):
+        form_matrix(sys_, phi, psi)
+    with pytest.raises(GeometryError):
+        form_value(sys_, (phi, [1.0, 0.0]), (psi, [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["ex1_3", "ex5_5", "grid"])
+@pytest.mark.parametrize("steps", [1, 7])
+def test_form_matrix_clips_the_supports_once(name, steps):
+    # one reference-interval pass per call: the common support is looked up
+    # once, for one dilation and for a probe's stack of seven
+    sys_ = (seeded_system("grid", 3, 2, "free", seed=1) if name == "grid"
+            else catalog.get(name).build())
+    x0 = FORM_PLACEMENTS["inside"][:sys_.d] if name == "grid" else np.zeros(sys_.d) + 0.25
+    deltas = 0.05 * 2.0 ** -np.arange(steps)
+    pair = _probe_pair(sys_.d, 0, 1).dilated(x0, deltas[0])
+    for stack in ([None] if steps == 1 else []) + [deltas]:
+        before = _common_support.cache_info()
+        F = form_matrix(sys_, pair.phi, pair.psi, stack)
+        after = _common_support.cache_info()
+        assert np.abs(F).max() > 0
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1

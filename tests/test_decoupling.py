@@ -40,6 +40,7 @@ from possem.errors import (
     ContractViolation,
     DomainError,
     GeometryError,
+    IndeterminateDecision,
     NumericalError,
     WitnessNotLocalized,
 )
@@ -973,6 +974,32 @@ def test_coupling_below_the_tolerance_has_a_tent_witness(eps):
     assert form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real == w.value
     assert w.value >= w.threshold * (1 - 1e-9)
 
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the zero test passes the coupling 2 eps = 1e-8 below its tolerance "
+                          "1e-8 max(1, M), so no witness is built (ROADMAP item 10)")
+def test_decision_inside_the_tolerance_has_a_lattice_witness():
+    # the decision must read NOT-POSITIVE with the witness that the tent
+    # search finds at eps = 5e-9, reproduced exactly by form_value
+    sys_ = _coupled_inside_tolerance(5e-9)
+    verdict = decide_decoupling(sys_)
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    assert w.kind == "lattice"
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == w.value >= w.threshold * (1 - 1e-9)
+
+
+@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True,
+                   reason="at eps = 1e-200 the decision reads POSITIVE-DECOUPLED; a lattice "
+                          "witness cannot decide it either, since its threshold 0.5 (2 eps)**2 "
+                          "underflows to 0.0 and the claim 0.0 >= 0.0 (1 - 1e-9) certifies "
+                          "nothing, so ROADMAP item 10 must not accept a zero threshold")
+def test_underflowing_coupling_is_indeterminate():
+    # pytest.raises reports a missing exception through pytest.fail
+    with pytest.raises(IndeterminateDecision):
+        decide_decoupling(_coupled_inside_tolerance(1e-200))
 
 # ROADMAP item 10, a box far from the origin: the system bound M reads the
 # global monomial expansion of C_11 = C_22 = (3 + (x_1 - o - 1/2)**2) I, about

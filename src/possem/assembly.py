@@ -382,7 +382,7 @@ def form_matrix(sys, phi, psi, deltas=None):
     come from the system's ``CoefficientTable``; the capacity is checked
     on every call.
     """
-    m, table = sys.m, sys.table
+    d, m, table = sys.d, sys.m, sys.table
     stack, lo, hi = reference_intervals((phi, psi), sys.box, deltas)
     nonempty = (hi > lo).all(axis=1)
     out = np.zeros((len(stack), m, m), dtype=complex)
@@ -392,7 +392,7 @@ def form_matrix(sys, phi, psi, deltas=None):
             center, dil = np.array(phi.center), stack[nonempty, None]
             region = list(zip((center + dil * lo[nonempty]).min(axis=0).tolist(),
                               (center + dil * hi[nonempty]).max(axis=0).tolist()))
-            C = np.concatenate([C] + [fld.monomials(sys.d, region)[1] for _, _, fld in table.sampled])
+            C = np.concatenate([C] + [fld.monomials(d, region)[1] for _, _, fld in table.sampled])
         if len(C):
             check_capacity(table.degree)
             tables = interval_moments((phi, psi), table.top, stack, lo, hi)

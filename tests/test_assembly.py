@@ -35,6 +35,7 @@ from possem.tents import (
     _common_support,
     build_test_pair,
     hat,
+    moment_tables,
     tensor_product_integral,
 )
 
@@ -762,21 +763,32 @@ def test_form_matrix_capacity():
 
 
 @pytest.mark.parametrize("delta", [-0.5, math.nan, 0.0, math.inf])
-def test_form_rejects_a_dilation_that_is_not_positive_and_finite(delta):
-    # each of these read an all-zero form before the interval pass refused it
+def test_dilation_that_is_not_positive_and_finite_is_refused(delta):
+    # each of these read an all-zero form or table (0.0 also with
+    # RuntimeWarnings) before the interval pass refused it
     sys_ = catalog.get("ex1_3").build()
     pair = build_test_pair(1.0, 0, 1, 2).dilated((0.5, -1.0), 0.5)
+    for refuse in (lambda: pair.phi.dilated((0.5, -1.0), delta),
+                   lambda: pair.dilated((0.5, -1.0), delta),
+                   lambda: TensorTestFunction(1.0, (hat(),), (0.0,), delta),
+                   lambda: hat().affine_pullback(0.0, delta)):
+        with pytest.raises(GeometryError):
+            refuse()
     for deltas in ([delta], [0.5, 0.25, delta]):
         with pytest.raises(GeometryError):
             form_matrix(sys_, pair.phi, pair.psi, deltas)
+        with pytest.raises(GeometryError):
+            moment_tables((pair.phi, pair.psi), 2, sys_.box, deltas)
     # a single pair whose dilation got past the constructor's check
     phi, psi = copy.copy(pair.phi), copy.copy(pair.psi)
     for fn in (phi, psi):
         object.__setattr__(fn, "delta", delta)
-    with pytest.raises(GeometryError):
-        form_matrix(sys_, phi, psi)
-    with pytest.raises(GeometryError):
-        form_value(sys_, (phi, [1.0, 0.0]), (psi, [0.0, 1.0]))
+    for refuse in (lambda: form_matrix(sys_, phi, psi),
+                   lambda: form_value(sys_, (phi, [1.0, 0.0]), (psi, [0.0, 1.0])),
+                   lambda: moment_tables((phi, psi), 2, sys_.box),
+                   lambda: moment_tables((phi, psi), 2)):
+        with pytest.raises(GeometryError):
+            refuse()
 
 
 @pytest.mark.parametrize("name", ["ex1_3", "ex5_5", "grid"])

@@ -975,7 +975,6 @@ def test_coupling_below_the_tolerance_has_a_tent_witness(eps):
     assert w.value >= w.threshold * (1 - 1e-9)
 
 
-
 @pytest.mark.xfail(raises=AssertionError, strict=True,
                    reason="the zero test passes the coupling 2 eps = 1e-8 below its tolerance "
                           "1e-8 max(1, M), so no witness is built (ROADMAP item 10)")
@@ -1000,6 +999,7 @@ def test_underflowing_coupling_is_indeterminate():
     # pytest.raises reports a missing exception through pytest.fail
     with pytest.raises(IndeterminateDecision):
         decide_decoupling(_coupled_inside_tolerance(1e-200))
+
 
 # ROADMAP item 10, a box far from the origin: the system bound M reads the
 # global monomial expansion of C_11 = C_22 = (3 + (x_1 - o - 1/2)**2) I, about

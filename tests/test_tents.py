@@ -1,4 +1,3 @@
-import copy
 import math
 from dataclasses import FrozenInstanceError
 
@@ -9,7 +8,7 @@ from numpy.polynomial import Polynomial
 from possem import catalog
 from possem.coefficients import DEFAULT_MAX_TOTAL_DEGREE
 from possem.decoupling import _probe_pair, boundary_distance, probe_system
-from possem.errors import CapacityError, GeometryError
+from possem.errors import CapacityError
 from possem.polynomials import MultiPoly
 from possem.tents import (
     CAPACITY,
@@ -396,39 +395,3 @@ def test_binomial_shift_of_a_dilated_pair():
     expect = delta * sum(math.comb(e, j) * c ** (e - j) * delta ** j * m[j]
                          for j in range(e + 1))
     assert val == pytest.approx(expect, rel=1e-14)
-
-
-#: Dilations that are not positive and finite; each gave an all-zero table
-#: or form, and 0.0 also RuntimeWarnings, before the interval pass refused
-#: them.
-INVALID_DILATIONS = [-0.5, math.nan, 0.0, math.inf]
-
-
-def with_dilation(fn, delta):
-    """A copy of the tensor function ``fn`` holding ``delta``, set past the
-    constructor's check."""
-    out = copy.copy(fn)
-    object.__setattr__(out, "delta", delta)
-    return out
-
-
-@pytest.mark.parametrize("delta", INVALID_DILATIONS)
-def test_dilation_that_is_not_positive_and_finite_is_refused(delta):
-    pair = build_test_pair(1.0, 0, 1, 2).dilated((0.5, -1.0), 0.5)
-    with pytest.raises(GeometryError):
-        pair.phi.dilated((0.5, -1.0), delta)
-    with pytest.raises(GeometryError):
-        pair.dilated((0.5, -1.0), delta)
-    with pytest.raises(GeometryError):
-        TensorTestFunction(1.0, (hat(),), (0.0,), delta)
-    with pytest.raises(GeometryError):
-        hat().affine_pullback(0.0, delta)
-    box = ((-4.0, 4.0), (-4.0, 4.0))
-    for deltas in ([delta], [0.5, 0.25, delta]):
-        with pytest.raises(GeometryError):
-            moment_tables((pair.phi, pair.psi), 2, box, deltas)
-    # a single pair reaches the same pass, with or without a box
-    single = (with_dilation(pair.phi, delta), with_dilation(pair.psi, delta))
-    for bounds in (box, None):
-        with pytest.raises(GeometryError):
-            moment_tables(single, 2, bounds)

@@ -28,17 +28,15 @@ blocks at most tol count as zero, as the Hermitian test counts K - K^H.  Any
 other generator goes to ``scipy.linalg.expm`` (scaling and squaring with
 Pade approximants, Al-Mohy and Higham 2009).
 
-The positivity scan has a third path for a non-self-adjoint generator: one
-chain E(t_k) = exp(-(t_k - t_{k-1}) A) E(t_{k-1}), E(0) = I, over the sorted
-times by ``scipy.sparse.linalg.expm_multiply`` on the generator's CSR (Al-Mohy
-and Higham, *Computing the action of the matrix exponential*, SIAM J. Sci.
-Comput. 2011).  Its truncated Taylor series costs sparse products only, and
-the N columns of E share one choice of degree and scaling per step.  It costs
-N^2 per time against the N^3 of the other paths, so it is taken when
-CHAIN_COST * nnz(A) * max(1, ||t_max A||_1) <= N^2 against a dense
-exponential per time, and <= N^2 / SPECTRAL_GAIN against the spectral
-factors of a one-way coupling (which are then never computed).  A
-self-adjoint generator always takes its spectral path.
+The positivity scan has a third path for a generator with no spectral form:
+one chain E(t_k) = exp(-(t_k - t_{k-1}) A) E(t_{k-1}), E(0) = I, over the
+sorted times by ``scipy.sparse.linalg.expm_multiply`` on the generator's CSR
+(Al-Mohy and Higham, *Computing the action of the matrix exponential*, SIAM J.
+Sci. Comput. 2011).  Its truncated Taylor series costs sparse products only,
+and the N columns of E share one choice of degree and scaling per step.  It
+costs N^2 per time against the N^3 of a dense exponential, so it is taken when
+CHAIN_COST * nnz(A) * max(1, ||t_max A||_1) <= N^2.  A generator with
+spectral factors, self-adjoint or one-way, always takes its spectral path.
 
 With the lumped (positive diagonal) mass, exp(-t A) >= 0 for every t > 0
 exactly when A is real with nonpositive off-diagonal entries;
@@ -50,7 +48,6 @@ witness alone and reports the propagator's extremes at the requested times.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +61,6 @@ BLOCK_TOL = 1e-10
 #: per column of E where a dense exponential per time costs N^2 (fitted to
 #: timings of both on 2D and 3D forms of 162 to 1250 dofs, one BLAS thread).
 CHAIN_COST = 25
-
-#: The spectral propagators of a one-way coupling, factors included, cost
-#: about N^2 / SPECTRAL_GAIN per column of E on the same scale (fitted to
-#: timings against the chain on 2D and 3D forms of 162 to 2662 dofs).
-SPECTRAL_GAIN = 10
 
 #: Rounding band of the offender: entries within this fraction of the
 #: largest |entry| above the minimum count as tied with it.
@@ -87,17 +79,15 @@ class GeneratorOperator:
     ``(dofs, lam, W, W_inv)`` with the group's block of A equal to
     W diag(lam) W_inv (``dofs`` is ``slice(None)`` for a self-adjoint
     generator, its one group), and per one-way link ``(g, h, X)`` with
-    X = V_g^H Mass^-1/2 K_gh Mass^-1/2 V_h.  A form's generator computes the
-    factors of a one-way coupling on first use and its dense A on first read;
-    ``one_way`` says whether there are links, before the factors exist.
-    ``csr`` holds the entries of A in CSR form (built from A when not given).
-    A, the factors and the CSR arrays are read-only, so one generator can be
-    shared.
+    X = V_g^H Mass^-1/2 K_gh Mass^-1/2 V_h.  A form's generator computes its
+    factors from the dense K of its Hermitian test when it is built, and its
+    dense A on first read.  ``csr`` holds the entries of A in CSR form (built
+    from A when not given).  A, the factors and the CSR arrays are read-only,
+    so one generator can be shared.
     """
 
     def __init__(self, A=None, spectral=None, csr=None):
-        """From a dense A, its CSR, or both; ``spectral`` gives the factors, or
-        a function that computes a one-way coupling's factors on first use."""
+        """From a dense A, its CSR, or both, and the factors ``spectral``."""
         import scipy.sparse
 
         if A is not None:
@@ -112,9 +102,7 @@ class GeneratorOperator:
         elif csr is None:
             raise ValueError("a generator needs A or its CSR")
         self._A = A
-        self._spectral = (spectral if spectral is None or callable(spectral)
-                          else _read_only_factors(spectral))
-        self.one_way = callable(spectral) or bool(spectral and spectral[1])
+        self.spectral = None if spectral is None else _read_only_factors(spectral)
         self.csr = csr
         for arr in (csr.data, csr.indices, csr.indptr):
             arr.flags.writeable = False
@@ -136,14 +124,15 @@ class GeneratorOperator:
         stored = dform.K.data.real if real else dform.K.data
         tol = 1e-12 * max(1.0, float(np.abs(stored).max(initial=0.0)))
         asym = np.abs(K - K.conj().T)
-        if asym.max(initial=0.0) <= tol:   # A is similar to S = Mass^-1/2 K Mass^-1/2
+        hermitian = asym.max(initial=0.0) <= tol
+        plan = None if hermitian else _one_way_plan(np.abs(K), asym, dform.m, tol)
+        del asym        # freed before the eigendecompositions
+        if hermitian:   # A is similar to S = Mass^-1/2 K Mass^-1/2
             root = np.sqrt(mass)
             lam, V = np.linalg.eigh(K / np.outer(root, root))
             spectral = (((slice(None), lam, V / root[:, None], V.conj().T * root),), ())
         else:
-            plan = _one_way_plan(np.abs(K), asym, dform.m, tol)
-            spectral = None if plan is None else functools.partial(
-                _one_way_factors, dform.K, mass, real, *plan)
+            spectral = None if plan is None else _one_way_factors(K, mass, *plan)
         # the same complex division per stored entry, so the CSR equals Mass^-1 K bit for bit
         data = dform.K.data / np.repeat(mass, np.diff(dform.K.indptr))
         if real:    # a contiguous real copy, not a view holding the complex bytes
@@ -159,12 +148,6 @@ class GeneratorOperator:
         return self._A
 
     @property
-    def spectral(self):
-        if callable(self._spectral):
-            self._spectral = _read_only_factors(self._spectral())
-        return self._spectral
-
-    @property
     def ndof(self):
         return self.csr.shape[0]
 
@@ -177,12 +160,12 @@ class GeneratorOperator:
     @property
     def method(self):
         """How propagators are computed: 'spectral' or 'expm'."""
-        return "expm" if self._spectral is None else "spectral"
+        return "expm" if self.spectral is None else "spectral"
 
     def propagator(self, t):
         """exp(-t A)."""
         t = float(t)
-        if self._spectral is None:
+        if self.spectral is None:
             import scipy.linalg
 
             return _finite(scipy.linalg.expm(-t * self.A))
@@ -202,7 +185,7 @@ class GeneratorOperator:
         """exp(-t A) u: matrix-vector products with the spectral factors, or
         the dense exponential times u."""
         u = np.asarray(u)
-        if self._spectral is None:
+        if self.spectral is None:
             return self.propagator(t) @ u
         t = float(t)
         groups, links = self.spectral
@@ -250,13 +233,11 @@ def _one_way_plan(size, asym, m, tol):
     return groups, tuple(sorted((ids.index(g), ids.index(h)) for g, h in pairs))
 
 
-def _one_way_factors(K, mass, real, groups, links):
-    """``(groups, links)`` factors of the sparse stiffness K along a plan of
+def _one_way_factors(K, mass, groups, links):
+    """``(groups, links)`` factors of the dense stiffness K along a plan of
     ``_one_way_plan``: one ``eigh`` per group of S = Mass^-1/2 K Mass^-1/2,
-    real where the group's block is (all of them when ``real``)."""
-    K, root = K.toarray(), np.sqrt(mass)
-    if real:
-        K = K.real
+    real where the group's block is."""
+    root = np.sqrt(mass)
 
     def block(rows, cols):
         return K[rows[:, None], cols] / np.outer(root[rows], root[cols])
@@ -363,13 +344,12 @@ class PositivityReport:
 
 def _scan_propagators(gen, times, norm1):
     """The path and the pairs (t, exp(-t A)) at the sorted distinct times:
-    the generator's own propagators, or one sparse chain when its cost rule
-    (CHAIN_COST) says that is cheaper than a dense exponential per time or
-    than the spectral factors of a one-way coupling (SPECTRAL_GAIN)."""
+    the generator's spectral propagators when it has them; otherwise one
+    sparse chain when its cost rule (CHAIN_COST) says that is cheaper than a
+    dense exponential per time, else the dense exponentials."""
     times = sorted(set(times))
-    own = gen.ndof ** 2 / (SPECTRAL_GAIN if gen.one_way else 1)
-    if ((gen.method == "expm" or gen.one_way)
-            and CHAIN_COST * gen.csr.nnz * max(1.0, times[-1] * norm1) <= own):
+    if (gen.method == "expm"
+            and CHAIN_COST * gen.csr.nnz * max(1.0, times[-1] * norm1) <= gen.ndof ** 2):
         return "expm_multiply", _chain(gen.csr, times)
     return gen.method, ((t, gen.propagator(t)) for t in times)
 
@@ -471,7 +451,8 @@ def factorization_residual(dform, scalar_dforms, t, u):
     """Relative gap between the block propagator and the channelwise scalar
     propagators: || exp(-tA) u - stack_n exp(-tA_n) u_n || / ||u||.
 
-    Requires the assembled block stiffness to be channel-decoupled; a
+    Requires m one-channel forms on the block form's grid (ValueError
+    otherwise) and the assembled block stiffness to be channel-decoupled; a
     coupling entry above ``BLOCK_TOL * ||K||`` raises ContractViolation.
     The check and each generator are kept with their forms; a self-adjoint
     generator applies its spectral factors, any other keeps one dense
@@ -481,6 +462,8 @@ def factorization_residual(dform, scalar_dforms, t, u):
     m = dform.m
     if len(scalar_dforms) != m:
         raise ValueError(f"need {m} scalar systems")
+    if any(sf.m != 1 or sf.grid != dform.grid for sf in scalar_dforms):
+        raise ValueError("scalar systems must be one-channel forms on the block form's grid")
     scale, coupling = dform.memo("channel coupling", lambda: (
         float(np.abs(dform.K.data).max(initial=0.0)), dform.channel_coupling_max()))
     if coupling > BLOCK_TOL * max(scale, 1.0):

@@ -86,6 +86,8 @@ class PiecewiseLinear1D:
         vals = np.asarray(self.values, dtype=float) + 0.0
         if vals.shape != bp.shape:
             raise ValueError("need one value per breakpoint")
+        if not (np.isfinite(bp).all() and np.isfinite(vals).all()):
+            raise ValueError("breakpoints and values must be finite")
         bp.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)

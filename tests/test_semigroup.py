@@ -265,6 +265,18 @@ def test_factorization_coupled_complex_pair_zero_trace():
         assert factorization_residual(dform, forms, t, u) <= 1e-10
 
 
+def test_factorization_rejects_forms_of_another_grid_or_width():
+    # a Dirichlet 6^2 and a free 4^2 grid both have 25 nodes; the block form
+    # itself has two channels
+    sys_ = catalog.get("rand_decoupled(3)").build(bc="dirichlet")
+    dform = assemble(sys_, Grid(sys_.box, (6, 6), "dirichlet"))
+    other = Grid(sys_.box, (4, 4), "free")
+    u = np.random.default_rng(0).standard_normal(dform.ndof)
+    for forms in ([assemble(s, other) for s in extract_scalar_systems(sys_)], [dform] * 2):
+        with pytest.raises(ValueError, match="one-channel forms on the block form's grid"):
+            factorization_residual(dform, forms, 0.1, u)
+
+
 def test_factorization_rejects_coupled_input():
     sys_ = catalog.get("witness_W").build()
     g = Grid(sys_.box, (6, 6), "dirichlet")
@@ -395,7 +407,7 @@ def test_one_way_propagator_matches_expm(name, bc, d, n):
     # each channel's block of K is self-adjoint and one channel drives the
     # other: two groups and one link, first-order Dyson term exact
     gen = _form_generator(name, bc, d, n)
-    assert gen.method == "spectral" and gen.one_way
+    assert gen.method == "spectral"
     groups, links = gen.spectral
     assert len(groups) == 2 and len(links) == 1
     rng = np.random.default_rng(0)
@@ -430,23 +442,34 @@ def test_one_way_scan_matches_the_dense_path(monkeypatch, name, bc, d, n):
     _assert_same_scan(rep, ref, atol=1e-15)
 
 
-def test_one_way_sides_of_the_cost_rule(monkeypatch):
-    # 25 nnz / N^2 is 0.37 for ex1_3 free 16^2, above 1 / SPECTRAL_GAIN: the
-    # spectral factors; 0.0895 for ex1_3_entry1 free 34^2: the chain, and the
-    # factors are never computed
-    assert positivity_scan(_form_generator("ex1_3", "free", 2, 16)).propagator == "spectral"
-    gen = _form_generator("ex1_3_entry1", "free", 2, 34)
-    eighs = _counting(monkeypatch, np.linalg, "eigh")
-    method, _ = semigroup._scan_propagators(gen, (1.0 / gen.norm1,), gen.norm1)
-    assert gen.one_way and method == "expm_multiply" and not eighs
+def test_one_way_form_scans_its_spectral_factors(monkeypatch):
+    # with the chain priced at zero, a generator with no spectral form takes
+    # it; one with one-way factors still scans by them
+    monkeypatch.setattr(semigroup, "CHAIN_COST", 0)
+    assert positivity_scan(_form_generator("witness_W", "dirichlet", 2, 6)).propagator == "spectral"
+    two_way = _form_generator("two_way_pair", "free", 2, 8)
+    assert two_way.method == "expm"
+    assert positivity_scan(two_way).propagator == "expm_multiply"
 
 
-def test_one_way_generator_is_lazy_and_read_only(monkeypatch):
+def test_one_way_generator_densifies_K_once(monkeypatch):
+    # the Hermitian test, the one-way plan and the factors read one dense K
+    sys_ = catalog.get("witness_W").build()
+    dform = assemble(sys_, Grid(sys_.box, (6, 6), "dirichlet"))
+    calls, raw = [], dform.K.toarray
+    monkeypatch.setattr(dform.K, "toarray", lambda *a, **kw: calls.append(1) or raw(*a, **kw))
+    gen = GeneratorOperator.from_discrete_form(dform)
+    rep = positivity_scan(gen)
+    assert gen.spectral[1] and rep.propagator == "spectral"
+    assert len(calls) == 1
+
+
+def test_one_way_generator_is_read_only(monkeypatch):
     sys_ = catalog.get("witness_W").build()
     dform = assemble(sys_, Grid(sys_.box, (6, 6), "dirichlet"))
     eighs = _counting(monkeypatch, np.linalg, "eigh")
     gen = GeneratorOperator.from_discrete_form(dform)
-    assert gen.method == "spectral" and not eighs and gen._A is None
+    assert gen.method == "spectral" and gen._A is None
     positivity_scan(gen)
     assert len(eighs) == 2 and gen._A is None        # one eigh per group, no dense A
     A = (dform.K.toarray() / dform.dof_mass[:, None]).real

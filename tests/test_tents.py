@@ -308,6 +308,17 @@ def test_factors_are_immutable_and_compare_by_value():
     assert f != double_hat() and f != PiecewiseLinear1D([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
 
 
+@pytest.mark.parametrize("breakpoints, values", [
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 0.0]),     # diff <= 0 is false for NaN
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0]),
+    ([0.0, 0.5, 1.0], [0.0, np.nan, 0.0]),
+    ([0.0, 1.0], [0.0, np.inf]),
+], ids=["nan-breakpoint", "inf-breakpoint", "nan-value", "inf-value"])
+def test_nonfinite_factor_is_refused(breakpoints, values):
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseLinear1D(breakpoints, values)
+
+
 def test_moment_memo_is_bounded():
     # probes at distinct points reuse the reference moments of their pairs:
     # the memo holds the same entries after 10 and after 1000 probes

@@ -9,13 +9,14 @@ monomial term is a product of per-axis banded moments ``int x^e b_p^(dp)
 b_q^(dq) dx``: a grid hat is a dilated unit tent, so these are the tents'
 reference moments shifted to each node, under the Gauss rule and capacity
 check of ``form_matrix``.  The sum over the terms is factorized by axis: one
-complex matrix product of the coefficients times the first axis's bands
-against the product of the other axes' bands, and one gather of its result
-into the stencil layout.  Only the stencil slots (i, offset, j) that some
-contribution can fill are gathered and stored: a slot mask, derived from the
-factors before the product, keeps a slot when a term has C[i, j] != 0 and a
-nonzero band at that offset on every axis, or when a grid-sampled field has a
-nonzero (i, j) in some cell and a nonzero corner entry that offset apart.
+matrix product of the coefficients times the first axis's bands against the
+product of the other axes' bands, real when every term is, and one gather of
+its result into the stencil layout; K's stored data is complex either way.
+Only the stencil slots (i, offset, j) that some contribution can fill are
+gathered and stored: a slot mask, derived from the factors before the
+product, keeps a slot when a term has C[i, j] != 0 and a nonzero band at
+that offset on every axis, or when a grid-sampled field has a nonzero (i, j)
+in some cell and a nonzero summed corner entry that offset apart.
 Every other slot is an exact zero at every node; ``eliminate_zeros`` still
 drops the off-grid neighbours and exact cancellations among the kept ones, so
 K is canonical and has the entries and bits of the full stencil.  On an axis
@@ -23,8 +24,9 @@ that no exponent reads, the bands are the same at every interior node (the
 stencil is translation invariant there), so that axis enters the product with
 three rows, its first, one interior and its last node, and the result is
 repeated over the nodes; the bits are those of the full product.  Grid-sampled
-coefficients use their cell-center value times the same moments on one cell.
-The mass matrix is lumped.
+coefficients use their cell-center value times the same moments on one cell;
+all of them are summed per corner pair in one real product before one add
+into the stencil per corner pair.  The mass matrix is lumped.
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
 """
@@ -193,9 +195,10 @@ def _term_stencil(grid, table, m, filled):
     ``CoefficientTable``, read with the derivative orders and the capacity
     degree it holds, and the bool mask (i, *offsets, j) of the slots it
     keeps, in row-major order: ``sum_t C_t[i, j] prod_axis band_t(node,
-    offset)``.  The sum over the terms t is one complex matrix product R =
-    P^T Q of P_t = C_t band_t on the first axis and Q_t = the product of the
-    other axes' bands.
+    offset)``.  The sum over the terms t is one matrix product R = P^T Q of
+    P_t = C_t band_t on the first axis and Q_t = the product of the other
+    axes' bands: real, from Re C_t, when no term has a nonzero imaginary
+    part, so S is then real, and complex otherwise.
 
     The slot mask is derived from the factors before the product: a slot
     is kept if ``filled`` marks it (the slots the cell-sampled fields fill)
@@ -217,7 +220,7 @@ def _term_stencil(grid, table, m, filled):
     d = grid.d
     _, _, exps, C = table.terms
     if not len(C):
-        return np.zeros(grid.shape + (np.count_nonzero(filled),), dtype=complex), filled
+        return np.zeros(grid.shape + (np.count_nonzero(filled),)), filled
     check_capacity(table.degree)
     dk, dl = table.orders
     tops, shape = exps.max(axis=0), grid.shape
@@ -241,7 +244,7 @@ def _term_stencil(grid, table, m, filled):
     # slots[i, *offsets, j] = any_t (C_t[i, j] != 0 and reach[t, offsets])
     slots = ((C != 0).reshape(T, -1).T @ reach).reshape(m, m, -1).transpose(0, 2, 1)
     slots = filled | slots.reshape(filled.shape)
-    P = np.einsum("tij,tao->taioj", C, stacks[0])            # (T, n_0, i, 3, j)
+    P = np.einsum("tij,tao->taioj", C if C.imag.any() else C.real, stacks[0])  # (T, n_0, i, 3, j)
     Q = np.ones((T, 1))
     for band in stacks[1:]:                                  # (T, n_1, 3, n_2, 3, ...)
         Q = (Q[:, :, None] * band.reshape(T, 1, -1)).reshape(T, -1)
@@ -259,16 +262,56 @@ def _term_stencil(grid, table, m, filled):
     return S, slots
 
 
-def _cell_coupling(grid, fld, k, l):
-    """A cell-sampled coefficient's corner matrix ``L[a, b] = int_cell d_l
-    b_b d_k b_a`` (corner 0 a left edge on every axis) and its value at
-    every assembly cell, array (*cells, i, j)."""
-    vals = fld.values[fld.cell_index(grid.cell_centers())].reshape(grid.n + (fld.m, fld.m))
+def _corner_matrix(grid, k, l):
+    """The corner matrix ``L[a, b] = int_cell d_l b_b d_k b_a`` of one
+    assembly cell (corner 0 a left edge on every axis).  For k > l it is
+    the transpose of (l, k)'s, as the integral is: ``hat_moments`` holds
+    int t' s and int t s' of a neighbour pair an ulp apart, so read directly
+    a symmetric coupling's two mixed terms would not cancel exactly."""
+    if k > l:
+        return _corner_matrix(grid, l, k).T
     a, b, ref = *np.indices((2, 2)), hat_moments()
-    L = functools.reduce(np.kron, [
+    return functools.reduce(np.kron, [
         ref[2 * a, b - a + 1, int(ax == k), int(ax == l), 0] * h ** (1 - (ax == k) - (ax == l))
         for ax, h in enumerate(grid.h)])
-    return L, vals
+
+
+def _sampled_sum(grid, sampled, m):
+    """The cell-sampled fields of ``sampled`` ((k, l, field) each) summed
+    per corner pair, and the bool mask (i, *offsets, j) of the slots they
+    fill.  The sum is an array (2^d, 2^d, *cells, i, j) of ``sum_f L_f[a,
+    b] V_f``, L_f the corner matrix of field f's (k, l) and V_f its value at
+    every assembly cell, or None without fields; each field looks the
+    assembly cell centres up on its own cell grid.  It is one real product
+    of the stacked corner matrices (F, 2^d 2^d) with the stacked cell values
+    (F, cells m^2), their real and imaginary parts side by side.  Fields
+    with equal cell values share one row, their corner matrices summed
+    first: the exactly opposite mixed moments of a symmetric coupling then
+    cancel before the product, whose fused multiply-adds would keep a
+    rounding residue.  A slot is filled by a corner pair ``offset`` apart
+    whose summed L[a, b] is nonzero for a row with a nonzero (i, j) in some
+    cell."""
+    d = grid.d
+    filled = np.zeros((m,) + (3,) * d + (m,), dtype=bool)
+    if not sampled:
+        return None, filled
+    rows, fields = [], []
+    for k, l, fld in sampled:
+        L = _corner_matrix(grid, k, l).ravel()
+        same = [r for r, f in enumerate(fields) if np.array_equal(f.values, fld.values)]
+        if same:
+            rows[same[0]] = rows[same[0]] + L
+        else:
+            rows.append(L)
+            fields.append(fld)
+    centers, L = grid.cell_centers(), np.array(rows)
+    V = np.stack([fld.values[fld.cell_index(centers)] for fld in fields])     # (F, cells, i, j)
+    A = (L.T @ V.reshape(len(fields), -1).view(float)).view(complex)
+    # reach[a, b, (i, j)]: some row has L[a, b] != 0 and a nonzero (i, j)
+    reach = (L != 0).T @ (V != 0).any(axis=1).reshape(len(fields), -1)
+    for a, _, b, _, offset in _corner_pairs(d):
+        filled[(slice(None),) + offset] |= reach[2 ** d * a + b].reshape(m, m)
+    return A.reshape((2 ** d, 2 ** d) + grid.n + (m, m)), filled
 
 
 def _corner_pairs(d):
@@ -279,24 +322,13 @@ def _corner_pairs(d):
         yield a, ca, b, cb, tuple(q - p + 1 for p, q in zip(ca, cb))
 
 
-def _sampled_slots(L, vals):
-    """Bool mask (i, *offsets, j) of the slots a cell-sampled coefficient
-    can fill: (i, j) nonzero in some cell, and a nonzero L[a, b] whose
-    corners are ``offset`` apart."""
-    d, m = vals.ndim - 2, vals.shape[-1]
-    reach = np.zeros((3,) * d, dtype=bool)
-    for a, _, b, _, offset in _corner_pairs(d):
-        reach[offset] |= L[a, b] != 0
-    nonzero = (vals != 0).reshape(-1, m, m).any(axis=0)
-    return nonzero.reshape((m,) + (1,) * d + (m,)) & reach[..., None]
-
-
-def _add_sampled(S, slots, grid, L, vals):
-    """Add a cell-sampled coefficient into the stencil-block array of the
-    kept ``slots``: for each corner pair (a, b) of the corner matrix L, the
-    value of every assembly cell whose corners a and b are both active
-    nodes, times L[a, b], on the kept (i, j) of that offset (the others
-    add exact zeros)."""
+def _add_sampled(S, slots, grid, A):
+    """The stencil-block array S of the kept ``slots`` plus the summed
+    cell-sampled fields A of ``_sampled_sum``, in A's complex dtype: for
+    each corner pair (a, b), A[a, b] of every assembly cell whose corners a
+    and b are both active nodes, on the kept (i, j) of that offset (the
+    others add exact zeros).  S is written in place when it is complex."""
+    S = S.astype(complex, copy=False)
     drop = int(grid.bc == "dirichlet")
     pos = np.cumsum(slots).reshape(slots.shape) - 1       # kept slot -> column of S
     for a, ca, b, cb, offset in _corner_pairs(grid.d):
@@ -305,7 +337,8 @@ def _add_sampled(S, slots, grid, L, vals):
         cells = tuple(slice(lo, hi) for lo, hi in span)
         rows = tuple(slice(lo + p - drop, hi + p - drop) for (lo, hi), p in zip(span, ca))
         i, j = np.nonzero(slots[(slice(None),) + offset])
-        S[rows + (pos[(i,) + offset + (j,)],)] += L[a, b] * vals[cells][..., i, j]
+        S[rows + (pos[(i,) + offset + (j,)],)] += A[(a, b) + cells][..., i, j]
+    return S
 
 
 def _stencil_csr(S, slots, grid):
@@ -330,9 +363,9 @@ def _stencil_csr(S, slots, grid):
     np.clip(cols, 0, m * N - 1, out=cols)
     # row (node, i) holds channel i's kept slots
     indptr = np.zeros(N * m + 1, dtype=idx)
-    indptr[1:] = (len(i) * np.arange(N, dtype=idx)[:, None]
-                  + np.cumsum(np.bincount(i, minlength=m))).ravel()
-    K = scipy.sparse.csr_matrix((S.reshape(-1), cols, indptr), shape=(N * m, N * m))
+    np.cumsum(np.tile(np.bincount(i, minlength=m).astype(idx), N), out=indptr[1:])
+    data = S.reshape(-1).astype(complex, copy=False)
+    K = scipy.sparse.csr_matrix((data, cols, indptr), shape=(N * m, N * m))
     K.eliminate_zeros()
     return K
 
@@ -345,14 +378,11 @@ def assemble(sys, grid):
     """
     if _as_box(sys.box) != grid.box:
         raise ValueError("grid box must equal the system box")
-    d, m = grid.d, sys.m
-    sampled = [_cell_coupling(grid, fld, k, l) for k, l, fld in sys.table.sampled]
-    filled = np.zeros((m,) + (3,) * d + (m,), dtype=bool)
-    for L, vals in sampled:
-        filled |= _sampled_slots(L, vals)
+    m = sys.m
+    A, filled = _sampled_sum(grid, sys.table.sampled, m)
     S, slots = _term_stencil(grid, sys.table, m, filled)
-    for L, vals in sampled:
-        _add_sampled(S, slots, grid, L, vals)
+    if A is not None:
+        S = _add_sampled(S, slots, grid, A)
     return DiscreteForm(_stencil_csr(S, slots, grid), grid.mass_weights(), grid, m)
 
 

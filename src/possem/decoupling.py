@@ -6,12 +6,16 @@ form determines the symmetrized coefficients C_kl + C_lk: ``probe`` and
 ``probe_system`` recover them from the form with dilated tent pairs.  The
 decision reads them from the coefficient table, tests the necessary
 condition that they are real diagonal at (almost) every point, and extracts
-the scalar systems when it holds.  When it fails, one witness search
-(``construct_witness``) builds a ``Witness``: nonnegative states with
-a(u+, u-) > 0, or real states whose form value is not real.  It reads the
-coefficients once, at the points of the coercivity check and the probe
-points together; a Cholesky gate decides every coercivity check, and
-eigenvalues are computed only to explain a failure.  The antisymmetric
+the scalar systems when it holds.  For constant and polynomial
+coefficients the zero test is exact: every term's symmetrized coefficient
+must be real diagonal to the bit.  Grid-sampled coefficients are tested at
+the probe points, to within ``default_decision_tol``.  When the test fails,
+one witness search (``construct_witness``) builds a ``Witness``:
+nonnegative states with a(u+, u-) > 0, or real states whose form value is
+not real.  It reads the coefficients once, at the points of the coercivity
+check and the probe points together; a Cholesky gate decides every
+coercivity check, and eigenvalues are computed only to explain a failure.
+The antisymmetric
 remainder C_kl - diag(Re C_kl) is not checked yet, so a positive verdict
 is not sufficient: on the free space of ex1_3, u+ = (x2 + 4)/8 e_1 and
 u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and ``factorization_residual``
@@ -42,6 +46,7 @@ from .errors import (
     ContractViolation,
     DomainError,
     GeometryError,
+    IndeterminateDecision,
     NumericalError,
     WitnessNotLocalized,
 )
@@ -254,18 +259,20 @@ class NonrealWitness(Witness):
         return int(np.argmax(self.f))
 
 
-def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
+def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, tol=None):
     """Certified witness for a symmetrized matrix Q that is not real diagonal:
     a lattice witness when ``find_witness`` finds an off-diagonal entry of
-    Re Q, on ``build_test_pair`` with tau the pairing (``_witness_pair``),
-    else a nonreal one at the largest |Im Q|.  The dilation starts at
+    Re Q above ``tol`` (by default ``default_mult_tol``), on
+    ``build_test_pair`` with tau the pairing (``_witness_pair``), else a
+    nonreal one at the largest |Im Q|.  The dilation starts at
     ``system_delta_max``, or at delta0 capped by it, as the probes' do, and
-    halves until the exactly evaluated form value clears the threshold.
+    halves until the exactly evaluated form value clears the threshold; a
+    threshold of 0.0 (an underflowing target) certifies nothing.
     """
     x0 = np.asarray(x0, dtype=float)
     d = sys.d
     Q = np.asarray(Q, dtype=complex)
-    mult = find_witness(Q.real)
+    mult = find_witness(Q.real, tol)
     lattice = mult is not None
     indicator = np.zeros(sys.m)
     if lattice:
@@ -290,7 +297,8 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
         z = np.vdot(indicator, form_matrix(sys, dil.phi, dil.psi) @ f)
         threshold = 0.5 * delta ** (d - 2) * target
         value = float(z.real if lattice else z.imag)
-        if (value >= threshold * (1.0 - 1e-9)) if lattice else (abs(value) >= threshold):
+        if threshold > 0 and ((value >= threshold * (1.0 - 1e-9)) if lattice
+                               else (abs(value) >= threshold)):
             return cls(x0, ktilde, ltilde, dil, delta, f, indicator, value, threshold, *extra)
         delta *= 0.5
     raise WitnessNotLocalized(f"no dilation certified a {cls.kind} witness at {x0} "
@@ -373,26 +381,48 @@ def scalar_coercivity(sys, B, tol):
     return lams, lams >= sys.mu - tol
 
 
+def _exactly_real_diagonal(table, d, m):
+    """Whether every term's symmetrized coefficient ``B_t(k, l) + B_t(l,
+    k)`` of a table is real diagonal to the bit: one floating-point
+    addition each, since ``from_terms`` adds no two coefficients.  Its
+    nonzero real and imaginary parts, side by side, must all be real parts
+    of diagonal entries."""
+    X = table.blocks.reshape(-1, d, m, d, m)
+    parts = (X + X.transpose(0, 3, 2, 1, 4)).view(float)       # (t, k, i, l, (j, re/im))
+    return np.count_nonzero(parts) == np.count_nonzero(
+        parts[..., ::2].diagonal(axis1=2, axis2=4))
+
+
 def _first_failure(sys, points, tol, B):
     """First (x0, k, l, Q, diagonal, real) in scan order (points
     lexicographic, then k <= l) whose symmetrized coefficient Q is not real
-    diagonal, or None; every C_kl + C_lk is formed at once from the block
-    matrices B (n, d m, d m) at the points."""
-    pairs = [(k, l) for k in range(sys.d) for l in range(k, sys.d)]
-    Q = pair_sums(B, sys.d, sys.m, *np.array(pairs).T)
+    diagonal to within tol, or None; every C_kl + C_lk is formed at once
+    from the block matrices B (n, d m, d m) at the points.
+
+    Without grid-sampled fields, a scan that finds no failure at tol is
+    decided exactly (``_exactly_real_diagonal``): None when the table
+    passes, else the point and pair of the largest entry of Q less the real
+    part of its diagonal."""
+    d, m = sys.d, sys.m
+    pairs = [(k, l) for k in range(d) for l in range(k, d)]
+    Q = pair_sums(B, d, m, *np.array(pairs).T)
     diagonal = is_multiplication(Q, tol)
     real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
-    failed = ~(diagonal & real)
+    failed = ~(diagonal & real)         # the first True, or the largest entry, fails
     if not failed.any():
-        return None
+        if sys.table.sampled or _exactly_real_diagonal(sys.table, d, m):
+            return None
+        failed = np.abs(Q - np.eye(m) * Q.real).max(axis=(-2, -1), initial=0.0)
     i, j = np.unravel_index(np.argmax(failed), failed.shape)
     return (points[i], *pairs[j], Q[i, j], bool(diagonal[i, j]), bool(real[i, j]))
 
 
 def decide_decoupling(sys, require_elliptic=True):
     """Decide positivity of the semigroup by testing every symmetrized
-    coefficient for real diagonality at every ``default_probe_points``,
-    to within ``default_decision_tol``.
+    coefficient for real diagonality at every ``default_probe_points``, to
+    within ``default_decision_tol``, and, when that passes and no field is
+    grid-sampled, exactly, term by term of the coefficient table
+    (``_exactly_real_diagonal``).
 
     The coefficients are read once: one ``block_matrix`` over the points of
     the system's coercivity check (``default_ellipticity_points``) and the
@@ -402,7 +432,7 @@ def decide_decoupling(sys, require_elliptic=True):
     Cholesky gate ``hermitian_at_least``; only when the gate fails do the
     eigenvalues (``hermitian_lambda_min``) decide, with the comparison of
     ``check_ellipticity``, and give the smallest one for the message.  The
-    zero test forms every C_kl + C_lk from the second part (``pair_sums``).
+    points' C_kl + C_lk are formed from the second part (``pair_sums``).
 
     On success the scalar systems are extracted, and their uniform bounds
     and their coercivity at the probe points are checked for all m at once:
@@ -411,7 +441,13 @@ def decide_decoupling(sys, require_elliptic=True):
     ``scalar_coercivity``).  With ``require_elliptic`` a failed check raises
     ContractViolation, otherwise it is only recorded.  On failure a witness
     is constructed at the first failure in scan order (points
-    lexicographic, then k <= l).
+    lexicographic, then k <= l) at ``default_decision_tol``, or, for an
+    exact test that fails only below it, at the largest entry of C_kl +
+    C_lk less its real diagonal.  The kind is picked, and ``find_witness``
+    run, at the test's tolerance: 1e-15 max(1, max |Q|) for an exact test.
+    IndeterminateDecision is raised when no witness can be certified there:
+    Q is real diagonal to that tolerance, or no dilation's form value
+    clears a nonzero threshold (``WitnessNotLocalized``).
     """
     probe_points = default_probe_points(sys)
     tol = default_decision_tol(sys)
@@ -447,11 +483,18 @@ def decide_decoupling(sys, require_elliptic=True):
         )
 
     x0, k, l, Q, diagonal, real = first_failure
-    # the decision's tol picks the kind: a nonreal witness reads Im Q only
-    lattice = not is_multiplication(Q.real, tol)
-    wit = construct_witness(sys, x0, k, l, Q if lattice else 1j * Q.imag)
-    return Verdict(
-        "not-positive", None, wit, tol, probe_points,
-        {"bound": M, "failed_point": x0, "failed_pair": (k, l),
-         "symmetrized": Q, "diagonal": diagonal, "real": real},
-    )
+    diagnostics = {"bound": M, "failed_point": x0, "failed_pair": (k, l),
+                   "symmetrized": Q, "diagonal": diagonal, "real": real}
+    # the zero test's tolerance, rounding level for an exact test, picks the
+    # kind and searches the witness; a nonreal witness reads Im Q only
+    wtol = tol if sys.table.sampled else 1e-15 * max(1.0, float(np.abs(Q).max()))
+    lattice = not is_multiplication(Q.real, wtol)
+    if not (lattice or np.abs(Q.imag).max() > wtol):
+        raise IndeterminateDecision(
+            f"C_{k}{l} + C_{l}{k} is not real diagonal, but at {x0} it is to "
+            f"within {wtol:.3g}", diagnostics)
+    try:
+        wit = construct_witness(sys, x0, k, l, Q if lattice else 1j * Q.imag, tol=wtol)
+    except WitnessNotLocalized as exc:
+        raise IndeterminateDecision(str(exc), diagnostics) from exc
+    return Verdict("not-positive", None, wit, tol, probe_points, diagnostics)

@@ -12,8 +12,7 @@ from possem.assembly import (
     Grid,
     _add_sampled,
     _axis_bands,
-    _cell_coupling,
-    _sampled_slots,
+    _sampled_sum,
     _stencil_csr,
     _term_stencil,
     assemble,
@@ -398,8 +397,8 @@ ORACLE_BOXES = ((-0.5, 1.0), (0.25, 2.0), (-2.0, -1.0))
 def seeded_field(rng, kind, d, m, box):
     if kind == "constant":
         return ConstantField(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    if kind == "grid":
-        cells = (3, 2, 2)[:d]
+    if kind in ("grid", "grid_2"):
+        cells = (3, 2, 2)[:d] if kind == "grid" else (2,) * d
         vals = rng.standard_normal(cells + (m, m)) + 1j * rng.standard_normal(cells + (m, m))
         return GridSampledField(box, vals)
     if kind == "polynomial":
@@ -418,19 +417,27 @@ def seeded_field(rng, kind, d, m, box):
 
 
 #: Kinds that cycle several field kinds over the (k, l) pairs.
-CYCLED_KINDS = {"mixed": ["constant", "polynomial", "grid"], "constant_grid": ["constant", "grid"]}
+CYCLED_KINDS = {"mixed": ["constant", "polynomial", "grid"], "constant_grid": ["constant", "grid"],
+                "two_grids": ["grid", "grid_2"]}
 
 
 def seeded_system(kind, d, m, bc, seed=0):
     """Seeded coefficients of one kind; "mixed" cycles constant, polynomial
     and grid-sampled fields over the (k, l) pairs, "constant_grid" constant
-    and grid-sampled ones."""
+    and grid-sampled ones, and "two_grids" grid-sampled fields on 3 x 2 x 2
+    and 2 x 2 x 2 cells (the first d of each), with C_lk = C_kl.  A "real_"
+    prefix keeps the real part of every field of the kind."""
     rng = np.random.default_rng(seed)
     box = ORACLE_BOXES[:d]
-    kinds = itertools.cycle(CYCLED_KINDS.get(kind, [kind]))
-    coeffs = tuple(tuple(seeded_field(rng, next(kinds), d, m, box) for _ in range(d))
-                   for _ in range(d))
-    return EllipticSystem(box, m, coeffs, bc, 0.0)
+    base = kind.removeprefix("real_")
+    kinds = itertools.cycle(CYCLED_KINDS.get(base, [base]))
+    coeffs = [[seeded_field(rng, next(kinds), d, m, box) for _ in range(d)] for _ in range(d)]
+    if base == "two_grids":
+        for k, l in itertools.combinations(range(d), 2):
+            coeffs[l][k] = coeffs[k][l]
+    if kind != base:
+        coeffs = [[fld.realified() for fld in row] for row in coeffs]
+    return EllipticSystem(box, m, tuple(map(tuple, coeffs)), bc, 0.0)
 
 
 def assert_canonical_csr(K, grid, m):
@@ -472,11 +479,13 @@ def test_axis_bands_are_the_moment_matrix_diagonals(cells, bc):
 @pytest.mark.parametrize("bc", ["free", "dirichlet"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["constant", "polynomial", "grid", "mixed",
-                                  "poly_x1", "poly_xd", "constant_grid"])
+                                  "poly_x1", "poly_xd", "constant_grid", "two_grids",
+                                  "real_mixed", "real_poly_x1"])
 def test_assembly_matches_kronecker_oracle(kind, d, bc):
     # poly_x1 keeps every band row of the first axis and gathers the others,
     # poly_xd gathers the first axis (the one that carries C), constant_grid
-    # adds cell-sampled fields into a gathered stencil; (7, 6, 5) has at
+    # adds cell-sampled fields into a gathered stencil, two_grids sums fields
+    # on two cell grids, real_* take the real product; (7, 6, 5) has at
     # least 4 active nodes on every axis under both boundaries
     smallest = 1 if bc == "free" else 2
     for m in (1, 2, 3):
@@ -582,16 +591,15 @@ def full_stencil(sys_, grid):
     ``assemble`` builds it before the slot mask, and that all-true mask."""
     every = np.ones((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
     S, _ = _term_stencil(grid, sys_.table, sys_.m, every)
-    for k, l, fld in sys_.table.sampled:
-        _add_sampled(S, every, grid, *_cell_coupling(grid, fld, k, l))
+    A, _ = _sampled_sum(grid, sys_.table.sampled, sys_.m)
+    if A is not None:
+        S = _add_sampled(S, every, grid, A)
     return S, every
 
 
 def kept_slots(sys_, grid):
     """The slot mask that ``assemble`` derives from the factors."""
-    filled = np.zeros((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
-    for k, l, fld in sys_.table.sampled:
-        filled |= _sampled_slots(*_cell_coupling(grid, fld, k, l))
+    _, filled = _sampled_sum(grid, sys_.table.sampled, sys_.m)
     return _term_stencil(grid, sys_.table, sys_.m, filled)[1]
 
 
@@ -609,7 +617,8 @@ def assert_mask_covers_full_stencil(sys_, grid):
 
 @pytest.mark.parametrize("bc", ["free", "dirichlet"])
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["mixed", "poly_x1", "poly_xd", "constant_grid"])
+@pytest.mark.parametrize("kind", ["mixed", "poly_x1", "poly_xd", "constant_grid",
+                                  "real_mixed", "real_poly_x1"])
 def test_slot_mask_covers_every_nonzero_slot(kind, d, bc):
     for m in (1, 2):
         sys_ = seeded_system(kind, d, m, bc, seed=10 * d + m)

@@ -926,8 +926,8 @@ def test_divergent_drift_scans_find_the_witness(build, verdict, witness):
     assert rep.witness[3] == pytest.approx(witness[3], abs=1e-12)
 
 
-# ROADMAP item 10: the zero test's tolerance 1e-8 max(1, M) passes a
-# coupling below it.  C_11 = [[1, eps], [eps, 1]], C_22 = I couples the two
+# ROADMAP item 10: a zero test to within 1e-8 max(1, M) would pass a
+# coupling below it; the exact test does not.  C_11 = [[1, eps], [eps, 1]], C_22 = I couples the two
 # channels through eps, so the semigroup is not positive for any eps != 0;
 # a cross-channel tent pair's form value holds no channel-diagonal
 # coefficient, so it reads eps to full relative accuracy.
@@ -941,9 +941,6 @@ def _coupled_inside_tolerance(eps):
                           ((c11, zero), (zero, ConstantField(np.eye(2)))), "dirichlet", 0.5)
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="the zero test passes symmetrized couplings below its tolerance "
-                          "1e-8 max(1, M) (ROADMAP item 10)")
 @pytest.mark.parametrize("eps", TOLERANCE_BAND)
 def test_coupling_below_the_tolerance_is_not_positive(eps):
     assert decide_decoupling(_coupled_inside_tolerance(eps)).decision == "not-positive"
@@ -975,9 +972,6 @@ def test_coupling_below_the_tolerance_has_a_tent_witness(eps):
     assert w.value >= w.threshold * (1 - 1e-9)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the zero test passes the coupling 2 eps = 1e-8 below its tolerance "
-                          "1e-8 max(1, M), so no witness is built (ROADMAP item 10)")
 def test_decision_inside_the_tolerance_has_a_lattice_witness():
     # the decision must read NOT-POSITIVE with the witness that the tent
     # search finds at eps = 5e-9, reproduced exactly by form_value
@@ -990,13 +984,10 @@ def test_decision_inside_the_tolerance_has_a_lattice_witness():
     assert value == w.value >= w.threshold * (1 - 1e-9)
 
 
-@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True,
-                   reason="at eps = 1e-200 the decision reads POSITIVE-DECOUPLED; a lattice "
-                          "witness cannot decide it either, since its threshold 0.5 (2 eps)**2 "
-                          "underflows to 0.0 and the claim 0.0 >= 0.0 (1 - 1e-9) certifies "
-                          "nothing, so ROADMAP item 10 must not accept a zero threshold")
 def test_underflowing_coupling_is_indeterminate():
-    # pytest.raises reports a missing exception through pytest.fail
+    # the coupling 2 eps = 2e-200 fails the exact test, but lies below
+    # rounding at the probe point, and a lattice witness's threshold
+    # 0.5 (2 eps)**2 would underflow to 0.0, which certifies nothing
     with pytest.raises(IndeterminateDecision):
         decide_decoupling(_coupled_inside_tolerance(1e-200))
 
@@ -1004,11 +995,7 @@ def test_underflowing_coupling_is_indeterminate():
 # ROADMAP item 10, a box far from the origin: the system bound M reads the
 # global monomial expansion of C_11 = C_22 = (3 + (x_1 - o - 1/2)**2) I, about
 # 4.2e6 at o = 1024, although the coefficient stays in [3, 3.25] on the box.
-# The tolerance 1e-8 M = 0.042 then passes the coupling C_12 + C_21 = 2**-5 S.
-FAR_OFFSETS = [0, pytest.param(1024, marks=pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="the zero test's tolerance 1e-8 max(1, M) grows with the box's distance "
-           "from the origin (ROADMAP item 10)"))]
+# A tolerance 1e-8 M = 0.042 would pass the coupling C_12 + C_21 = 2**-5 S.
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -1038,7 +1025,7 @@ def _far_cancelling(o):
                            PolynomialField(((p, -1 * half), (-1 * half, p)), d))
 
 
-@pytest.mark.parametrize("o", FAR_OFFSETS)
+@pytest.mark.parametrize("o", [0, 1024])
 def test_far_box_coupling_is_not_positive(o):
     assert decide_decoupling(_far_coupled(o)).decision == "not-positive"
 

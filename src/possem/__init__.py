@@ -4,9 +4,9 @@ The semigroup generated by a second-order divergence-form system with
 matrix-valued coefficients is positive exactly when the system is equivalent
 to independent scalar equations with real coefficients.  This package tests
 the necessary condition that every C_kl + C_lk is real diagonal almost
-everywhere, exactly for constant and polynomial coefficients: it extracts
-the scalar systems when it holds and constructs a disjointly supported pair
-with positive form value when not.  The antisymmetric remainder is not
+everywhere, exactly for every coefficient kind: it extracts the scalar
+systems when it holds and constructs a disjointly supported pair with
+positive form value when not.  The antisymmetric remainder is not
 checked yet (see ``possem.decoupling``).
 """
 

@@ -208,7 +208,8 @@ def cmd_decouple(args, report):
     verdict = decide_decoupling(sys_)
     out = Path(args.out)
     report.add(f"system: {name}")
-    report.add(f"decision tolerance: {verdict.tol:.6g}")
+    report.add(f"zero test: exact; tolerance {verdict.tol:.6g} places a failure "
+               f"and gives the scalar checks their slack")
     if verdict.positive:
         report.add("verdict: POSITIVE-DECOUPLED")
         report.add(f"coefficient bound M = {verdict.diagnostics['bound']:.12g}; "

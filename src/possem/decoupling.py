@@ -6,20 +6,18 @@ form determines the symmetrized coefficients C_kl + C_lk: ``probe`` and
 ``probe_system`` recover them from the form with dilated tent pairs.  The
 decision reads them from the coefficient table, tests the necessary
 condition that they are real diagonal at (almost) every point, and extracts
-the scalar systems when it holds.  For constant and polynomial
-coefficients the zero test is exact: every term's symmetrized coefficient
-must be real diagonal to the bit.  Grid-sampled coefficients are tested at
-the probe points, to within ``default_decision_tol``.  When the test fails,
+the scalar systems when it holds.  The zero test is exact for every
+coefficient kind: the symmetrized coefficient of every term, and of every
+cell of grid-sampled fields, must be real diagonal to the bit.  When it fails,
 one witness search (``construct_witness``) builds a ``Witness``:
 nonnegative states with a(u+, u-) > 0, or real states whose form value is
 not real.  It reads the coefficients once, at the points of the coercivity
 check and the probe points together; a Cholesky gate decides every
 coercivity check, and eigenvalues are computed only to explain a failure.
-The antisymmetric
-remainder C_kl - diag(Re C_kl) is not checked yet, so a positive verdict
-is not sufficient: on the free space of ex1_3, u+ = (x2 + 4)/8 e_1 and
-u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and ``factorization_residual``
-raises ContractViolation (K couples channels).
+The antisymmetric remainder C_kl - diag(Re C_kl) is not checked yet, so a
+positive verdict is not sufficient: on the free space of ex1_3, u+ = (x2 +
+4)/8 e_1 and u- = (x1 + 4)/8 e_2 have a(u+, u-) = 3 + 4i, and
+``factorization_residual`` raises ContractViolation (K couples channels).
 """
 
 from __future__ import annotations
@@ -262,16 +260,19 @@ class NonrealWitness(Witness):
 def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, tol=None):
     """Certified witness for a symmetrized matrix Q that is not real diagonal:
     a lattice witness when ``find_witness`` finds an off-diagonal entry of
-    Re Q above ``tol`` (by default ``default_mult_tol``), on
-    ``build_test_pair`` with tau the pairing (``_witness_pair``), else a
-    nonreal one at the largest |Im Q|.  The dilation starts at
-    ``system_delta_max``, or at delta0 capped by it, as the probes' do, and
-    halves until the exactly evaluated form value clears the threshold; a
-    threshold of 0.0 (an underflowing target) certifies nothing.
+    Re Q above ``tol`` (by default rounding level, 1e-15 max(1, max |Q|)),
+    on ``build_test_pair`` with tau the pairing (``_witness_pair``), else a
+    nonreal one at the largest |Im Q|; ValueError when Im Q is 0.  The
+    dilation starts at ``system_delta_max``, or at delta0 capped by it, as
+    the probes' do, and halves until the exactly evaluated form value clears
+    the threshold; a threshold of 0.0 (an underflowing target) certifies
+    nothing.
     """
     x0 = np.asarray(x0, dtype=float)
     d = sys.d
     Q = np.asarray(Q, dtype=complex)
+    if tol is None:
+        tol = 1e-15 * max(1.0, float(np.abs(Q).max()))
     mult = find_witness(Q.real, tol)
     lattice = mult is not None
     indicator = np.zeros(sys.m)
@@ -319,8 +320,8 @@ class Verdict:
     scalar_systems: tuple       # m scalar systems, or None
     witness: object             # Witness | None
     tol: float
-    # the zero test's points; ``decouple`` also tabulates the scalar
-    # coefficients there
+    # they place a failure and carry the scalar coercivity check; ``decouple``
+    # also tabulates the scalar coefficients there
     probe_points: np.ndarray
     diagnostics: dict
 
@@ -381,13 +382,25 @@ def scalar_coercivity(sys, B, tol):
     return lams, lams >= sys.mu - tol
 
 
-def _exactly_real_diagonal(table, d, m):
-    """Whether every term's symmetrized coefficient ``B_t(k, l) + B_t(l,
-    k)`` of a table is real diagonal to the bit: one floating-point
-    addition each, since ``from_terms`` adds no two coefficients.  Its
-    nonzero real and imaginary parts, side by side, must all be real parts
-    of diagonal entries."""
-    X = table.blocks.reshape(-1, d, m, d, m)
+def _exactly_real_diagonal(sys):
+    """Whether the symmetrized coefficient ``B(k, l) + B(l, k)`` is real
+    diagonal to the bit for each term B of the system's table; with
+    grid-sampled fields, B of the constant term is read in each cell of
+    their common refinement (``refinement_cuts``), plus every field's value
+    there by integer index.  Each (k, l) is one field, so every entry is one
+    floating-point addition, whose nonzero parts must be real and diagonal."""
+    d, m, tab = sys.d, sys.m, sys.table
+    X = tab.blocks
+    if tab.sampled:
+        cuts = refinement_cuts(sys)
+        const = int(not tab.exps[:1].any())         # exponents ascend: 0 comes first
+        cells = np.zeros(tuple(len(c) - 1 for c, _ in cuts) + X.shape[1:], dtype=complex)
+        cells += X[:const].sum(axis=0)
+        for k, l, fld in tab.sampled:
+            index = np.ix_(*(c[:-1] * n // fine for (c, fine), n in zip(cuts, fld.ncells)))
+            cells[..., k * m:(k + 1) * m, l * m:(l + 1) * m] += fld.values[index]
+        X = np.concatenate([X[const:], cells.reshape((-1,) + X.shape[1:])])
+    X = X.reshape(-1, d, m, d, m)
     parts = (X + X.transpose(0, 3, 2, 1, 4)).view(float)       # (t, k, i, l, (j, re/im))
     return np.count_nonzero(parts) == np.count_nonzero(
         parts[..., ::2].diagonal(axis1=2, axis2=4))
@@ -397,32 +410,24 @@ def _first_failure(sys, points, tol, B):
     """First (x0, k, l, Q, diagonal, real) in scan order (points
     lexicographic, then k <= l) whose symmetrized coefficient Q is not real
     diagonal to within tol, or None; every C_kl + C_lk is formed at once
-    from the block matrices B (n, d m, d m) at the points.
-
-    Without grid-sampled fields, a scan that finds no failure at tol is
-    decided exactly (``_exactly_real_diagonal``): None when the table
-    passes, else the point and pair of the largest entry of Q less the real
-    part of its diagonal."""
-    d, m = sys.d, sys.m
-    pairs = [(k, l) for k in range(d) for l in range(k, d)]
-    Q = pair_sums(B, d, m, *np.array(pairs).T)
+    from the block matrices B (n, d m, d m) at the points.  The decision
+    calls it only to place a failure of the exact test."""
+    k, l = np.array([(k, l) for k in range(sys.d) for l in range(k, sys.d)]).T
+    Q = pair_sums(B, sys.d, sys.m, k, l)
     diagonal = is_multiplication(Q, tol)
     real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
-    failed = ~(diagonal & real)         # the first True, or the largest entry, fails
+    failed = ~(diagonal & real)
     if not failed.any():
-        if sys.table.sampled or _exactly_real_diagonal(sys.table, d, m):
-            return None
-        failed = np.abs(Q - np.eye(m) * Q.real).max(axis=(-2, -1), initial=0.0)
+        return None
     i, j = np.unravel_index(np.argmax(failed), failed.shape)
-    return (points[i], *pairs[j], Q[i, j], bool(diagonal[i, j]), bool(real[i, j]))
+    return points[i], int(k[j]), int(l[j]), Q[i, j], bool(diagonal[i, j]), bool(real[i, j])
 
 
 def decide_decoupling(sys, require_elliptic=True):
-    """Decide positivity of the semigroup by testing every symmetrized
-    coefficient for real diagonality at every ``default_probe_points``, to
-    within ``default_decision_tol``, and, when that passes and no field is
-    grid-sampled, exactly, term by term of the coefficient table
-    (``_exactly_real_diagonal``).
+    """Decide positivity of the semigroup by the exact zero test
+    (``_exactly_real_diagonal``): every symmetrized coefficient, term by
+    term of the table and cell by cell of the grid-sampled fields, must be
+    real diagonal to the bit.
 
     The coefficients are read once: one ``block_matrix`` over the points of
     the system's coercivity check (``default_ellipticity_points``) and the
@@ -431,23 +436,20 @@ def decide_decoupling(sys, require_elliptic=True):
     ``default_coercivity_tol``.  Every coercivity check is decided by the
     Cholesky gate ``hermitian_at_least``; only when the gate fails do the
     eigenvalues (``hermitian_lambda_min``) decide, with the comparison of
-    ``check_ellipticity``, and give the smallest one for the message.  The
-    points' C_kl + C_lk are formed from the second part (``pair_sums``).
+    ``check_ellipticity``, and give the smallest one for the message.
 
     On success the scalar systems are extracted, and their uniform bounds
-    and their coercivity at the probe points are checked for all m at once:
-    the bounds from one pass over the system's table (``scalar_bounds``),
-    the coercivity from the block matrices of the zero test (the gate, then
-    ``scalar_coercivity``).  With ``require_elliptic`` a failed check raises
-    ContractViolation, otherwise it is only recorded.  On failure a witness
-    is constructed at the first failure in scan order (points
-    lexicographic, then k <= l) at ``default_decision_tol``, or, for an
-    exact test that fails only below it, at the largest entry of C_kl +
-    C_lk less its real diagonal.  The kind is picked, and ``find_witness``
-    run, at the test's tolerance: 1e-15 max(1, max |Q|) for an exact test.
-    IndeterminateDecision is raised when no witness can be certified there:
-    Q is real diagonal to that tolerance, or no dilation's form value
-    clears a nonzero threshold (``WitnessNotLocalized``).
+    and their coercivity at the probe points are checked for all m at once,
+    with the slack ``default_decision_tol``: the bounds from one pass over
+    the table (``scalar_bounds``), the coercivity from the second part (the
+    gate, then ``scalar_coercivity``).  With ``require_elliptic`` a failed
+    check raises ContractViolation, otherwise it is only recorded.  On
+    failure x0 is the first failure in scan order at ``default_decision_tol``
+    (``_first_failure``), or, when there is none, the probe point and pair
+    of the largest entry of C_kl + C_lk less its real diagonal.
+    ``construct_witness`` certifies a witness there at rounding level; when
+    it cannot (Q is real diagonal to rounding, or no dilation's form value
+    clears a nonzero threshold), IndeterminateDecision is raised.
     """
     probe_points = default_probe_points(sys)
     tol = default_decision_tol(sys)
@@ -466,9 +468,8 @@ def decide_decoupling(sys, require_elliptic=True):
                 )
     else:
         B = sys.block_matrix(probe_points)
-    first_failure = _first_failure(sys, probe_points, tol, B)
 
-    if first_failure is None:
+    if _exactly_real_diagonal(sys):
         scalars = extract_scalar_systems(sys)
         bounds_ok = bool((scalar_bounds(sys) <= M + tol).all())
         coercive_ok = (hermitian_at_least(_scalar_blocks(B, sys.m), sys.mu - tol)
@@ -482,19 +483,18 @@ def decide_decoupling(sys, require_elliptic=True):
              "scalar_coercivity_ok": coercive_ok},
         )
 
-    x0, k, l, Q, diagonal, real = first_failure
+    failure = _first_failure(sys, probe_points, tol, B)
+    if failure is None:     # below tol everywhere: the largest residue places x0
+        k, l = np.array([(k, l) for k in range(sys.d) for l in range(k, sys.d)]).T
+        Q = pair_sums(B, sys.d, sys.m, k, l)
+        residue = np.abs(Q - np.eye(sys.m) * Q.real).max(axis=(-2, -1))
+        i, j = np.unravel_index(np.argmax(residue), residue.shape)
+        failure = probe_points[i], int(k[j]), int(l[j]), Q[i, j], True, True
+    x0, k, l, Q, diagonal, real = failure
     diagnostics = {"bound": M, "failed_point": x0, "failed_pair": (k, l),
                    "symmetrized": Q, "diagonal": diagonal, "real": real}
-    # the zero test's tolerance, rounding level for an exact test, picks the
-    # kind and searches the witness; a nonreal witness reads Im Q only
-    wtol = tol if sys.table.sampled else 1e-15 * max(1.0, float(np.abs(Q).max()))
-    lattice = not is_multiplication(Q.real, wtol)
-    if not (lattice or np.abs(Q.imag).max() > wtol):
-        raise IndeterminateDecision(
-            f"C_{k}{l} + C_{l}{k} is not real diagonal, but at {x0} it is to "
-            f"within {wtol:.3g}", diagnostics)
     try:
-        wit = construct_witness(sys, x0, k, l, Q if lattice else 1j * Q.imag, tol=wtol)
-    except WitnessNotLocalized as exc:
-        raise IndeterminateDecision(str(exc), diagnostics) from exc
+        wit = construct_witness(sys, x0, k, l, Q)
+    except (ValueError, WitnessNotLocalized) as exc:
+        raise IndeterminateDecision(f"C_{k}{l} + C_{l}{k} at {x0}: {exc}", diagnostics) from exc
     return Verdict("not-positive", None, wit, tol, probe_points, diagnostics)

@@ -23,6 +23,7 @@ from possem.coefficients import (
 )
 from possem.decoupling import (
     NonrealWitness,
+    _exactly_real_diagonal,
     _first_failure,
     construct_witness,
     decide_decoupling,
@@ -248,14 +249,13 @@ def test_decision_sees_every_cell_of_mixed_resolution_grids(fine_first):
     assert value >= w.threshold * (1 - 1e-9)
 
 
-def four_cell_system(coupled):
-    """C_11 = C_22 = 3I on a 4 x 4 coefficient grid; C_12 = C_21 is zero, or
-    [[0, 1], [1, 0]] in cell (3, 3) when ``coupled``."""
+def four_cell_system(eps):
+    """C_11 = C_22 = 3I on a 4 x 4 coefficient grid; C_12 = C_21 is zero but
+    for eps [[0, 1], [1, 0]] in cell (3, 3)."""
     box = ((0.0, 1.0), (0.0, 1.0))
     diag = GridSampledField(box, np.broadcast_to(3.0 * np.eye(2), (4, 4, 2, 2)))
     coupling = np.zeros((4, 4, 2, 2))
-    if coupled:
-        coupling[3, 3] = [[0.0, 1.0], [1.0, 0.0]]
+    coupling[3, 3] = [[0.0, eps], [eps, 0.0]]
     c12 = GridSampledField(box, coupling)
     return EllipticSystem(box, 2, ((diag, c12), (c12, diag)), "dirichlet", 1.0)
 
@@ -264,7 +264,7 @@ def four_cell_system(coupled):
 def test_probes_and_decision_on_grid_sampled_cells(coupled):
     # the default dilations stay inside one coefficient cell, so every probe
     # at a cell center converges and recovers the cell value exactly
-    sys_ = four_cell_system(coupled)
+    sys_ = four_cell_system(float(coupled))
     for x0 in ((0.125, 0.375), (0.875, 0.875)):
         for k, l in [(0, 0), (0, 1), (1, 1)]:
             res = probe_system(sys_, x0, k, l)
@@ -285,7 +285,7 @@ def test_probes_and_decision_on_grid_sampled_cells(coupled):
 def test_witness_dilation_capped_like_the_probes():
     # x0 lies 0.05 from the cell face x_1 = 0.75: the witness search starts at
     # system_delta_max (0.025), and a larger delta0 is capped, not trusted
-    sys_ = four_cell_system(True)
+    sys_ = four_cell_system(1.0)
     x0 = np.array([0.8, 0.875])
     Q = sys_.symmetrized(0, 1, x0)
     cap = system_delta_max(sys_, x0)
@@ -320,6 +320,67 @@ def test_decision_sees_polynomial_coupling_between_cell_centres():
     assert len(verdict.probe_points) == 36
     assert verdict.decision == "not-positive"
     w = verdict.witness
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == pytest.approx(w.value)
+    assert value >= w.threshold * (1 - 1e-9)
+
+
+def two_three_cell_system(shift=0.0):
+    """C_11 = 3I on 2 x 2 cells, C_22 = 3I on 3 x 3 cells, and couplings
+    C_12 = a I + S / 2 on 2 x 2 cells and C_21 = b I - S / 2 on 3 x 3 cells,
+    S = [[0, 1], [1, 0]], with dyadic a and b that differ cell by cell.  The
+    swap parts cancel exactly on every cell of the 4 x 4 common refinement,
+    unless ``shift`` is added to the last 3 x 3 cell's."""
+    box = ((0.0, 1.0), (0.0, 1.0))
+    rng = np.random.default_rng(5)
+
+    def cells(n, diag, swap):
+        v = np.zeros((n, n, 2, 2))
+        v[..., 0, 0] = v[..., 1, 1] = diag
+        v[..., 0, 1] = v[..., 1, 0] = swap
+        return GridSampledField(box, v)
+
+    swap = np.full((3, 3), -0.5)
+    swap[2, 2] += shift
+    c12 = cells(2, rng.integers(-4, 5, (2, 2)) / 16, 0.5)
+    c21 = cells(3, rng.integers(-4, 5, (3, 3)) / 16, swap)
+    return EllipticSystem(box, 2, ((cells(2, 3.0, 0.0), c12), (c21, cells(3, 3.0, 0.0))),
+                          "dirichlet", 1.0)
+
+
+def test_mixed_resolution_coupling_that_cancels_exactly_is_positive():
+    # the 2- and 3-cell grids meet on the refinement 0, 1/3, 1/2, 2/3, 1 per
+    # axis; each refined cell reads its own cell of each field
+    sys_ = two_three_cell_system()
+    verdict = decide_decoupling(sys_)
+    assert len(verdict.probe_points) == 16
+    assert verdict.decision == "positive-decoupled"
+    # a residue of 2**-40 in the last 3 x 3 cell is placed in that cell
+    sys_ = two_three_cell_system(2.0 ** -40)
+    verdict = decide_decoupling(sys_)
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    assert np.all(w.x0 > 2 / 3) and verdict.diagnostics["failed_pair"] == (0, 1)
+    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+    assert value == pytest.approx(w.value)
+    assert value >= w.threshold * (1 - 1e-9)
+
+
+def test_polynomial_remainder_beside_a_grid_coupling_is_not_positive():
+    # C_12 = -S / 2 on 2 x 2 cells cancels the constant term of the
+    # polynomial C_21 = (1/2 + 1e-9 x_1) S in every cell; its term
+    # 1e-9 x_1 S is left over and couples the channels
+    box = ((0.0, 1.0), (0.0, 1.0))
+    x1, zero = MultiPoly.variable(0, 2), MultiPoly.constant(0.0, 2)
+    c = MultiPoly.constant(0.5, 2) + 1e-9 * x1
+    c12 = GridSampledField(box, np.broadcast_to(-0.5 * SWAP, (2, 2, 2, 2)))
+    c21 = PolynomialField(((zero, c), (c, zero)), 2)
+    diag = ConstantField(3.0 * np.eye(2))
+    sys_ = EllipticSystem(box, 2, ((diag, c12), (c21, diag)), "dirichlet", 1.0)
+    verdict = decide_decoupling(sys_)
+    assert verdict.decision == "not-positive"
+    w = verdict.witness
+    assert w.kind == "lattice" and verdict.diagnostics["failed_pair"] == (0, 1)
     value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
     assert value == pytest.approx(w.value)
     assert value >= w.threshold * (1 - 1e-9)
@@ -554,6 +615,20 @@ def test_positive_verdict_builds_no_scalar_table():
     assert len(positive) >= 10
     for v in positive:
         assert all("table" not in vars(s) for s in v.scalar_systems)
+
+
+def test_exactly_decoupled_systems_have_no_failure_at_the_tolerance():
+    # why a positive verdict may skip the tolerance scan: every system that
+    # passes the exact test is real diagonal to within default_decision_tol
+    # at every probe point
+    passed = 0
+    for sys_ in decoupled_systems():
+        if _exactly_real_diagonal(sys_):
+            points = default_probe_points(sys_)
+            tol = default_decision_tol(sys_)
+            assert _first_failure(sys_, points, tol, sys_.block_matrix(points)) is None
+            passed += 1
+    assert passed >= 10
 
 
 def test_stacked_scalar_coercivity_matches_check_ellipticity():
@@ -943,7 +1018,9 @@ def _coupled_inside_tolerance(eps):
 
 @pytest.mark.parametrize("eps", TOLERANCE_BAND)
 def test_coupling_below_the_tolerance_is_not_positive(eps):
-    assert decide_decoupling(_coupled_inside_tolerance(eps)).decision == "not-positive"
+    # constant coefficients, and one grid-sampled cell coupled by eps
+    for sys_ in (_coupled_inside_tolerance(eps), four_cell_system(eps)):
+        assert decide_decoupling(sys_).decision == "not-positive"
 
 
 @pytest.mark.parametrize("eps", TOLERANCE_BAND)
@@ -956,10 +1033,7 @@ def test_coupling_below_the_tolerance_has_a_lattice_witness(eps):
     assert witness[3] == pytest.approx(4 * eps / 3, rel=1e-9)
 
 
-@pytest.mark.parametrize("eps", [5e-9, pytest.param(1e-9, marks=pytest.mark.xfail(
-    raises=ValueError, strict=True,
-    reason="find_witness's tolerance 1e-9 (1 + max|Q|) hides the coupling 2 eps "
-           "(ROADMAP item 10)"))])
+@pytest.mark.parametrize("eps", TOLERANCE_BAND)
 def test_coupling_below_the_tolerance_has_a_tent_witness(eps):
     # the symmetrized C_11 + C_11 holds the coupling 2 eps; at 5e-9 the form
     # value 4.999999999999999e-17 clears the threshold 0.5 (2 eps)**2 only
@@ -974,14 +1048,18 @@ def test_coupling_below_the_tolerance_has_a_tent_witness(eps):
 
 def test_decision_inside_the_tolerance_has_a_lattice_witness():
     # the decision must read NOT-POSITIVE with the witness that the tent
-    # search finds at eps = 5e-9, reproduced exactly by form_value
-    sys_ = _coupled_inside_tolerance(5e-9)
-    verdict = decide_decoupling(sys_)
-    assert verdict.decision == "not-positive"
-    w = verdict.witness
-    assert w.kind == "lattice"
-    value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
-    assert value == w.value >= w.threshold * (1 - 1e-9)
+    # search finds at eps = 5e-9, reproduced exactly by form_value; a
+    # grid-sampled coupling is placed in its cell
+    systems = [(_coupled_inside_tolerance(5e-9), None)]
+    systems += [(four_cell_system(eps), [0.875, 0.875]) for eps in TOLERANCE_BAND]
+    for sys_, x0 in systems:
+        verdict = decide_decoupling(sys_)
+        assert verdict.decision == "not-positive"
+        w = verdict.witness
+        assert w.kind == "lattice"
+        assert x0 is None or np.array_equal(w.x0, x0)
+        value = form_value(sys_, (w.pair.phi, w.f), (w.pair.psi, w.indicator)).real
+        assert value == w.value >= w.threshold * (1 - 1e-9)
 
 
 def test_underflowing_coupling_is_indeterminate():

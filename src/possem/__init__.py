@@ -48,6 +48,7 @@ from .errors import (
     DomainError,
     GeometryError,
     IndeterminateDecision,
+    NoWitnessExists,
     NumericalError,
     PossemError,
     UnsupportedContract,

@@ -45,6 +45,7 @@ from .errors import (
     DomainError,
     GeometryError,
     IndeterminateDecision,
+    NoWitnessExists,
     NumericalError,
     WitnessNotLocalized,
 )
@@ -257,12 +258,12 @@ class NonrealWitness(Witness):
         return int(np.argmax(self.f))
 
 
-def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, tol=None):
+def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None):
     """Certified witness for a symmetrized matrix Q that is not real diagonal:
     a lattice witness when ``find_witness`` finds an off-diagonal entry of
-    Re Q above ``tol`` (by default rounding level, 1e-15 max(1, max |Q|)),
-    on ``build_test_pair`` with tau the pairing (``_witness_pair``), else a
-    nonreal one at the largest |Im Q|; ValueError when Im Q is 0.  The
+    Re Q above rounding level, 1e-15 max(1, max |Q|), on
+    ``build_test_pair`` with tau the pairing (``_witness_pair``), else a
+    nonreal one at the largest |Im Q|; NoWitnessExists when Im Q is 0.  The
     dilation starts at ``system_delta_max``, or at delta0 capped by it, as
     the probes' do, and halves until the exactly evaluated form value clears
     the threshold; a threshold of 0.0 (an underflowing target) certifies
@@ -271,9 +272,7 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, tol=None):
     x0 = np.asarray(x0, dtype=float)
     d = sys.d
     Q = np.asarray(Q, dtype=complex)
-    if tol is None:
-        tol = 1e-15 * max(1.0, float(np.abs(Q).max()))
-    mult = find_witness(Q.real, tol)
+    mult = find_witness(Q.real, 1e-15 * max(1.0, float(np.abs(Q).max())))
     lattice = mult is not None
     indicator = np.zeros(sys.m)
     if lattice:
@@ -287,7 +286,7 @@ def construct_witness(sys, x0, ktilde, ltilde, Q, delta0=None, tol=None):
         row, col = np.unravel_index(np.argmax(im), im.shape)
         target = float(im[row, col])
         if target == 0.0:
-            raise ValueError("symmetrized matrix is real diagonal; no witness exists")
+            raise NoWitnessExists("symmetrized matrix is real diagonal; no witness exists")
         pair = _probe_pair(d, ktilde, ltilde)
         f[col] = indicator[row] = 1.0
     delta = float(system_delta_max(sys, x0))
@@ -406,19 +405,23 @@ def _exactly_real_diagonal(sys):
         parts[..., ::2].diagonal(axis1=2, axis2=4))
 
 
-def _first_failure(sys, points, tol, B):
+def _first_failure(sys, points, tol, B, largest=False):
     """First (x0, k, l, Q, diagonal, real) in scan order (points
     lexicographic, then k <= l) whose symmetrized coefficient Q is not real
-    diagonal to within tol, or None; every C_kl + C_lk is formed at once
-    from the block matrices B (n, d m, d m) at the points.  The decision
-    calls it only to place a failure of the exact test."""
+    diagonal to within tol; when there is none, None, or with ``largest``
+    the point and pair of the largest entry of Q less its real diagonal.
+    Every C_kl + C_lk is formed once from the block matrices B (n, d m,
+    d m) at the points.  The decision calls it only to place a failure of
+    the exact test."""
     k, l = np.array([(k, l) for k in range(sys.d) for l in range(k, sys.d)]).T
     Q = pair_sums(B, sys.d, sys.m, k, l)
     diagonal = is_multiplication(Q, tol)
     real = np.abs(Q.imag).max(axis=(-2, -1), initial=0.0) <= tol
-    failed = ~(diagonal & real)
+    failed = ~(diagonal & real)         # the first True, or the largest entry, fails
     if not failed.any():
-        return None
+        if not largest:
+            return None
+        failed = np.abs(Q - np.eye(sys.m) * Q.real).max(axis=(-2, -1))
     i, j = np.unravel_index(np.argmax(failed), failed.shape)
     return points[i], int(k[j]), int(l[j]), Q[i, j], bool(diagonal[i, j]), bool(real[i, j])
 
@@ -448,8 +451,9 @@ def decide_decoupling(sys, require_elliptic=True):
     (``_first_failure``), or, when there is none, the probe point and pair
     of the largest entry of C_kl + C_lk less its real diagonal.
     ``construct_witness`` certifies a witness there at rounding level; when
-    it cannot (Q is real diagonal to rounding, or no dilation's form value
-    clears a nonzero threshold), IndeterminateDecision is raised.
+    it cannot (Q is real diagonal to rounding, ``NoWitnessExists``, or no
+    dilation's form value clears a nonzero threshold), IndeterminateDecision
+    is raised.
     """
     probe_points = default_probe_points(sys)
     tol = default_decision_tol(sys)
@@ -483,18 +487,11 @@ def decide_decoupling(sys, require_elliptic=True):
              "scalar_coercivity_ok": coercive_ok},
         )
 
-    failure = _first_failure(sys, probe_points, tol, B)
-    if failure is None:     # below tol everywhere: the largest residue places x0
-        k, l = np.array([(k, l) for k in range(sys.d) for l in range(k, sys.d)]).T
-        Q = pair_sums(B, sys.d, sys.m, k, l)
-        residue = np.abs(Q - np.eye(sys.m) * Q.real).max(axis=(-2, -1))
-        i, j = np.unravel_index(np.argmax(residue), residue.shape)
-        failure = probe_points[i], int(k[j]), int(l[j]), Q[i, j], True, True
-    x0, k, l, Q, diagonal, real = failure
+    x0, k, l, Q, diagonal, real = _first_failure(sys, probe_points, tol, B, largest=True)
     diagnostics = {"bound": M, "failed_point": x0, "failed_pair": (k, l),
                    "symmetrized": Q, "diagonal": diagonal, "real": real}
     try:
         wit = construct_witness(sys, x0, k, l, Q)
-    except (ValueError, WitnessNotLocalized) as exc:
+    except (NoWitnessExists, WitnessNotLocalized) as exc:
         raise IndeterminateDecision(f"C_{k}{l} + C_{l}{k} at {x0}: {exc}", diagnostics) from exc
     return Verdict("not-positive", None, wit, tol, probe_points, diagnostics)

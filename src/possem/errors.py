@@ -33,6 +33,10 @@ class WitnessNotLocalized(PossemError):
     """No dilation in the schedule produced a certified witness at this point."""
 
 
+class NoWitnessExists(PossemError, ValueError):
+    """A symmetrized matrix is real diagonal to rounding: it has no witness."""
+
+
 class IndeterminateDecision(PossemError):
     """The decision could be certified neither way; carries diagnostics."""
 

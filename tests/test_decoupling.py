@@ -42,6 +42,7 @@ from possem.errors import (
     DomainError,
     GeometryError,
     IndeterminateDecision,
+    NoWitnessExists,
     NumericalError,
     WitnessNotLocalized,
 )
@@ -423,6 +424,23 @@ def test_construct_witness_requires_offdiagonal():
     Q55 = sys55.symmetrized(0, 1, np.array([0.3, 0.3, 0.3]))
     with pytest.raises(ValueError):
         construct_witness(sys55, np.array([0.3, 0.3, 0.3]), 0, 1, Q55)
+
+
+def test_only_a_real_diagonal_matrix_makes_the_decision_indeterminate(monkeypatch):
+    # a real diagonal Q has no witness (NoWitnessExists, a ValueError); any
+    # other ValueError from the witness search is a fault and must surface
+    sys_ = catalog.get("ex1_3").build()
+    with pytest.raises(NoWitnessExists):
+        construct_witness(sys_, np.zeros(2), 0, 1, np.zeros((2, 2)))
+    coupled = four_cell_system(1.0)
+    for exc, raised in ((NoWitnessExists("real diagonal"), IndeterminateDecision),
+                        (ValueError("fault"), ValueError)):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(decoupling, "construct_witness", fail)
+        with pytest.raises(raised) as info:
+            decide_decoupling(coupled)
+        assert type(info.value) is raised
 
 
 def test_construct_witness_diagonal_pair_threshold_equality():

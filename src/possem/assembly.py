@@ -17,16 +17,22 @@ gathered and stored: a slot mask, derived from the factors before the
 product, keeps a slot when a term has C[i, j] != 0 and a nonzero band at
 that offset on every axis, or when a grid-sampled field has a nonzero (i, j)
 in some cell and a nonzero summed corner entry that offset apart.
-Every other slot is an exact zero at every node; ``eliminate_zeros`` still
-drops the off-grid neighbours and exact cancellations among the kept ones, so
-K is canonical and has the entries and bits of the full stencil.  On an axis
-that no exponent reads, the bands are the same at every interior node (the
-stencil is translation invariant there), so that axis enters the product with
-three rows, its first, one interior and its last node, and the result is
-repeated over the nodes; the bits are those of the full product.  Grid-sampled
-coefficients use their cell-center value times the same moments on one cell;
-all of them are summed per corner pair in one real product before one add
-into the stencil per corner pair.  The mass matrix is lumped.
+Every other slot is an exact zero at every node.  On an axis that no
+exponent reads, the bands are the same at every interior node (the stencil is
+translation invariant there), so that axis enters the product with three
+rows, its node classes: its first, one interior and its last node.  A table
+with no exponent and no grid-sampled field thus has a stencil of 3^d node
+classes, and from ``TILED_MIN_ROWS`` rows of K on, K is laid out from them
+directly: each class's exact zeros, the off-grid neighbours and exact
+cancellations, are dropped once, and its entries are tiled over its nodes, so
+neither a per-node stencil nor a zero drop over K is built.  Other tables,
+and smaller grids, take the per-node layout: the class rows are repeated over
+the nodes, the grid-sampled fields added, and ``eliminate_zeros`` drops the
+off-grid neighbours and exact cancellations.  Both layouts give K canonical,
+with the entries and bits of the full stencil.  Grid-sampled coefficients
+use their cell-center value times the same moments on one cell; all of them
+are summed per corner pair in one real product before one add into the
+stencil per corner pair.  The mass matrix is lumped.
 
 Degree-of-freedom layout is node-major, channel-minor: dof = node * m + ch.
 """
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -53,6 +60,14 @@ from .tents import (
 
 if TYPE_CHECKING:
     import scipy.sparse
+
+
+#: Rows of K from which a table with no exponent and no cell-sampled field
+#: is laid out from its node classes (``_tiled_csr``).  Below, the per-node
+#: layout's fewer numpy calls cost less: the two broke even at 700-1,400
+#: rows (constant systems of 1 and 2 channels in 2D and 3D, one 2-core
+#: x86-64 VM).
+TILED_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -95,7 +110,7 @@ class Grid:
 
     @property
     def N(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def node_coords(self, axis):
         a, b = self.box[axis]
@@ -105,9 +120,11 @@ class Grid:
     def node_points(self):
         return tensor_points([self.node_coords(i) for i in range(self.d)])
 
+    def cell_center_coords(self, axis):
+        return self.box[axis][0] + (np.arange(self.n[axis]) + 0.5) * self.h[axis]
+
     def cell_centers(self):
-        return tensor_points([a + (np.arange(nn) + 0.5) * hh
-                              for (a, b), nn, hh in zip(self.box, self.n, self.h)])
+        return tensor_points([self.cell_center_coords(i) for i in range(self.d)])
 
     def mass_weights(self):
         """Lumped mass per active node: product of per-axis hat integrals."""
@@ -191,8 +208,9 @@ class DiscreteForm:
 
 
 def _term_stencil(grid, table, m, filled):
-    """Stencil-block array (*nodes, slot) of the monomial terms of a
-    ``CoefficientTable``, read with the derivative orders and the capacity
+    """Stencil-block array (*rows, slot) of the monomial terms of a
+    ``CoefficientTable``, one row per node or, on an axis that no exponent
+    reads, per node class, read with the derivative orders and the capacity
     degree it holds, and the bool mask (i, *offsets, j) of the slots it
     keeps, in row-major order: ``sum_t C_t[i, j] prod_axis band_t(node,
     offset)``.  The sum over the terms t is one matrix product R = P^T Q of
@@ -210,9 +228,11 @@ def _term_stencil(grid, table, m, filled):
     *offsets, j) layout.
 
     An axis of more than 3 nodes on which every exponent is 0 enters with
-    three band rows only, its first, one interior and its last node, and
-    the small stencil is repeated back over the nodes, one ``np.repeat``
-    per such axis.  This keeps the bits: at exponent 0 the binomial shift
+    three band rows only, its node classes: its first, one interior and its
+    last node.  S keeps these rows; ``_node_stencil`` repeats them back over
+    the nodes, one ``np.repeat`` per such axis, and ``_tiled_csr`` lays out
+    a table with no exponent and no cell-sampled field from them, with no
+    per-node stencil.  This keeps the bits: at exponent 0 the binomial shift
     multiplies each class moment by exactly 1.0, so every interior row is
     the interior class's, and only the edge rows differ (edge classes when
     free, a zeroed off-grid neighbour under zero trace).  Axes that an
@@ -220,7 +240,7 @@ def _term_stencil(grid, table, m, filled):
     d = grid.d
     _, _, exps, C = table.terms
     if not len(C):
-        return np.zeros(grid.shape + (np.count_nonzero(filled),)), filled
+        return np.zeros(tuple(min(n, 3) for n in grid.shape) + (np.count_nonzero(filled),)), filled
     check_capacity(table.degree)
     dk, dl = table.orders
     tops, shape = exps.max(axis=0), grid.shape
@@ -257,9 +277,18 @@ def _term_stencil(grid, table, m, filled):
     steps = np.array(view.strides) // view.itemsize
     nodes = functools.reduce(np.add.outer, [np.arange(n) * st for n, st in zip(view.shape[:d], steps)])
     S = R.reshape(-1).take(np.add.outer(nodes, np.transpose(np.nonzero(slots)) @ steps[d:]))
-    for ax in reversed(shrunk):     # the last axis first: whole slabs copy last
-        S = S.repeat((1, shape[ax] - 2, 1), axis=ax)
     return S, slots
+
+
+def _node_stencil(S, shape):
+    """The stencil-block array of ``_term_stencil`` with one row per node
+    of a grid of this node ``shape``: each axis held as its three node
+    classes is repeated back over its nodes, the last axis first (whole
+    slabs copy last)."""
+    for ax in reversed(range(len(shape))):
+        if S.shape[ax] < shape[ax]:
+            S = S.repeat((1, shape[ax] - 2, 1), axis=ax)
+    return S
 
 
 def _corner_matrix(grid, k, l):
@@ -282,15 +311,15 @@ def _sampled_sum(grid, sampled, m):
     fill.  The sum is an array (2^d, 2^d, *cells, i, j) of ``sum_f L_f[a,
     b] V_f``, L_f the corner matrix of field f's (k, l) and V_f its value at
     every assembly cell, or None without fields; each field looks the
-    assembly cell centres up on its own cell grid.  It is one real product
-    of the stacked corner matrices (F, 2^d 2^d) with the stacked cell values
-    (F, cells m^2), their real and imaginary parts side by side.  Fields
-    with equal cell values share one row, their corner matrices summed
-    first: the exactly opposite mixed moments of a symmetric coupling then
-    cancel before the product, whose fused multiply-adds would keep a
-    rounding residue.  A slot is filled by a corner pair ``offset`` apart
-    whose summed L[a, b] is nonzero for a row with a nonzero (i, j) in some
-    cell."""
+    assembly cell centres up on its own cell grid, one axis at a time, as
+    they form a tensor grid.  It is one real product of the stacked corner
+    matrices (F, 2^d 2^d) with the stacked cell values (F, cells m^2),
+    their real and imaginary parts side by side.  Fields with equal cell
+    values share one row, their corner matrices summed first: the exactly
+    opposite mixed moments of a symmetric coupling then cancel before the
+    product, whose fused multiply-adds would keep a rounding residue.  A
+    slot is filled by a corner pair ``offset`` apart whose summed L[a, b] is
+    nonzero for a row with a nonzero (i, j) in some cell."""
     d = grid.d
     filled = np.zeros((m,) + (3,) * d + (m,), dtype=bool)
     if not sampled:
@@ -304,8 +333,12 @@ def _sampled_sum(grid, sampled, m):
         else:
             rows.append(L)
             fields.append(fld)
-    centers, L = grid.cell_centers(), np.array(rows)
-    V = np.stack([fld.values[fld.cell_index(centers)] for fld in fields])     # (F, cells, i, j)
+    # the assembly cell centres form a tensor grid: cell_index reads each
+    # axis's centres once, side by side, each axis cycled to the longest
+    axes = np.stack([np.resize(grid.cell_center_coords(ax), max(grid.n)) for ax in range(d)], axis=1)
+    L = np.array(rows)
+    V = np.stack([fld.values[np.ix_(*(t[:n] for t, n in zip(fld.cell_index(axes), grid.n)))]
+                  for fld in fields]).reshape(len(fields), -1, m, m)        # (F, cells, i, j)
     A = (L.T @ V.reshape(len(fields), -1).view(float)).view(complex)
     # reach[a, b, (i, j)]: some row has L[a, b] != 0 and a nonzero (i, j)
     reach = (L != 0).T @ (V != 0).any(axis=1).reshape(len(fields), -1)
@@ -341,12 +374,23 @@ def _add_sampled(S, slots, grid, A):
     return S
 
 
+def _slot_columns(slots, shape):
+    """Channel i and column shift m * (node shift) + j of every kept slot
+    (i, *offsets, j), in row-major order: the node shift is the flat index
+    step of the neighbour offset on a grid of this node ``shape``."""
+    i, *offsets, j = np.nonzero(slots)
+    steps = [math.prod(shape[ax + 1:]) for ax in range(len(shape))]
+    return i, slots.shape[0] * sum((o - 1) * step for o, step in zip(offsets, steps)) + j
+
+
 def _stencil_csr(S, slots, grid):
-    """CSR matrix of a stencil-block array of the kept ``slots``, built on
-    S's own buffer: rows (node, i), columns m * (node + shift) + j ascending,
-    shift the flat index step of each neighbour offset.  Slots left out of
-    the mask hold exact zeros at every node, so they are not stored.  Blocks
-    of neighbours off the grid hold exact zeros too (their bands and cell
+    """CSR matrix of a per-node stencil-block array of the kept ``slots``,
+    the layout of tables with an exponent or a cell-sampled field and of
+    grids below ``TILED_MIN_ROWS`` rows, built on S's own buffer: rows
+    (node, i), columns m * (node + shift) + j ascending, shift the flat
+    index step of each neighbour offset.  Slots left out of the mask hold
+    exact zeros at every node, so they are not stored.  Blocks of
+    neighbours off the grid hold exact zeros too (their bands and cell
     corners are zero), and so can sums that cancel exactly: one
     eliminate_zeros drops them and leaves K canonical, with the entries and
     bits of the full stencil; until then their columns, clipped into range,
@@ -355,11 +399,9 @@ def _stencil_csr(S, slots, grid):
 
     N, m = grid.N, slots.shape[0]
     idx = np.int32 if max(S.size, N * m) < 2 ** 31 else np.int64      # indptr, columns
-    node_step = np.cumprod((1,) + grid.shape[:0:-1])[::-1]          # per axis
-    i, *offsets, j = np.nonzero(slots)
-    shift = sum((o - 1) * step for o, step in zip(offsets, node_step))
+    i, shift = _slot_columns(slots, grid.shape)
     # each node's own column plus its kept slots' columns, written once
-    cols = (m * np.arange(N, dtype=idx)[:, None] + (m * shift + j).astype(idx)).ravel()
+    cols = (m * np.arange(N, dtype=idx)[:, None] + shift.astype(idx)).ravel()
     np.clip(cols, 0, m * N - 1, out=cols)
     # row (node, i) holds channel i's kept slots
     indptr = np.zeros(N * m + 1, dtype=idx)
@@ -368,6 +410,52 @@ def _stencil_csr(S, slots, grid):
     K = scipy.sparse.csr_matrix((data, cols, indptr), shape=(N * m, N * m))
     K.eliminate_zeros()
     return K
+
+
+def _tiled_csr(S, slots, grid):
+    """CSR matrix of the stencil-block array of a table with no exponent and
+    no cell-sampled field, S holding one row per node class on every axis
+    (first node, interior, last node; every node of an axis of at most 3
+    nodes): the matrix ``_stencil_csr`` builds from the per-node stencil,
+    bit for bit, with no per-node stencil and no zero drop over K.  A
+    class's exact zeros (off-grid neighbours and exact cancellations) are
+    the same at each of its nodes, so they are dropped once per class, in
+    one boolean gather of every class's nonzero entries; the row lengths
+    are each class's, repeated over its nodes.  Data and columns are then
+    written once, at their final size: every class's entries at its first
+    node (0, 1 or the last one on every axis), and then, one axis at a time
+    and the last axis first, for every class of the axes before it, the slab
+    at interior node 1 is copied to nodes 2 .. n - 2, its columns shifted
+    one node step per copy."""
+    import scipy.sparse
+
+    shape, m = grid.shape, slots.shape[0]
+    N = math.prod(shape)
+    steps = [math.prod(shape[ax + 1:]) for ax in range(grid.d)]          # node step per axis
+    idx = np.int32 if max(S.shape[-1], m) * N < 2 ** 31 else np.int64      # indptr, columns
+    i, shift = _slot_columns(slots, shape)
+    keep = S != 0
+    # row (node, i) holds its class's nonzero entries of channel i
+    indptr = np.zeros(N * m + 1, dtype=idx)
+    np.cumsum(_node_stencil(keep @ (i[:, None] == np.arange(m)).astype(idx), shape), out=indptr[1:])
+    # the first node of each class on every axis: 0, 1, ... and the last one
+    first = [[k * step for k in range(r - 1)] + [(n - 1) * step]
+             for r, n, step in zip(S.shape, shape, steps)]
+    home = m * functools.reduce(np.add.outer, map(np.array, first))[..., None]
+    # a class's entries start at the first row of its first node
+    at = (indptr[home] + np.cumsum(keep, axis=-1) - 1)[keep]
+    data, cols = np.empty(indptr[-1], dtype=complex), np.empty(indptr[-1], dtype=idx)
+    data[at] = S[keep]
+    cols[at] = (home + shift)[keep]
+    for ax in reversed(range(grid.d)):
+        n, step = shape[ax], m * steps[ax]
+        if n > 3:
+            copies = np.arange(step, (n - 2) * step, step, dtype=idx)[:, None]
+            bases = [m * sum(p) for p in itertools.product(*first[:ax])]
+            for a, b, e in indptr[np.add.outer(bases, (step, 2 * step, (n - 1) * step))].tolist():
+                data[b:e].reshape(n - 3, b - a)[...] = data[a:b]
+                np.add(cols[a:b], copies, out=cols[b:e].reshape(n - 3, b - a))
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(N * m, N * m))
 
 
 def assemble(sys, grid):
@@ -381,9 +469,14 @@ def assemble(sys, grid):
     m = sys.m
     A, filled = _sampled_sum(grid, sys.table.sampled, m)
     S, slots = _term_stencil(grid, sys.table, m, filled)
-    if A is not None:
-        S = _add_sampled(S, slots, grid, A)
-    return DiscreteForm(_stencil_csr(S, slots, grid), grid.mass_weights(), grid, m)
+    if A is None and not sys.table.top and grid.N * m >= TILED_MIN_ROWS:
+        K = _tiled_csr(S, slots, grid)
+    else:
+        S = _node_stencil(S, grid.shape)
+        if A is not None:
+            S = _add_sampled(S, slots, grid, A)
+        K = _stencil_csr(S, slots, grid)
+    return DiscreteForm(K, grid.mass_weights(), grid, m)
 
 
 def form_matrix(sys, phi, psi, deltas=None):

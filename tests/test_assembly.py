@@ -9,12 +9,15 @@ import scipy.sparse as sp
 
 from possem import catalog
 from possem.assembly import (
+    TILED_MIN_ROWS,
     Grid,
     _add_sampled,
     _axis_bands,
+    _node_stencil,
     _sampled_sum,
     _stencil_csr,
     _term_stencil,
+    _tiled_csr,
     assemble,
     export_matrix_text,
     form_matrix,
@@ -504,13 +507,17 @@ def assert_matches_kronecker_oracle(sys_, grid):
 
 
 @pytest.mark.parametrize("bc", ["free", "dirichlet"])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_constant_assembly_on_every_small_grid(d, bc):
-    # 1-5 cells per axis: 1-4 active nodes under zero trace, 2-6 free, so
-    # axes with and without a gathered interior row meet in one grid
+    # 1-5 cells per axis (1-4 in 3D): 1-4 active nodes under zero trace,
+    # 2-6 free, so axes with and without a gathered interior row meet in
+    # one grid; these grids are below TILED_MIN_ROWS, so the node-class
+    # layout is compared with the per-node one directly
     sys_ = seeded_system("constant", d, 2, bc, seed=7)
-    for cells in itertools.product(range(1 if bc == "free" else 2, 6), repeat=d):
-        assert_matches_kronecker_oracle(sys_, Grid(sys_.box, cells, bc))
+    for cells in itertools.product(range(1 if bc == "free" else 2, 6 if d < 3 else 5), repeat=d):
+        grid = Grid(sys_.box, cells, bc)
+        assert_matches_kronecker_oracle(sys_, grid)
+        assert_tiled_layout_is_the_per_node_one(sys_, grid)
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -587,10 +594,11 @@ def test_stored_entry_counts_of_a_cell_sampled_system_are_pinned(bc, stored):
 
 
 def full_stencil(sys_, grid):
-    """The stencil-block array with every slot (i, *offsets, j) kept, as
-    ``assemble`` builds it before the slot mask, and that all-true mask."""
+    """The per-node stencil-block array with every slot (i, *offsets, j)
+    kept, as ``assemble`` builds it before the slot mask, and that all-true
+    mask."""
     every = np.ones((sys_.m,) + (3,) * grid.d + (sys_.m,), dtype=bool)
-    S, _ = _term_stencil(grid, sys_.table, sys_.m, every)
+    S = _node_stencil(_term_stencil(grid, sys_.table, sys_.m, every)[0], grid.shape)
     A, _ = _sampled_sum(grid, sys_.table.sampled, sys_.m)
     if A is not None:
         S = _add_sampled(S, every, grid, A)
@@ -603,27 +611,59 @@ def kept_slots(sys_, grid):
     return _term_stencil(grid, sys_.table, sys_.m, filled)[1]
 
 
+def assert_same_csr(K, ref):
+    assert K.shape == ref.shape
+    for a, b in ((K.data, ref.data), (K.indices, ref.indices), (K.indptr, ref.indptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def class_stencil(sys_, grid):
+    """``_term_stencil`` of a table with no exponent and no cell-sampled
+    field, one row per node class, and its slot mask."""
+    assert not sys_.table.top and not sys_.table.sampled
+    _, filled = _sampled_sum(grid, sys_.table.sampled, sys_.m)
+    return _term_stencil(grid, sys_.table, sys_.m, filled)
+
+
+def assert_tiled_layout_is_the_per_node_one(sys_, grid):
+    """The node-class layout is the per-node one, bit for bit, on a grid of
+    any size (``assemble`` takes it from TILED_MIN_ROWS rows on)."""
+    S, slots = class_stencil(sys_, grid)
+    assert_same_csr(_tiled_csr(S, slots, grid), _stencil_csr(_node_stencil(S, grid.shape), slots, grid))
+
+
 def assert_mask_covers_full_stencil(sys_, grid):
     S, every = full_stencil(sys_, grid)
     nonzero = (S != 0).reshape((-1,) + every.shape).any(axis=0)
     slots = kept_slots(sys_, grid)
     assert np.all(slots[nonzero]), (sys_.m, grid.n)
-    # the compact stencil stores the full stencil's entries, bit for bit
-    K, full = assemble(sys_, grid).K, _stencil_csr(S, every, grid)
-    for a, b in ((K.data, full.data), (K.indices, full.indices), (K.indptr, full.indptr)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the compact stencil stores the full stencil's entries, bit for bit,
+    # and so does the node-class layout of a table that has one
+    full = _stencil_csr(S, every, grid)
+    assert_same_csr(assemble(sys_, grid).K, full)
+    if not sys_.table.top and not sys_.table.sampled:
+        assert_same_csr(_tiled_csr(*class_stencil(sys_, grid), grid), full)
     return slots
 
 
 @pytest.mark.parametrize("bc", ["free", "dirichlet"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["mixed", "poly_x1", "poly_xd", "constant_grid",
-                                  "real_mixed", "real_poly_x1"])
+                                  "real_mixed", "real_poly_x1", "constant", "real_constant"])
 def test_slot_mask_covers_every_nonzero_slot(kind, d, bc):
     for m in (1, 2):
         sys_ = seeded_system(kind, d, m, bc, seed=10 * d + m)
         for cells in (((1 if bc == "free" else 2),) * d, (5, 4, 3)[:d]):
             assert_mask_covers_full_stencil(sys_, Grid(sys_.box, cells, bc))
+
+
+@pytest.mark.parametrize("name, bc", [("ex1_3", "free"), ("witness_W", "dirichlet")])
+def test_node_class_layout_matches_the_full_stencil(name, bc):
+    # 64^2 is past TILED_MIN_ROWS, so assemble lays K out from the classes
+    sys_ = catalog.get(name).build(bc=bc)
+    grid = Grid(sys_.box, (64, 64), bc)
+    assert grid.N * sys_.m >= TILED_MIN_ROWS
+    assert_mask_covers_full_stencil(sys_, grid)
 
 
 @pytest.mark.parametrize("name, bc, kept", [

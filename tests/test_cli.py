@@ -368,14 +368,15 @@ def test_readme_commands_run(tmp_path, argv):
 
 
 def test_readme_library_example(capsys):
-    # the "Library" block runs as printed, and its comments hold
+    # the "Library" block runs as printed, and its comments hold: each
+    # printed line is exactly what its comment states
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     scope = {}
     exec(block, scope)
-    decision, claim, scan = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["not-positive", "3.9999999999999987 > 2.0", "NEGATIVE-FOUND"]
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines() if "print(" in line]
+    assert [c.startswith((f"'{o}'", o)) for c, o in zip(comments, out)] == [True] * 3
     w = scope["w"]
-    assert decision == "not-positive"
     assert abs(w.value - 4.0) <= 1e-12 and w.value > w.threshold
-    assert claim == f"{w.value} > {w.threshold}"
-    assert scan == "NEGATIVE-FOUND"
